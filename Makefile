@@ -12,7 +12,9 @@ build:
 test: build
 	$(GO) test ./...
 
-# Tier-2 gate: vet-clean and race-clean across the whole tree, then the
+# Tier-2 gate: vet-clean and race-clean across the whole tree, the three
+# allocation gates of the frame path (ingest, WAL replay, the misrouted-frame
+# split — they skip under -race, so they run again without it), then the
 # fuzz corpus sweep. The trace package runs first under -race as a fast
 # dedicated gate (concurrent spans against scrapes is its whole contract);
 # the full -race sweep then covers everything including the collector.
@@ -22,7 +24,7 @@ check: build
 	$(GO) test -race -run 'TestShedOverloadKeepsSampledTraffic' ./internal/collector/
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -run 'TestBatchIngestAllocBudget' -count 1 ./internal/collector/
+	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit)AllocBudget' -count 1 ./internal/collector/
 	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestCSV|E2EIngestBatch)$$' -benchtime 1x -short .
 	$(GO) run ./cmd/campaign -smoke
 	$(MAKE) fuzz

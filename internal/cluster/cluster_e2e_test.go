@@ -271,6 +271,12 @@ func TestClusterE2E(t *testing.T) {
 // record is accepted exactly once somewhere, forwards are counted in the
 // cluster metrics, and the merged result still matches the reference.
 func TestForwardOnMisroute(t *testing.T) {
+	for _, wire := range []collector.Wire{collector.WireCSV, collector.WireBatch} {
+		t.Run(wire.String(), func(t *testing.T) { testForwardOnMisroute(t, wire) })
+	}
+}
+
+func testForwardOnMisroute(t *testing.T, wire collector.Wire) {
 	records := testRecords(1200)
 	samples := testSamples(300)
 	total := uint64(len(records) + len(samples))
@@ -302,7 +308,7 @@ func TestForwardOnMisroute(t *testing.T) {
 		}
 	}()
 
-	client, err := NewClient(ClientConfig{Targets: addrs, Route: RouteRR, BatchSize: 64})
+	client, err := NewClient(ClientConfig{Targets: addrs, Route: RouteRR, Wire: wire, BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +340,25 @@ func TestForwardOnMisroute(t *testing.T) {
 		t.Errorf("metric counts %d misrouted records, replies count %d", misrouted, st.Forwarded)
 	}
 
+	// Whichever wire the first hop spoke, the second hop is batch frames: on
+	// the CSV wire no client posts to /ingest/batch, so every request served
+	// there was a forward from a peer.
+	if wire == collector.WireCSV {
+		var batchPosts uint64
+		for _, reg := range regs {
+			batchPosts += reg.CounterVec("http_requests_total",
+				"HTTP requests served, by path and status code.", "path", "code").
+				With(collector.PathIngestBatch, "200").Value()
+		}
+		if batchPosts == 0 {
+			t.Error("no forward landed on /ingest/batch")
+		}
+	}
+
 	// Zero loss: each record accepted exactly once across the cluster.
-	gotBytes, wire := mergedComparable(t, addrs[0], total)
-	if wire.Snapshot.Accepted != total {
-		t.Errorf("cluster accepted %d records, want exactly %d", wire.Snapshot.Accepted, total)
+	gotBytes, merged := mergedComparable(t, addrs[0], total)
+	if merged.Snapshot.Accepted != total {
+		t.Errorf("cluster accepted %d records, want exactly %d", merged.Snapshot.Accepted, total)
 	}
 	// Per-group order survives the forward hop (the client is synchronous
 	// and a group's records all funnel to one owner), so even the merged

@@ -171,8 +171,8 @@ func (n *Node) owner(addr string) string {
 
 // OwnerExtension implements collector.Forwarder: the browsing keyspace is
 // partitioned by (city, ISP), the aggregation group key.
-func (n *Node) OwnerExtension(r extension.Record) string {
-	return n.owner(n.mem.Ring().Owner(r.City, r.ISP))
+func (n *Node) OwnerExtension(city, isp string) string {
+	return n.owner(n.mem.Ring().Owner(city, isp))
 }
 
 // OwnerNode partitions node samples by (node, kind).
@@ -180,16 +180,33 @@ func (n *Node) OwnerNode(s dataset.NodeSample) string {
 	return n.owner(n.mem.Ring().Owner(s.Node, s.Kind))
 }
 
-// ForwardExtension relays misrouted browsing records to their owner and
-// returns how many it accepted. The POST carries HeaderForwarded, so the
-// owner applies the batch whatever its own ring says — the terminal hop.
+// forwardFrameRecords caps the records per frame ForwardExtension encodes,
+// so a large misrouted CSV batch travels as several concatenated frames,
+// each inside the frame-body and WAL-payload bounds, rather than one the
+// owner would have to reject or split.
+const forwardFrameRecords = 1 << 15
+
+// ForwardExtension relays misrouted browsing records (the CSV handler's) to
+// their owner as batch frames and returns how many it accepted.
 func (n *Node) ForwardExtension(peer string, recs []extension.Record, parent trace.SpanContext) (int, error) {
-	payload, err := collector.EncodeExtensionBatch(recs)
-	if err != nil {
-		return 0, err
+	var enc dataset.BatchEncoder
+	var frames []byte
+	for rest := recs; len(rest) > 0; {
+		k := min(len(rest), forwardFrameRecords)
+		frames = append(frames, enc.Encode(rest[:k])...)
+		rest = rest[k:]
 	}
-	return n.forward(peer, collector.PathIngestExtension, collector.ExtensionContentType,
-		payload, len(recs), parent)
+	return n.ForwardFrame(peer, frames, len(recs), parent)
+}
+
+// ForwardFrame relays concatenated batch frames holding the given number of
+// misrouted records to their owner's /ingest/batch. The POST carries
+// HeaderForwarded, so the owner applies the frames whatever its own ring
+// says — the terminal hop — through the same view path as first-hop ingest:
+// one WAL append per frame.
+func (n *Node) ForwardFrame(peer string, frames []byte, records int, parent trace.SpanContext) (int, error) {
+	return n.forward(peer, collector.PathIngestBatch, collector.BatchContentType,
+		frames, records, parent)
 }
 
 // ForwardNode relays misrouted node samples to their owner.

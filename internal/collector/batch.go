@@ -9,6 +9,11 @@ package collector
 // instead of re-marshalling a CSV row per record, and the ack still rides
 // the same group-commit fsync. Replay and compaction understand both frame
 // kinds, so a log may freely mix them.
+//
+// A frame has one decoded form here, the dataset.BatchView, and one way into
+// the shards, OfferBatchView. Whatever has to cut a frame up — the forwarder
+// by ring owner, the WAL by payload bound — re-encodes row subsets of the
+// view (BatchEncoder.EncodeRows) and never builds a record slice.
 
 import (
 	"fmt"
@@ -32,69 +37,29 @@ const walKindExtensionBatch byte = 3
 const WALKindExtensionBatch = walKindExtensionBatch
 
 // DecodeWALExtensionBatch parses a walKindExtensionBatch payload back into
-// the records it logged.
+// the records it logged, for the offline consumers that want records
+// (cluster compaction, collectord -wal-dump); recovery replays the view.
 func DecodeWALExtensionBatch(payload []byte) ([]extension.Record, error) {
 	return dataset.UnmarshalBatch(payload)
 }
 
-// OfferExtensionFrame submits a decoded columnar frame: one WAL append for
-// the whole batch, then every record enqueued to its shard. frame is the
-// verbatim wire encoding of recs and may be nil, in which case the WAL
-// payload is re-marshalled from recs (the forwarding path, where the local
-// subset differs from the wire frame). Returns per-record accepted/dropped
-// counts; sc is the decode span the batch's representative record carries.
+// OfferExtensionFrame is an adapter onto OfferBatchView: frame (or, when it
+// is nil, recs re-marshalled) is parsed into a pooled view and offered. No
+// ingest path calls it — it survives as an exported name only because
+// benchmark/other_layers.go times it under
+// collector.offer_frame_ns_per_record; drop it when that metric is retired.
 func (a *Aggregator) OfferExtensionFrame(frame []byte, recs []extension.Record, sc trace.SpanContext) (accepted, dropped int) {
-	if len(recs) == 0 {
-		return 0, 0
+	if frame == nil {
+		frame = dataset.MarshalBatch(recs)
 	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
+	v, err := a.views.Parse(frame)
+	if err != nil {
 		for i := range recs {
 			a.shardFor(recs[i].City, recs[i].ISP).met.dropped[itemExtension].Inc()
 		}
 		return 0, len(recs)
 	}
-	// Log before enqueue, as in offer() — but one frame for the batch, not
-	// one row per record. A crash after this point replays the whole frame.
-	if a.wal != nil {
-		sp := a.cfg.Tracer.StartChild(sc, "wal.append")
-		lsn, err := a.appendBatchWAL(frame, recs)
-		if err != nil {
-			sp.SetError(err)
-			sp.Finish()
-			for i := range recs {
-				a.shardFor(recs[i].City, recs[i].ISP).met.dropped[itemExtension].Inc()
-			}
-			return 0, len(recs)
-		}
-		sp.SetInt("lsn", int64(lsn))
-		sp.SetInt("records", int64(len(recs)))
-		sp.Finish()
-	}
-	now := time.Now()
-	for i := range recs {
-		sh := a.shardFor(recs[i].City, recs[i].ISP)
-		it := item{kind: itemExtension, ext: recs[i], enqueued: now}
-		if i == 0 {
-			it.span = sc
-		}
-		if a.cfg.Policy == Block {
-			sh.ch <- it
-			sh.met.accepted[itemExtension].Inc()
-			accepted++
-			continue
-		}
-		select {
-		case sh.ch <- it:
-			sh.met.accepted[itemExtension].Inc()
-			accepted++
-		default:
-			sh.met.dropped[itemExtension].Inc()
-			dropped++
-		}
-	}
-	return accepted, dropped
+	return a.OfferBatchView(v, sc)
 }
 
 // batchApply is the shared fan-out header for one zero-copy batch: the view
@@ -155,6 +120,29 @@ func (b *batchApply) partition() {
 	}
 }
 
+// partitionView takes a fan-out header from the pool, partitions v's rows by
+// shard and takes one reference per touched shard, returning the header and
+// that count. The count must be final before the first slice is handed over:
+// a shard may finish — and call done — while later slices are still in
+// flight, and the last done recycles the header, so callers walk the shards
+// only until they have handed over that many slices.
+func (a *Aggregator) partitionView(v *dataset.BatchView) (*batchApply, int32) {
+	ba, _ := a.applyPool.Get().(*batchApply)
+	if ba == nil {
+		ba = &batchApply{agg: a}
+	}
+	ba.view = v
+	ba.partition()
+	touched := int32(0)
+	for s := range a.shards {
+		if ba.offs[s+1] > ba.offs[s] {
+			touched++
+		}
+	}
+	ba.pending.Store(touched)
+	return ba, touched
+}
+
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
@@ -166,9 +154,9 @@ func growI32(s []int32, n int) []int32 {
 // pooled zero-copy view, logs its verbatim frame in one WAL append, hashes
 // every row to its shard once, and hands each shard a single item carrying
 // that shard's row slice — no per-record materialisation, no per-record
-// channel send. Returns per-record accepted/dropped counts like
-// OfferExtensionFrame; the view returns to the pool when the last shard
-// finishes (or immediately on the reject paths).
+// channel send. Returns per-record accepted/dropped counts; the view returns
+// to the pool when the last shard finishes (or immediately on the reject
+// paths).
 func (a *Aggregator) OfferBatchView(v *dataset.BatchView, sc trace.SpanContext) (accepted, dropped int) {
 	n := v.Len()
 	if n == 0 {
@@ -178,11 +166,7 @@ func (a *Aggregator) OfferBatchView(v *dataset.BatchView, sc trace.SpanContext) 
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.closed {
-		for i := 0; i < n; i++ {
-			a.shardFor(v.City(i), v.ISP(i)).met.dropped[itemExtension].Inc()
-		}
-		a.views.Put(v)
-		return 0, n
+		return 0, a.rejectView(v)
 	}
 	// Log before enqueue, as everywhere: one verbatim frame for the batch.
 	if a.wal != nil {
@@ -191,39 +175,21 @@ func (a *Aggregator) OfferBatchView(v *dataset.BatchView, sc trace.SpanContext) 
 		if err != nil {
 			sp.SetError(err)
 			sp.Finish()
-			for i := 0; i < n; i++ {
-				a.shardFor(v.City(i), v.ISP(i)).met.dropped[itemExtension].Inc()
-			}
-			a.views.Put(v)
-			return 0, n
+			return 0, a.rejectView(v)
 		}
 		sp.SetInt("lsn", int64(lsn))
 		sp.SetInt("records", int64(n))
 		sp.Finish()
 	}
-	ba, _ := a.applyPool.Get().(*batchApply)
-	if ba == nil {
-		ba = &batchApply{agg: a}
-	}
-	ba.view = v
-	ba.partition()
-	// Every touched shard holds one reference. The count must be final
-	// before the first send: a shard may finish — and call done — while
-	// later sends are still in flight.
-	touched := int32(0)
-	for s := 0; s < len(a.shards); s++ {
-		if ba.offs[s+1] > ba.offs[s] {
-			touched++
-		}
-	}
-	ba.pending.Store(touched)
+	ba, touched := a.partitionView(v)
 	now := time.Now()
 	spanned := false
-	for s := 0; s < len(a.shards); s++ {
+	for s := 0; touched > 0; s++ {
 		lo, hi := ba.offs[s], ba.offs[s+1]
 		if lo == hi {
 			continue
 		}
+		touched--
 		sh := a.shards[s]
 		it := item{kind: itemBatch, enqueued: now, batch: ba, rows: ba.rows[lo:hi]}
 		if !spanned {
@@ -249,57 +215,117 @@ func (a *Aggregator) OfferBatchView(v *dataset.BatchView, sc trace.SpanContext) 
 	return accepted, dropped
 }
 
-// appendViewWAL logs the view's verbatim wire frame — already CRC-checked by
-// the parse — when it fits the WAL payload bound; an oversized frame falls
-// back to materialising the records and splitting, as appendBatchWAL does.
-func (a *Aggregator) appendViewWAL(v *dataset.BatchView) (uint64, error) {
-	frame := v.Frame()
-	if len(frame) <= wal.MaxPayload {
-		return a.wal.Append(walKindExtensionBatch, frame)
+// rejectView counts every row of a refused view as dropped on its shard,
+// releases the view, and returns the row count.
+func (a *Aggregator) rejectView(v *dataset.BatchView) int {
+	n := v.Len()
+	for i := 0; i < n; i++ {
+		a.shardFor(v.City(i), v.ISP(i)).met.dropped[itemExtension].Inc()
 	}
-	return a.appendBatchWAL(frame, v.AppendRecords(nil))
+	a.views.Put(v)
+	return n
 }
 
-// appendBatchWAL logs a frame, re-marshalling (and, when a frame would
-// exceed the WAL's payload bound, splitting) as needed. Wire frames from
-// well-behaved clients fit as-is; the split path exists so a single giant
-// frame cannot wedge durable ingest.
-func (a *Aggregator) appendBatchWAL(frame []byte, recs []extension.Record) (uint64, error) {
-	if frame == nil {
-		frame = dataset.MarshalBatch(recs)
+// appendViewWAL logs the view's verbatim wire frame — already CRC-checked by
+// the parse — when it fits the WAL payload bound. Wire frames from
+// well-behaved clients do; the split exists so a single giant frame cannot
+// wedge durable ingest.
+func (a *Aggregator) appendViewWAL(v *dataset.BatchView) (uint64, error) {
+	if frame := v.Frame(); len(frame) <= wal.MaxPayload {
+		return a.wal.Append(walKindExtensionBatch, frame)
 	}
+	rows := make([]int32, v.Len())
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return a.appendRowsWAL(new(dataset.BatchEncoder), v, rows)
+}
+
+// appendRowsWAL logs the given rows of an oversize frame as one re-encoded
+// frame, or — while that still exceeds the bound — as two halves,
+// recursively. Replay applies the pieces in log order, which is row order.
+func (a *Aggregator) appendRowsWAL(enc *dataset.BatchEncoder, v *dataset.BatchView, rows []int32) (uint64, error) {
+	frame := enc.EncodeRows(v, rows)
 	if len(frame) <= wal.MaxPayload {
 		return a.wal.Append(walKindExtensionBatch, frame)
 	}
-	if len(recs) <= 1 {
+	if len(rows) <= 1 {
 		return 0, fmt.Errorf("collector: one-record frame of %d bytes exceeds WAL payload limit", len(frame))
 	}
-	mid := len(recs) / 2
-	if _, err := a.appendBatchWAL(nil, recs[:mid]); err != nil {
+	mid := len(rows) / 2
+	if _, err := a.appendRowsWAL(enc, v, rows[:mid]); err != nil {
 		return 0, err
 	}
-	return a.appendBatchWAL(nil, recs[mid:])
+	return a.appendRowsWAL(enc, v, rows[mid:])
 }
 
-// viewHasForeign reports whether any row of the view routes to a peer. It
-// scans through a stack record — interned strings, no allocation — so the
-// all-local common case never materialises the batch.
-func viewHasForeign(fwd Forwarder, v *dataset.BatchView) bool {
-	var rec extension.Record
-	for i := 0; i < v.Len(); i++ {
-		v.RecordAt(i, &rec)
-		if fwd.OwnerExtension(rec) != "" {
-			return true
+// peerFrames is one peer's share of an ingest request: rows is scratch for
+// the frame being split, body the re-encoded sub-frames to POST, concatenated
+// (the /ingest/batch wire format), so a request costs one POST per peer
+// however many frames it carried.
+type peerFrames struct {
+	rows    []int32
+	body    []byte
+	records int
+}
+
+// frameSplitter cuts one request's misrouted frames up by ring owner. It
+// lives for the request: the peer bodies are released with it at the ack.
+type frameSplitter struct {
+	fwd   Forwarder
+	enc   dataset.BatchEncoder
+	local []int32
+	peers map[string]*peerFrames
+}
+
+// split looks up every row's owner and returns the view this instance should
+// apply. An all-local frame — the common case — comes back untouched.
+// Otherwise each peer's rows are re-encoded onto its body, v is released, and
+// the local rows come back as a frame of their own (what this instance logs
+// must be what it keeps), or nil when every row belonged elsewhere.
+func (sp *frameSplitter) split(views *dataset.ViewPool, v *dataset.BatchView) (*dataset.BatchView, error) {
+	n := v.Len()
+	sp.local = growI32(sp.local, n)[:0]
+	for i := 0; i < n; i++ {
+		peer := sp.fwd.OwnerExtension(v.City(i), v.ISP(i))
+		if peer == "" {
+			sp.local = append(sp.local, int32(i))
+			continue
 		}
+		pf := sp.peers[peer]
+		if pf == nil {
+			if sp.peers == nil {
+				sp.peers = make(map[string]*peerFrames)
+			}
+			pf = &peerFrames{rows: make([]int32, 0, n)}
+			sp.peers[peer] = pf
+		}
+		pf.rows = append(pf.rows, int32(i))
 	}
-	return false
+	if len(sp.local) == n {
+		return v, nil
+	}
+	defer views.Put(v)
+	for _, pf := range sp.peers {
+		if len(pf.rows) == 0 {
+			continue
+		}
+		pf.body = append(pf.body, sp.enc.EncodeRows(v, pf.rows)...)
+		pf.records += len(pf.rows)
+		pf.rows = pf.rows[:0]
+	}
+	if len(sp.local) == 0 {
+		return nil, nil
+	}
+	return views.Parse(sp.enc.EncodeRows(v, sp.local))
 }
 
 // handleIngestBatch is the columnar twin of handleIngestExtension, running
 // the pipelined fast path: each frame is validated once into a pooled
-// zero-copy view and fanned to the shards as row slices. Misrouted frames
-// fall back to materialised records so forwarding works exactly as on the
-// CSV path, and the 200 waits on the same WAL group commit.
+// zero-copy view and fanned to the shards as row slices. A frame with rows
+// owned elsewhere is split on the view and each peer's rows are forwarded as
+// frames, so the owner lands them on this same path. The 200 waits on the
+// same WAL group commit.
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -310,14 +336,16 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		shedReject(w, r, reason)
 		return
 	}
-	fwd := s.ingestForwarder(r)
+	split := frameSplitter{fwd: s.ingestForwarder(r)}
 	decode := s.startDecode(r)
 	var reply IngestReply
-	var byPeer map[string][]extension.Record
 	for {
 		v, err := s.agg.views.Read(r.Body)
 		if err == io.EOF {
 			break
+		}
+		if err == nil && split.fwd != nil {
+			v, err = split.split(&s.agg.views, v)
 		}
 		if err != nil {
 			decode.SetError(err)
@@ -325,35 +353,16 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 			ingestError(w, reply, fmt.Sprintf("bad frame: %v", err))
 			return
 		}
-		if fwd != nil && viewHasForeign(fwd, v) {
-			// The wire frame no longer matches what this instance keeps:
-			// materialise, split by owner, and let the slow path re-marshal
-			// the WAL payload from the local subset.
-			recs := v.AppendRecords(nil)
-			s.agg.views.Put(v)
-			local := recs[:0]
-			for i := range recs {
-				if peer := fwd.OwnerExtension(recs[i]); peer != "" {
-					if byPeer == nil {
-						byPeer = make(map[string][]extension.Record)
-					}
-					byPeer[peer] = append(byPeer[peer], recs[i])
-					continue
-				}
-				local = append(local, recs[i])
-			}
-			acc, drop := s.agg.OfferExtensionFrame(nil, local, representative(decode, reply))
-			reply.Accepted += acc
-			reply.Dropped += drop
-			continue
+		if v == nil {
+			continue // every row belonged elsewhere
 		}
 		acc, drop := s.agg.OfferBatchView(v, representative(decode, reply))
 		reply.Accepted += acc
 		reply.Dropped += drop
 	}
 	finishDecode(decode, reply)
-	for peer, recs := range byPeer {
-		n, err := fwd.ForwardExtension(peer, recs, rootContext(r))
+	for peer, pf := range split.peers {
+		n, err := split.fwd.ForwardFrame(peer, pf.body, pf.records, rootContext(r))
 		reply.Forwarded += n
 		if err != nil {
 			forwardError(w, reply, peer, err)

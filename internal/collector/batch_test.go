@@ -1,12 +1,16 @@
 package collector
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,6 +188,215 @@ func TestBatchIngestShardCounts(t *testing.T) {
 		if string(got) != string(want) {
 			t.Fatalf("shards=%d snapshot differs from shards=1", shards)
 		}
+	}
+}
+
+// postFrames POSTs a /ingest/batch body and returns the decoded 200 reply.
+func postFrames(t *testing.T, srv *Server, body []byte) IngestReply {
+	t.Helper()
+	resp, err := http.Post(srv.URL()+PathIngestBatch, BatchContentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var reply IngestReply
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, reply %+v", resp.StatusCode, reply)
+	}
+	return reply
+}
+
+// crashReplaySnapshot opens an aggregator on a copy of the WAL directory —
+// what a power loss right now would leave — and returns the batch frames the
+// log holds, decoded in order, and the recovered snapshot.
+func crashReplaySnapshot(t *testing.T, dir string) (frames [][]extension.Record, snapshot []byte) {
+	t.Helper()
+	cp := copyWALDir(t, dir)
+	err := wal.ReplayDir(nil, cp, 0, func(r wal.Rec) error {
+		if r.Kind != WALKindExtensionBatch {
+			t.Fatalf("log holds a kind-%d record, want only batch frames", r.Kind)
+		}
+		recs, err := DecodeWALExtensionBatch(r.Payload)
+		frames = append(frames, recs)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := OpenAggregator(Config{Shards: 4, Registry: obs.NewRegistry(), WAL: WALConfig{Dir: cp}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := agg.WALRecovery(); rec.SkippedCorrupt != 0 {
+		t.Fatalf("replay skipped %d corrupt frames", rec.SkippedCorrupt)
+	}
+	if err := agg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return frames, comparableAggSnapshot(t, agg.Snapshot())
+}
+
+// sameRecords compares decoded records field for field.
+func sameRecords(got, want []extension.Record) bool {
+	return len(got) == len(want) && string(mustCSV(got)) == string(mustCSV(want))
+}
+
+func mustCSV(recs []extension.Record) []byte {
+	out, err := EncodeExtensionBatch(recs)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// TestOversizeFrameSplitsAndReplays sends one frame larger than the WAL's
+// payload bound end to end: it must be accepted and acked, logged as in-bound
+// pieces that hold its rows once each in order, and a crash right after the
+// ack must replay to the snapshot the live server reached.
+func TestOversizeFrameSplitsAndReplays(t *testing.T) {
+	recs := batchTestRecords(4, 10000)
+	pad := strings.Repeat("x", 1000)
+	for i := range recs {
+		recs[i].Domain = fmt.Sprintf("%s-%05d.example", pad, i)
+	}
+	frame := dataset.MarshalBatch(recs)
+	if len(frame) <= wal.MaxPayload || len(frame) > dataset.MaxBatchBody {
+		t.Fatalf("test frame is %d bytes; want between the WAL payload bound and the wire bound", len(frame))
+	}
+	want, err := dataset.UnmarshalBatch(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	srv, err := OpenServer(Config{Shards: 4, Registry: obs.NewRegistry(), WAL: WALConfig{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if reply := postFrames(t, srv, frame); reply.Accepted != len(recs) || reply.Dropped != 0 {
+		t.Fatalf("oversize frame: reply %+v, want %d accepted", reply, len(recs))
+	}
+	pieces, replayed := crashReplaySnapshot(t, dir)
+	if len(pieces) < 2 {
+		t.Fatalf("a %d-byte frame was logged as %d WAL record(s)", len(frame), len(pieces))
+	}
+	var logged []extension.Record
+	for _, p := range pieces {
+		logged = append(logged, p...)
+	}
+	if !sameRecords(logged, want) {
+		t.Fatalf("the %d logged pieces do not hold the frame's %d rows once each, in order", len(pieces), len(want))
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if live := comparableAggSnapshot(t, srv.Aggregator().Snapshot()); string(replayed) != string(live) {
+		t.Fatalf("replayed snapshot differs from the live one:\n live     %s\n replayed %s", live, replayed)
+	}
+}
+
+// TestBatchHandlerSplitsByOwner drives a multi-frame request with rows for
+// three owners through the batch handler behind a forwarder: every row is
+// either kept or forwarded, each peer gets one POST holding exactly its rows
+// in their original order, and this instance logs — and so replays — only
+// the rows it keeps.
+func TestBatchHandlerSplitsByOwner(t *testing.T) {
+	fwd := &ringThirds{posts: make(map[string][][]byte)}
+	dir := t.TempDir()
+	srv, err := OpenServer(Config{Shards: 4, Registry: obs.NewRegistry(), WAL: WALConfig{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetForwarder(fwd)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	// Three frames: mixed owners, one that is all-local (the untouched fast
+	// path) and one with no local row at all.
+	mixed := batchTestRecords(5, 700)
+	var allLocal, allForeign []extension.Record
+	for _, r := range batchTestRecords(6, 900) {
+		if fwd.OwnerExtension(r.City, r.ISP) == "" {
+			allLocal = append(allLocal, r)
+		} else {
+			allForeign = append(allForeign, r)
+		}
+	}
+	var body []byte
+	wantByOwner := make(map[string][]extension.Record)
+	total := 0
+	for _, recs := range [][]extension.Record{mixed, allLocal, allForeign} {
+		frame := dataset.MarshalBatch(recs)
+		body = append(body, frame...)
+		decoded, err := dataset.UnmarshalBatch(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range decoded {
+			owner := fwd.OwnerExtension(r.City, r.ISP)
+			wantByOwner[owner] = append(wantByOwner[owner], r)
+		}
+		total += len(recs)
+	}
+	if len(allLocal) == 0 || len(wantByOwner["peer-a"]) == 0 || len(wantByOwner["peer-b"]) == 0 {
+		t.Fatal("test records do not cover all three owners")
+	}
+
+	reply := postFrames(t, srv, body)
+	if reply.Accepted != len(wantByOwner[""]) || reply.Forwarded != total-reply.Accepted || reply.Dropped != 0 {
+		t.Fatalf("reply %+v; want %d accepted and %d forwarded", reply, len(wantByOwner[""]), total-len(wantByOwner[""]))
+	}
+	for _, peer := range []string{"peer-a", "peer-b"} {
+		if len(fwd.posts[peer]) != 1 {
+			t.Fatalf("%s got %d POSTs for one request, want 1", peer, len(fwd.posts[peer]))
+		}
+		var got []extension.Record
+		for rd := bytes.NewReader(fwd.posts[peer][0]); ; {
+			recs, err := dataset.ReadBatch(rd)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s body: %v", peer, err)
+			}
+			got = append(got, recs...)
+		}
+		if !sameRecords(got, wantByOwner[peer]) {
+			t.Fatalf("%s was forwarded %d rows; want its %d rows in their original order", peer, len(got), len(wantByOwner[peer]))
+		}
+	}
+
+	// What this instance logged is what it kept: two frames (the all-foreign
+	// one leaves nothing to log), the local rows only.
+	pieces, replayed := crashReplaySnapshot(t, dir)
+	var logged []extension.Record
+	for _, p := range pieces {
+		logged = append(logged, p...)
+	}
+	if len(pieces) != 2 || !sameRecords(logged, wantByOwner[""]) {
+		t.Fatalf("log holds %d frames with %d rows; want 2 frames with the %d local rows", len(pieces), len(logged), len(wantByOwner[""]))
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	live := comparableAggSnapshot(t, srv.Aggregator().Snapshot())
+	ref := NewAggregator(Config{Shards: 4, Registry: obs.NewRegistry()})
+	for _, r := range wantByOwner[""] {
+		ref.OfferExtension(r)
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := comparableAggSnapshot(t, ref.Snapshot()); string(live) != string(want) {
+		t.Fatalf("live snapshot differs from a reference fed only the local rows:\n live %s\n want %s", live, want)
+	}
+	if string(replayed) != string(live) {
+		t.Fatalf("replayed snapshot differs from the live one")
 	}
 }
 

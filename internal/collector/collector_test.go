@@ -3,8 +3,10 @@ package collector
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -279,6 +281,46 @@ func TestServerRejectsMalformedBatch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot status %d", resp.StatusCode)
+	}
+}
+
+// TestServerDropsStalledHeaders pins the listener's header timeout: a client
+// that opens a connection and never finishes its request headers is
+// disconnected (before it, such a connection was held forever), and a
+// connection that idles between requests has a bound too.
+func TestServerDropsStalledHeaders(t *testing.T) {
+	srv := NewServer(Config{Shards: 1})
+	if srv.hs.ReadHeaderTimeout != readHeaderTimeout || srv.hs.IdleTimeout != idleTimeout ||
+		readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("http.Server timeouts: header %v idle %v", srv.hs.ReadHeaderTimeout, srv.hs.IdleTimeout)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST " + PathIngestBatch + " HTTP/1.1\r\nHost: stalled\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	// The server closes without a reply; a read deadline of our own tells a
+	// disconnect (EOF) from a connection still held open (timeout).
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("stalled client after %v: read error %v, want EOF from a server-side close", time.Since(start), err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("disconnected after %v, before the %v header timeout", waited, readHeaderTimeout)
 	}
 }
 

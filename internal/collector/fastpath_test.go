@@ -11,7 +11,9 @@ import (
 
 	"starlinkview/internal/dataset"
 	"starlinkview/internal/extension"
+	"starlinkview/internal/obs"
 	"starlinkview/internal/trace"
+	"starlinkview/internal/wal"
 )
 
 // TestShardHashMatchesFNV pins the inlined routing hash to the hash/fnv
@@ -167,5 +169,167 @@ func TestBatchIngestAllocBudget(t *testing.T) {
 	if perRecord > 0.2 {
 		t.Fatalf("batch ingest allocates %.4f/record (%.1f/frame); budget is 0.2/record",
 			perRecord, perRun)
+	}
+}
+
+// ringThirds is a stand-in forwarder for the split tests: it owns a third of
+// the (city, ISP) keyspace and spreads the rest over two peers, like one
+// instance of a three-member ring, counts what it is asked to forward, and —
+// when posts is non-nil — keeps each POST body.
+type ringThirds struct {
+	records int
+	posts   map[string][][]byte
+}
+
+func (f *ringThirds) OwnerExtension(city, isp string) string {
+	return [...]string{"", "peer-a", "peer-b"}[shardHash(isp, city)%3]
+}
+
+func (f *ringThirds) OwnerNode(dataset.NodeSample) string { return "" }
+
+func (f *ringThirds) ForwardExtension(string, []extension.Record, trace.SpanContext) (int, error) {
+	panic("the batch handler forwards frames, not records")
+}
+
+func (f *ringThirds) ForwardFrame(peer string, frames []byte, records int, _ trace.SpanContext) (int, error) {
+	f.records += records
+	if f.posts != nil {
+		f.posts[peer] = append(f.posts[peer], append([]byte(nil), frames...))
+	}
+	return records, nil
+}
+
+func (f *ringThirds) ForwardNode(string, []dataset.NodeSample, trace.SpanContext) (int, error) {
+	return 0, nil
+}
+
+// TestForwardSplitAllocBudget holds the misrouted-frame split to the fast
+// path's budget: one request's worth of work — read a frame two thirds of
+// which belongs to two peers, split it on the view, offer the local rows,
+// hand each peer its body — at or below 0.2 allocations per record, with the
+// per-request splitter and its encoder built fresh every time as the handler
+// does. The materialising split this replaced cost about 4.4 kB per record.
+func TestForwardSplitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("alloc measurement loop is not short")
+	}
+	a := NewAggregator(Config{Shards: 8, QueueLen: 4096, Policy: Block})
+	defer a.Close()
+
+	const perFrame = 512
+	frame := dataset.MarshalBatch(fastpathRecords(rand.New(rand.NewSource(25)), perFrame))
+	fwd := &ringThirds{}
+	var offered uint64
+	rd := bytes.NewReader(frame)
+	run := func() {
+		rd.Reset(frame)
+		v, err := a.views.Read(rd)
+		if err != nil {
+			panic(err)
+		}
+		split := frameSplitter{fwd: fwd}
+		if v, err = split.split(&a.views, v); err != nil || v == nil {
+			panic("split kept no local rows")
+		}
+		acc, drop := a.OfferBatchView(v, trace.SpanContext{})
+		if acc == 0 || acc == perFrame || drop != 0 {
+			panic("split did not keep a strict subset")
+		}
+		offered += uint64(acc)
+		before := fwd.records
+		for peer, pf := range split.peers {
+			if _, err := fwd.ForwardFrame(peer, pf.body, pf.records, trace.SpanContext{}); err != nil {
+				panic(err)
+			}
+		}
+		if acc+fwd.records-before != perFrame {
+			panic("local and forwarded rows do not add up to the frame")
+		}
+		for sumProcessed(a) < offered {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 50; i++ {
+		run()
+	}
+	perRun := testing.AllocsPerRun(200, run)
+	perRecord := perRun / perFrame
+	t.Logf("steady state: %.1f allocs/frame, %.4f allocs/record", perRun, perRecord)
+	if perRecord > 0.2 {
+		t.Fatalf("misrouted-frame split allocates %.4f/record (%.1f/frame); budget is 0.2/record",
+			perRecord, perRun)
+	}
+}
+
+// replayMallocs cold-opens an aggregator on a copy of dir and returns the
+// heap allocations and bytes the open — recovery included — performed.
+func replayMallocs(t *testing.T, dir string, wantRecords int) (mallocs, allocBytes uint64) {
+	t.Helper()
+	cp := copyWALDir(t, dir)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	agg, err := OpenAggregator(Config{Shards: 8, Registry: obs.NewRegistry(), WAL: WALConfig{Dir: cp}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := agg.WALRecovery(); rec.ReplayedRecords != uint64(wantRecords) || rec.SkippedCorrupt != 0 {
+		t.Fatalf("replayed %d records (%d corrupt), want %d", rec.ReplayedRecords, rec.SkippedCorrupt, wantRecords)
+	}
+	if err := agg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBatchReplayAllocBudget holds WAL replay of a batch-frame log to the
+// fast path's budget. Opening an aggregator has a fixed cost (registry,
+// shards, the log itself), so the gate is on the marginal cost: the extra
+// allocations a log three times as long takes to recover, per extra record,
+// must stay at or below 0.2. The materialising replay this replaced cost one
+// record slice and a fresh string per dictionary entry per frame, about 208
+// bytes per record.
+func TestBatchReplayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("alloc measurement loop is not short")
+	}
+	const perFrame, shortFrames, longFrames = 512, 64, 192
+	r := rand.New(rand.NewSource(26))
+	frames := make([][]byte, longFrames)
+	for i := range frames {
+		frames[i] = dataset.MarshalBatch(fastpathRecords(r, perFrame))
+	}
+	writeLog := func(n int) string {
+		dir := t.TempDir()
+		w, err := wal.Open(wal.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range frames[:n] {
+			if _, err := w.Append(WALKindExtensionBatch, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	shortDir, longDir := writeLog(shortFrames), writeLog(longFrames)
+	replayMallocs(t, longDir, longFrames*perFrame) // warm the runtime's own caches
+	shortN, shortB := replayMallocs(t, shortDir, shortFrames*perFrame)
+	longN, longB := replayMallocs(t, longDir, longFrames*perFrame)
+	extra := float64((longFrames - shortFrames) * perFrame)
+	perRecord := (float64(longN) - float64(shortN)) / extra
+	t.Logf("marginal replay cost: %.4f allocs/record, %.1f B/record (open: %d allocs for %d frames, %d for %d)",
+		perRecord, (float64(longB)-float64(shortB))/extra, shortN, shortFrames, longN, longFrames)
+	if perRecord > 0.2 {
+		t.Fatalf("batch replay allocates %.4f/record; budget is 0.2/record", perRecord)
 	}
 }

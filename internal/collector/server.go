@@ -46,6 +46,21 @@ const (
 // ring views.
 const HeaderForwarded = "X-Starlinkview-Forwarded"
 
+// Connection limits of the ingest listener. They bound what a client that
+// stalls can hold open — not request bodies, which legitimately stream for as
+// long as a campaign chunk takes. Constants, not Config fields: no deployment
+// of this collector needs them different.
+const (
+	// readHeaderTimeout is how long a client may take to send its request
+	// line and headers before the connection is closed.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout closes keep-alive connections with no request in flight.
+	// It exceeds net/http's default client-side idle timeout (90 s), so a
+	// default client retires an idle connection before the server does and
+	// never races a POST against the close.
+	idleTimeout = 2 * time.Minute
+)
+
 // IngestReply is the server's response to an ingest POST. Forwarded counts
 // records that belonged to another cluster instance and were relayed there
 // (and accepted) before this acknowledgement.
@@ -62,10 +77,14 @@ type IngestReply struct {
 // misrouted sub-batch synchronously and return how many records the owner
 // accepted; the ingest acknowledgement waits on them, so a 200 means every
 // record in the batch is owned (and, with WALs, durable) somewhere.
+// ForwardFrame takes concatenated batch frames holding the given number of
+// records (what the batch handler's split produces); ForwardExtension takes
+// records (what the CSV handler has) and ends in the same POST.
 type Forwarder interface {
-	OwnerExtension(r extension.Record) string
+	OwnerExtension(city, isp string) string
 	OwnerNode(s dataset.NodeSample) string
 	ForwardExtension(peer string, recs []extension.Record, parent trace.SpanContext) (int, error)
+	ForwardFrame(peer string, frames []byte, records int, parent trace.SpanContext) (int, error)
 	ForwardNode(peer string, samples []dataset.NodeSample, parent trace.SpanContext) (int, error)
 }
 
@@ -115,7 +134,7 @@ func OpenServer(cfg Config) (*Server, error) {
 		mux.HandleFunc(PathTraces, s.instrument(PathTraces, trace.Handler(cfg.Tracer).ServeHTTP))
 	}
 	s.mux = mux
-	s.hs = &http.Server{Handler: mux}
+	s.hs = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	return s, nil
 }
 
@@ -267,7 +286,7 @@ func (s *Server) handleIngestExtension(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if fwd != nil {
-			if peer := fwd.OwnerExtension(rec); peer != "" {
+			if peer := fwd.OwnerExtension(rec.City, rec.ISP); peer != "" {
 				if byPeer == nil {
 					byPeer = make(map[string][]extension.Record)
 				}

@@ -319,16 +319,14 @@ func (a *Aggregator) recoverWAL() error {
 	}
 	err = a.wal.Replay(lsn, func(r wal.Rec) error {
 		if r.Kind == walKindExtensionBatch {
-			recs, derr := DecodeWALExtensionBatch(r.Payload)
+			v, derr := a.views.Parse(r.Payload)
 			if derr != nil {
 				// The frame CRC matched at the WAL layer but the columnar
 				// body is bad: skip the whole frame and count it once.
 				rec.SkippedCorrupt++
 				return nil
 			}
-			for i := range recs {
-				a.replayItem(item{kind: itemExtension, ext: recs[i]}, &rec)
-			}
+			a.replayView(v, &rec)
 			return nil
 		}
 		it, derr := decodeWALRecord(r)
@@ -361,6 +359,31 @@ func (a *Aggregator) replayItem(it item, rec *WALRecovery) {
 	sh.met.accepted[it.kind].Inc()
 	sh.apply(it)
 	rec.ReplayedRecords++
+}
+
+// replayView re-applies one recovered frame through the live path's own
+// partition and row loop (shard.applyBatch), called inline because the shard
+// goroutines have not started. The last shard's apply returns the view to the
+// pool, so one view is live at a time however long the log.
+func (a *Aggregator) replayView(v *dataset.BatchView, rec *WALRecovery) {
+	n := v.Len()
+	if n == 0 {
+		a.views.Put(v)
+		return
+	}
+	ba, touched := a.partitionView(v)
+	now := time.Now()
+	for s := 0; touched > 0; s++ {
+		lo, hi := ba.offs[s], ba.offs[s+1]
+		if lo == hi {
+			continue
+		}
+		touched--
+		sh := a.shards[s]
+		sh.met.accepted[itemExtension].Add(uint64(hi - lo))
+		sh.apply(item{kind: itemBatch, enqueued: now, batch: ba, rows: ba.rows[lo:hi]})
+	}
+	rec.ReplayedRecords += uint64(n)
 }
 
 // Checkpoint persists a shard-snapshot checkpoint and prunes fully-covered

@@ -36,10 +36,8 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"time"
 
 	"starlinkview/internal/extension"
-	"starlinkview/internal/weather"
 )
 
 // Frame framing constants.
@@ -86,43 +84,10 @@ const (
 
 var batchCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// MarshalBatch encodes records as one self-contained columnar frame.
+// MarshalBatch encodes records as one self-contained columnar frame: Encode
+// on a fresh BatchEncoder, for callers with no encoder to reuse.
 func MarshalBatch(records []extension.Record) []byte {
-	return AppendBatch(nil, records)
-}
-
-// AppendBatch appends the frame for records to dst and returns the extended
-// slice, so steady-state encoders can reuse one buffer.
-func AppendBatch(dst []byte, records []extension.Record) []byte {
-	start := len(dst)
-	dst = append(dst, BatchMagic...)
-	dst = append(dst, 0, 0, 0, 0) // bodyLen back-patched below
-	bodyStart := len(dst)
-
-	dst = append(dst, BatchVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(records)))
-	dst = append(dst, numBatchCols)
-
-	dst = appendDictCol(dst, colUserID, records, func(r *extension.Record) string { return r.UserID })
-	dst = appendDictCol(dst, colCity, records, func(r *extension.Record) string { return r.City })
-	dst = appendDictCol(dst, colCountry, records, func(r *extension.Record) string { return r.Country })
-	dst = appendDictCol(dst, colISP, records, func(r *extension.Record) string { return r.ISP })
-	dst = appendDeltaCol(dst, colASN, records, func(r *extension.Record) int64 { return int64(r.ASN) })
-	dst = appendDeltaCol(dst, colTimestamp, records, func(r *extension.Record) int64 { return r.At.Unix() })
-	dst = appendDictCol(dst, colDomain, records, func(r *extension.Record) string { return r.Domain })
-	dst = appendDeltaCol(dst, colRank, records, func(r *extension.Record) int64 { return int64(r.Rank) })
-	dst = appendBitsCol(dst, colPopular, records, func(r *extension.Record) bool { return r.Popular })
-	dst = appendFloatCol(dst, colPTT, records, func(r *extension.Record) float64 { return r.PTTMs })
-	dst = appendFloatCol(dst, colPLT, records, func(r *extension.Record) float64 { return r.PLTMs })
-	dst = appendWeatherCol(dst, records)
-	dst = appendBitsCol(dst, colHasWeather, records, func(r *extension.Record) bool { return r.HasWx })
-	dst = appendBitsCol(dst, colBenchmark, records, func(r *extension.Record) bool { return r.Benchmark })
-	dst = appendBitsCol(dst, colGoogle, records, func(r *extension.Record) bool { return r.Google })
-
-	body := dst[bodyStart:]
-	binary.LittleEndian.PutUint32(dst[start+4:], uint32(len(body)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(body, batchCRC))
-	return dst
+	return new(BatchEncoder).Encode(records)
 }
 
 func appendColHeader(dst []byte, id byte, enc byte, payloadLen int) []byte {
@@ -130,65 +95,8 @@ func appendColHeader(dst []byte, id byte, enc byte, payloadLen int) []byte {
 	return binary.AppendUvarint(dst, uint64(payloadLen))
 }
 
-func appendDictCol(dst []byte, id byte, records []extension.Record, get func(*extension.Record) string) []byte {
-	index := make(map[string]uint64, 16)
-	var entries []string
-	payload := make([]byte, 0, len(records)+16)
-	var idxBuf []byte
-	for i := range records {
-		s := get(&records[i])
-		ix, ok := index[s]
-		if !ok {
-			ix = uint64(len(entries))
-			index[s] = ix
-			entries = append(entries, s)
-		}
-		idxBuf = binary.AppendUvarint(idxBuf, ix)
-	}
-	payload = binary.AppendUvarint(payload, uint64(len(entries)))
-	for _, e := range entries {
-		payload = binary.AppendUvarint(payload, uint64(len(e)))
-		payload = append(payload, e...)
-	}
-	payload = append(payload, idxBuf...)
-	dst = appendColHeader(dst, id, encDict, len(payload))
-	return append(dst, payload...)
-}
-
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func appendDeltaCol(dst []byte, id byte, records []extension.Record, get func(*extension.Record) int64) []byte {
-	var payload []byte
-	prev := int64(0)
-	for i := range records {
-		v := get(&records[i])
-		payload = binary.AppendUvarint(payload, zigzag(v-prev))
-		prev = v
-	}
-	dst = appendColHeader(dst, id, encDelta, len(payload))
-	return append(dst, payload...)
-}
-
-func appendBitsCol(dst []byte, id byte, records []extension.Record, get func(*extension.Record) bool) []byte {
-	payload := make([]byte, (len(records)+7)/8)
-	for i := range records {
-		if get(&records[i]) {
-			payload[i/8] |= 1 << (i % 8)
-		}
-	}
-	dst = appendColHeader(dst, id, encBits, len(payload))
-	return append(dst, payload...)
-}
-
-func appendWeatherCol(dst []byte, records []extension.Record) []byte {
-	payload := make([]byte, len(records))
-	for i := range records {
-		payload[i] = byte(records[i].Condition)
-	}
-	dst = appendColHeader(dst, colWeather, encU8, len(payload))
-	return append(dst, payload...)
-}
 
 // quantizeMilli reproduces the CSV wire's float quantisation: the value a
 // reader gets back after FormatFloat(v, 'f', 3, 64) → ParseFloat. It returns
@@ -275,50 +183,28 @@ func quantizeMilli(v float64) (milli int64, q float64, ok bool) {
 	return m, q, true
 }
 
-func appendFloatCol(dst []byte, id byte, records []extension.Record, get func(*extension.Record) float64) []byte {
-	millis := make([]int64, len(records))
-	quant := make([]float64, len(records))
-	allMilli := true
-	for i := range records {
-		m, q, ok := quantizeMilli(get(&records[i]))
-		millis[i], quant[i] = m, q
-		if !ok {
-			allMilli = false
-		}
-	}
-	if allMilli {
-		var payload []byte
-		prev := int64(0)
-		for _, m := range millis {
-			payload = binary.AppendUvarint(payload, zigzag(m-prev))
-			prev = m
-		}
-		dst = appendColHeader(dst, id, encF64Milli, len(payload))
-		return append(dst, payload...)
-	}
-	payload := make([]byte, 0, 8*len(records))
-	for _, q := range quant {
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(q))
-	}
-	dst = appendColHeader(dst, id, encF64Raw, len(payload))
-	return append(dst, payload...)
-}
-
 // --- decoding -----------------------------------------------------------
 
-// UnmarshalBatch decodes exactly one frame occupying the whole buffer.
-// Torn, truncated, corrupt, or trailing-garbage input returns an error; no
-// input panics, and nothing past a failed CRC is ever interpreted.
+// UnmarshalBatch decodes exactly one frame occupying the whole buffer into a
+// record slice: ParseBatchView, then every row materialised. Torn, truncated,
+// corrupt, or trailing-garbage input returns an error; no input panics, and
+// nothing past a failed CRC is ever interpreted.
+//
+// It is a shim for the offline consumers that genuinely want records
+// (cluster compaction, collectord -wal-dump, ReadBatch) and for
+// benchmark/other_layers.go, which times it under
+// dataset.unmarshal_ns_per_record; the ingest, replay and forward paths all
+// read the view directly.
 func UnmarshalBatch(frame []byte) ([]extension.Record, error) {
-	body, err := checkBatchFrame(frame)
+	v, err := ParseBatchView(frame)
 	if err != nil {
 		return nil, err
 	}
-	return decodeBatchBody(body)
+	return v.AppendRecords(nil), nil
 }
 
 // checkBatchFrame performs the frame-level validation (magic, length, CRC)
-// shared by UnmarshalBatch and BatchView.parse, returning the verified body.
+// for BatchView.parse, returning the verified body.
 func checkBatchFrame(frame []byte) ([]byte, error) {
 	if len(frame) < len(BatchMagic)+4+4 {
 		return nil, fmt.Errorf("dataset: batch frame truncated (%d bytes)", len(frame))
@@ -345,25 +231,18 @@ func checkBatchFrame(frame []byte) ([]byte, error) {
 // /ingest/batch request body). It returns io.EOF at a clean end of stream
 // and io.ErrUnexpectedEOF on a frame cut short.
 func ReadBatch(r io.Reader) ([]extension.Record, error) {
-	frame, err := ReadBatchFrame(r)
+	frame, err := readBatchFrame(r, nil)
 	if err != nil {
 		return nil, err
 	}
 	return UnmarshalBatch(frame)
 }
 
-// ReadBatchFrame reads the next frame's raw bytes without decoding the
-// columns. Consumers that need both the records and the verbatim frame (the
-// collector appends the wire frame straight to its WAL) read the frame once
-// and hand it to UnmarshalBatch, which performs the CRC and column checks.
-func ReadBatchFrame(r io.Reader) ([]byte, error) {
-	return readBatchFrameBuf(r, nil)
-}
-
-// readBatchFrameBuf is ReadBatchFrame into a caller-owned buffer: the frame
-// lands in buf's backing array when it fits, so steady-state readers (the
-// view pool) stop allocating a fresh frame per batch.
-func readBatchFrameBuf(r io.Reader, buf []byte) ([]byte, error) {
+// readBatchFrame reads the next frame's raw bytes without decoding the
+// columns; the CRC and column checks happen when the frame is parsed. The
+// frame lands in buf's backing array when it fits, so steady-state readers
+// (the view pool) stop allocating a fresh frame per batch.
+func readBatchFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -425,261 +304,4 @@ func (c *batchCursor) bytes(n int) ([]byte, error) {
 	b := c.buf[c.off : c.off+n]
 	c.off += n
 	return b, nil
-}
-
-func decodeBatchBody(body []byte) ([]extension.Record, error) {
-	c := &batchCursor{buf: body}
-	ver, err := c.u8()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: batch version: %w", err)
-	}
-	if ver != BatchVersion {
-		return nil, fmt.Errorf("dataset: unsupported batch version %d", ver)
-	}
-	nRec64, err := c.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// A valid frame spends at least one byte per record in every dictionary
-	// column's index stream, so the record count can never exceed the body
-	// length. This bound keeps the allocation below proportional to the
-	// input even for hostile headers.
-	if nRec64 > uint64(len(body)) {
-		return nil, fmt.Errorf("dataset: record count %d exceeds body size %d", nRec64, len(body))
-	}
-	nRec := int(nRec64)
-	nCols, err := c.u8()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: batch column count: %w", err)
-	}
-	if nCols != numBatchCols {
-		return nil, fmt.Errorf("dataset: batch has %d columns, want %d", nCols, numBatchCols)
-	}
-	records := make([]extension.Record, nRec)
-	seen := [numBatchCols]bool{}
-	for ci := 0; ci < int(nCols); ci++ {
-		id, err := c.u8()
-		if err != nil {
-			return nil, fmt.Errorf("dataset: column header: %w", err)
-		}
-		enc, err := c.u8()
-		if err != nil {
-			return nil, fmt.Errorf("dataset: column header: %w", err)
-		}
-		plen64, err := c.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if plen64 > uint64(len(body)) {
-			return nil, fmt.Errorf("dataset: column %d payload %d exceeds body", id, plen64)
-		}
-		payload, err := c.bytes(int(plen64))
-		if err != nil {
-			return nil, fmt.Errorf("dataset: column %d payload: %w", id, err)
-		}
-		if int(id) >= numBatchCols {
-			return nil, fmt.Errorf("dataset: unknown column id %d", id)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("dataset: duplicate column id %d", id)
-		}
-		seen[id] = true
-		if err := decodeColumn(id, enc, payload, records); err != nil {
-			return nil, fmt.Errorf("dataset: column %s: %w", extensionHeader[id], err)
-		}
-	}
-	if c.off != len(body) {
-		return nil, fmt.Errorf("dataset: %d trailing bytes after columns", len(body)-c.off)
-	}
-	for i := range seen {
-		if !seen[i] {
-			return nil, fmt.Errorf("dataset: missing column %s", extensionHeader[i])
-		}
-	}
-	return records, nil
-}
-
-func decodeColumn(id, enc byte, payload []byte, records []extension.Record) error {
-	switch id {
-	case colUserID, colCity, colCountry, colISP, colDomain:
-		if enc != encDict {
-			return fmt.Errorf("encoding %d, want dict", enc)
-		}
-		return decodeDictCol(payload, records, func(r *extension.Record, s string) {
-			switch id {
-			case colUserID:
-				r.UserID = s
-			case colCity:
-				r.City = s
-			case colCountry:
-				r.Country = s
-			case colISP:
-				r.ISP = s
-			default:
-				r.Domain = s
-			}
-		})
-	case colASN, colTimestamp, colRank:
-		if enc != encDelta {
-			return fmt.Errorf("encoding %d, want delta", enc)
-		}
-		return decodeDeltaCol(payload, records, func(r *extension.Record, v int64) {
-			switch id {
-			case colASN:
-				r.ASN = int(v)
-			case colTimestamp:
-				r.At = time.Unix(v, 0).UTC()
-			default:
-				r.Rank = int(v)
-			}
-		})
-	case colPopular, colHasWeather, colBenchmark, colGoogle:
-		if enc != encBits {
-			return fmt.Errorf("encoding %d, want bits", enc)
-		}
-		return decodeBitsCol(payload, records, func(r *extension.Record, b bool) {
-			switch id {
-			case colPopular:
-				r.Popular = b
-			case colHasWeather:
-				r.HasWx = b
-			case colBenchmark:
-				r.Benchmark = b
-			default:
-				r.Google = b
-			}
-		})
-	case colPTT, colPLT:
-		set := func(r *extension.Record, v float64) {
-			if id == colPTT {
-				r.PTTMs = v
-			} else {
-				r.PLTMs = v
-			}
-		}
-		switch enc {
-		case encF64Milli:
-			return decodeF64MilliCol(payload, records, set)
-		case encF64Raw:
-			return decodeF64RawCol(payload, records, set)
-		default:
-			return fmt.Errorf("encoding %d, want f64milli or f64raw", enc)
-		}
-	case colWeather:
-		if enc != encU8 {
-			return fmt.Errorf("encoding %d, want u8", enc)
-		}
-		return decodeWeatherCol(payload, records)
-	default:
-		return fmt.Errorf("unknown column id %d", id)
-	}
-}
-
-func decodeDictCol(payload []byte, records []extension.Record, set func(*extension.Record, string)) error {
-	c := &batchCursor{buf: payload}
-	nEntries, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	if nEntries > uint64(len(payload)) {
-		return fmt.Errorf("dictionary size %d exceeds payload", nEntries)
-	}
-	entries := make([]string, nEntries)
-	for i := range entries {
-		elen, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		if elen > uint64(len(payload)) {
-			return fmt.Errorf("dictionary entry length %d exceeds payload", elen)
-		}
-		b, err := c.bytes(int(elen))
-		if err != nil {
-			return err
-		}
-		entries[i] = string(b)
-	}
-	for i := range records {
-		ix, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		if ix >= nEntries {
-			return fmt.Errorf("record %d: dictionary index %d out of range (%d entries)", i, ix, nEntries)
-		}
-		set(&records[i], entries[ix])
-	}
-	if c.off != len(payload) {
-		return fmt.Errorf("%d trailing bytes", len(payload)-c.off)
-	}
-	return nil
-}
-
-func decodeDeltaCol(payload []byte, records []extension.Record, set func(*extension.Record, int64)) error {
-	c := &batchCursor{buf: payload}
-	prev := int64(0)
-	for i := range records {
-		u, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		prev += unzigzag(u)
-		set(&records[i], prev)
-	}
-	if c.off != len(payload) {
-		return fmt.Errorf("%d trailing bytes", len(payload)-c.off)
-	}
-	return nil
-}
-
-func decodeBitsCol(payload []byte, records []extension.Record, set func(*extension.Record, bool)) error {
-	want := (len(records) + 7) / 8
-	if len(payload) != want {
-		return fmt.Errorf("bitset payload %d bytes, want %d", len(payload), want)
-	}
-	for i := range records {
-		set(&records[i], payload[i/8]&(1<<(i%8)) != 0)
-	}
-	return nil
-}
-
-func decodeF64MilliCol(payload []byte, records []extension.Record, set func(*extension.Record, float64)) error {
-	c := &batchCursor{buf: payload}
-	prev := int64(0)
-	for i := range records {
-		u, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		prev += unzigzag(u)
-		set(&records[i], float64(prev)/1000)
-	}
-	if c.off != len(payload) {
-		return fmt.Errorf("%d trailing bytes", len(payload)-c.off)
-	}
-	return nil
-}
-
-func decodeF64RawCol(payload []byte, records []extension.Record, set func(*extension.Record, float64)) error {
-	if len(payload) != 8*len(records) {
-		return fmt.Errorf("raw float payload %d bytes, want %d", len(payload), 8*len(records))
-	}
-	for i := range records {
-		set(&records[i], math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:])))
-	}
-	return nil
-}
-
-func decodeWeatherCol(payload []byte, records []extension.Record) error {
-	if len(payload) != len(records) {
-		return fmt.Errorf("weather payload %d bytes, want %d", len(payload), len(records))
-	}
-	nCond := len(weather.Conditions())
-	for i, b := range payload {
-		if int(b) >= nCond {
-			return fmt.Errorf("record %d: weather condition %d out of range", i, b)
-		}
-		records[i].Condition = weather.Condition(b)
-	}
-	return nil
 }

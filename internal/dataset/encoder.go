@@ -1,15 +1,19 @@
 package dataset
 
-// BatchEncoder is AppendBatch with reusable scratch. MarshalBatch allocates
-// a dictionary map, an entries slice and two payload buffers per dictionary
-// column per frame; a campaign client flushing a 512-record batch every few
-// milliseconds pays that forever. The encoder keeps one set of scratch
-// buffers and produces output byte-identical to MarshalBatch (pinned by
-// test), so the wire, the WAL and every decoder are unaffected.
+// BatchEncoder is the one SLB1 encoder. It keeps one set of scratch buffers
+// (dictionary index, payload staging, float quantisation) across frames: a
+// campaign client flushing a 512-record batch every few milliseconds would
+// otherwise allocate a dictionary map, an entries slice and two payload
+// buffers per dictionary column per frame, forever.
+//
+// It has two front doors over one body: Encode reads a record slice, and
+// EncodeRows re-encodes a subset of an already-decoded view column-wise, so
+// splitting a frame (by ring owner, or to fit the WAL's payload bound) never
+// builds an extension.Record. MarshalBatch is Encode on a fresh encoder.
 //
 // Not safe for concurrent use, and the returned frame is only valid until
-// the next Encode call — both match the single-goroutine flush loops of the
-// collector and cluster clients that own one.
+// the next Encode/EncodeRows call — both match the single-goroutine flush
+// loops of the collector and cluster clients that own one.
 
 import (
 	"encoding/binary"
@@ -29,33 +33,95 @@ type BatchEncoder struct {
 	quant   []float64
 }
 
-// Encode renders records as one columnar frame, byte-identical to
-// MarshalBatch(records). The returned slice is owned by the encoder.
+// batchColumns is where the encoder reads its n rows from: one getter per
+// wire column, indexed by position in the frame being written.
+type batchColumns struct {
+	n int
+
+	userID, city, country, isp, domain func(i int) string
+	asn, unix, rank                    func(i int) int64
+	ptt, plt                           func(i int) float64
+	weather                            func(i int) byte
+	popular, hasWx, benchmark, google  func(i int) bool
+}
+
+// Encode renders records as one columnar frame. The returned slice is owned
+// by the encoder.
 func (e *BatchEncoder) Encode(records []extension.Record) []byte {
+	return e.encode(&batchColumns{
+		n:         len(records),
+		userID:    func(i int) string { return records[i].UserID },
+		city:      func(i int) string { return records[i].City },
+		country:   func(i int) string { return records[i].Country },
+		isp:       func(i int) string { return records[i].ISP },
+		asn:       func(i int) int64 { return int64(records[i].ASN) },
+		unix:      func(i int) int64 { return records[i].At.Unix() },
+		domain:    func(i int) string { return records[i].Domain },
+		rank:      func(i int) int64 { return int64(records[i].Rank) },
+		popular:   func(i int) bool { return records[i].Popular },
+		ptt:       func(i int) float64 { return records[i].PTTMs },
+		plt:       func(i int) float64 { return records[i].PLTMs },
+		weather:   func(i int) byte { return byte(records[i].Condition) },
+		hasWx:     func(i int) bool { return records[i].HasWx },
+		benchmark: func(i int) bool { return records[i].Benchmark },
+		google:    func(i int) bool { return records[i].Google },
+	})
+}
+
+// EncodeRows renders the given rows of v, in the order given, as one frame —
+// byte-identical to Encode over the same rows materialised, without
+// materialising them. The returned slice is owned by the encoder; v is only
+// read.
+func (e *BatchEncoder) EncodeRows(v *BatchView, rows []int32) []byte {
+	return e.encode(&batchColumns{
+		n:         len(rows),
+		userID:    func(i int) string { return v.userID.at(int(rows[i])) },
+		city:      func(i int) string { return v.city.at(int(rows[i])) },
+		country:   func(i int) string { return v.country.at(int(rows[i])) },
+		isp:       func(i int) string { return v.isp.at(int(rows[i])) },
+		asn:       func(i int) int64 { return v.asn[rows[i]] },
+		unix:      func(i int) int64 { return v.ts[rows[i]] },
+		domain:    func(i int) string { return v.domain.at(int(rows[i])) },
+		rank:      func(i int) int64 { return v.rank[rows[i]] },
+		popular:   func(i int) bool { return bitAt(v.popular, int(rows[i])) },
+		ptt:       func(i int) float64 { return v.ptt[rows[i]] },
+		plt:       func(i int) float64 { return v.plt[rows[i]] },
+		weather:   func(i int) byte { return v.weather[rows[i]] },
+		hasWx:     func(i int) bool { return bitAt(v.hasWx, int(rows[i])) },
+		benchmark: func(i int) bool { return bitAt(v.benchmark, int(rows[i])) },
+		google:    func(i int) bool { return bitAt(v.google, int(rows[i])) },
+	})
+}
+
+// encode writes the frame: header, the fifteen columns in schema order, CRC.
+func (e *BatchEncoder) encode(c *batchColumns) []byte {
 	dst := e.buf[:0]
 	dst = append(dst, BatchMagic...)
 	dst = append(dst, 0, 0, 0, 0) // bodyLen back-patched below
 	bodyStart := len(dst)
 
 	dst = append(dst, BatchVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(records)))
+	dst = binary.AppendUvarint(dst, uint64(c.n))
 	dst = append(dst, numBatchCols)
 
-	dst = e.dictCol(dst, colUserID, records, func(r *extension.Record) string { return r.UserID })
-	dst = e.dictCol(dst, colCity, records, func(r *extension.Record) string { return r.City })
-	dst = e.dictCol(dst, colCountry, records, func(r *extension.Record) string { return r.Country })
-	dst = e.dictCol(dst, colISP, records, func(r *extension.Record) string { return r.ISP })
-	dst = e.deltaCol(dst, colASN, records, func(r *extension.Record) int64 { return int64(r.ASN) })
-	dst = e.deltaCol(dst, colTimestamp, records, func(r *extension.Record) int64 { return r.At.Unix() })
-	dst = e.dictCol(dst, colDomain, records, func(r *extension.Record) string { return r.Domain })
-	dst = e.deltaCol(dst, colRank, records, func(r *extension.Record) int64 { return int64(r.Rank) })
-	dst = e.bitsCol(dst, colPopular, records, func(r *extension.Record) bool { return r.Popular })
-	dst = e.floatCol(dst, colPTT, records, func(r *extension.Record) float64 { return r.PTTMs })
-	dst = e.floatCol(dst, colPLT, records, func(r *extension.Record) float64 { return r.PLTMs })
-	dst = e.weatherCol(dst, records)
-	dst = e.bitsCol(dst, colHasWeather, records, func(r *extension.Record) bool { return r.HasWx })
-	dst = e.bitsCol(dst, colBenchmark, records, func(r *extension.Record) bool { return r.Benchmark })
-	dst = e.bitsCol(dst, colGoogle, records, func(r *extension.Record) bool { return r.Google })
+	dst = e.dictCol(dst, colUserID, c.n, c.userID)
+	dst = e.dictCol(dst, colCity, c.n, c.city)
+	dst = e.dictCol(dst, colCountry, c.n, c.country)
+	dst = e.dictCol(dst, colISP, c.n, c.isp)
+	dst = e.deltaCol(dst, colASN, c.n, c.asn)
+	dst = e.deltaCol(dst, colTimestamp, c.n, c.unix)
+	dst = e.dictCol(dst, colDomain, c.n, c.domain)
+	dst = e.deltaCol(dst, colRank, c.n, c.rank)
+	dst = e.bitsCol(dst, colPopular, c.n, c.popular)
+	dst = e.floatCol(dst, colPTT, c.n, c.ptt)
+	dst = e.floatCol(dst, colPLT, c.n, c.plt)
+	dst = appendColHeader(dst, colWeather, encU8, c.n)
+	for i := 0; i < c.n; i++ {
+		dst = append(dst, c.weather(i))
+	}
+	dst = e.bitsCol(dst, colHasWeather, c.n, c.hasWx)
+	dst = e.bitsCol(dst, colBenchmark, c.n, c.benchmark)
+	dst = e.bitsCol(dst, colGoogle, c.n, c.google)
 
 	body := dst[bodyStart:]
 	binary.LittleEndian.PutUint32(dst[bodyStart-4:], uint32(len(body)))
@@ -64,15 +130,15 @@ func (e *BatchEncoder) Encode(records []extension.Record) []byte {
 	return dst
 }
 
-func (e *BatchEncoder) dictCol(dst []byte, id byte, records []extension.Record, get func(*extension.Record) string) []byte {
+func (e *BatchEncoder) dictCol(dst []byte, id byte, n int, get func(int) string) []byte {
 	if e.index == nil {
 		e.index = make(map[string]uint64, 64)
 	}
 	clear(e.index)
 	e.entries = e.entries[:0]
 	e.idxBuf = e.idxBuf[:0]
-	for i := range records {
-		s := get(&records[i])
+	for i := 0; i < n; i++ {
+		s := get(i)
 		ix, ok := e.index[s]
 		if !ok {
 			ix = uint64(len(e.entries))
@@ -92,11 +158,11 @@ func (e *BatchEncoder) dictCol(dst []byte, id byte, records []extension.Record, 
 	return append(dst, e.payload...)
 }
 
-func (e *BatchEncoder) deltaCol(dst []byte, id byte, records []extension.Record, get func(*extension.Record) int64) []byte {
+func (e *BatchEncoder) deltaCol(dst []byte, id byte, n int, get func(int) int64) []byte {
 	e.payload = e.payload[:0]
 	prev := int64(0)
-	for i := range records {
-		v := get(&records[i])
+	for i := 0; i < n; i++ {
+		v := get(i)
 		e.payload = binary.AppendUvarint(e.payload, zigzag(v-prev))
 		prev = v
 	}
@@ -104,39 +170,31 @@ func (e *BatchEncoder) deltaCol(dst []byte, id byte, records []extension.Record,
 	return append(dst, e.payload...)
 }
 
-func (e *BatchEncoder) bitsCol(dst []byte, id byte, records []extension.Record, get func(*extension.Record) bool) []byte {
-	n := (len(records) + 7) / 8
-	dst = appendColHeader(dst, id, encBits, n)
+func (e *BatchEncoder) bitsCol(dst []byte, id byte, n int, get func(int) bool) []byte {
+	nb := (n + 7) / 8
+	dst = appendColHeader(dst, id, encBits, nb)
 	base := len(dst)
-	for i := 0; i < n; i++ {
+	for i := 0; i < nb; i++ {
 		dst = append(dst, 0)
 	}
-	for i := range records {
-		if get(&records[i]) {
+	for i := 0; i < n; i++ {
+		if get(i) {
 			dst[base+i/8] |= 1 << (i % 8)
 		}
 	}
 	return dst
 }
 
-func (e *BatchEncoder) weatherCol(dst []byte, records []extension.Record) []byte {
-	dst = appendColHeader(dst, colWeather, encU8, len(records))
-	for i := range records {
-		dst = append(dst, byte(records[i].Condition))
+func (e *BatchEncoder) floatCol(dst []byte, id byte, n int, get func(int) float64) []byte {
+	if cap(e.millis) < n {
+		e.millis = make([]int64, n)
+		e.quant = make([]float64, n)
 	}
-	return dst
-}
-
-func (e *BatchEncoder) floatCol(dst []byte, id byte, records []extension.Record, get func(*extension.Record) float64) []byte {
-	if cap(e.millis) < len(records) {
-		e.millis = make([]int64, len(records))
-		e.quant = make([]float64, len(records))
-	}
-	e.millis = e.millis[:len(records)]
-	e.quant = e.quant[:len(records)]
+	e.millis = e.millis[:n]
+	e.quant = e.quant[:n]
 	allMilli := true
-	for i := range records {
-		m, q, ok := quantizeMilli(get(&records[i]))
+	for i := 0; i < n; i++ {
+		m, q, ok := quantizeMilli(get(i))
 		e.millis[i], e.quant[i] = m, q
 		if !ok {
 			allMilli = false
@@ -152,7 +210,7 @@ func (e *BatchEncoder) floatCol(dst []byte, id byte, records []extension.Record,
 		dst = appendColHeader(dst, id, encF64Milli, len(e.payload))
 		return append(dst, e.payload...)
 	}
-	dst = appendColHeader(dst, id, encF64Raw, 8*len(records))
+	dst = appendColHeader(dst, id, encF64Raw, 8*n)
 	for _, q := range e.quant {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(q))
 	}

@@ -1,19 +1,17 @@
 package dataset
 
-// Zero-copy batch views.
+// Zero-copy batch views: the one decoder, and the only decoded form of a
+// frame.
 //
-// UnmarshalBatch materialises a []extension.Record — 15 closure-driven
-// column passes scattering into an array-of-structs, plus a fresh string
-// per dictionary entry per frame. On the collector's ingest hot path that
-// is most of the decode cost and nearly all of the steady-state garbage.
-//
-// A BatchView performs the same validation (frame CRC, column structure,
-// every per-encoding bound decodeBatchBody enforces — the equivalence is
-// pinned by property test) but keeps the columns as columns: dictionary
-// strings stay deduplicated, integers land in reusable []int64, and the
+// A BatchView validates a frame once (frame CRC, column structure, every
+// per-encoding bound) and keeps the columns as columns: dictionary strings
+// stay deduplicated, integers land in reusable []int64, and the
 // bitset/weather payloads are aliased straight out of the frame. Row i is
-// assembled on demand by the accessors, so the ingest path can hash, shard
-// and aggregate without ever building a record slice.
+// assembled on demand by the accessors, so ingest, WAL replay and the
+// forwarding split can hash, shard, aggregate and re-encode without ever
+// building a record slice; AppendRecords materialises one for the offline
+// consumers that want it. What a decoded row must equal is pinned against an
+// independent codec — the CSV row wire — by TestBatchRoundTripMatchesCSVWire.
 //
 // A ViewPool recycles views (and their frame buffers and column slices)
 // and interns dictionary strings across frames, which is what drives the
@@ -26,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -120,8 +119,7 @@ func ParseBatchView(frame []byte) (*BatchView, error) {
 }
 
 // parse validates the frame and decodes its columns, reusing v's column
-// slices where capacity allows. It enforces exactly the checks
-// UnmarshalBatch does: any frame one accepts, the other accepts.
+// slices where capacity allows.
 func (v *BatchView) parse(frame []byte, in *Interner) error {
 	body, err := checkBatchFrame(frame)
 	if err != nil {
@@ -140,6 +138,10 @@ func (v *BatchView) parse(frame []byte, in *Interner) error {
 	if err != nil {
 		return err
 	}
+	// A valid frame spends at least one byte per record in every dictionary
+	// column's index stream, so the record count can never exceed the body
+	// length. This bound keeps the column allocations proportional to the
+	// input even for hostile headers.
 	if nRec64 > uint64(len(body)) {
 		return fmt.Errorf("dataset: record count %d exceeds body size %d", nRec64, len(body))
 	}
@@ -285,7 +287,7 @@ func (v *BatchView) parseDict(d *dictCol, payload []byte, in *Interner) error {
 	if nEntries > uint64(len(payload)) {
 		return fmt.Errorf("dictionary size %d exceeds payload", nEntries)
 	}
-	d.entries = growStrings(d.entries, int(nEntries))
+	d.entries = grow(d.entries, int(nEntries))
 	for i := range d.entries {
 		elen, err := c.uvarint()
 		if err != nil {
@@ -304,7 +306,7 @@ func (v *BatchView) parseDict(d *dictCol, payload []byte, in *Interner) error {
 			d.entries[i] = string(b)
 		}
 	}
-	d.idx = growU32(d.idx, v.n)
+	d.idx = grow(d.idx, v.n)
 	for i := 0; i < v.n; i++ {
 		ix, err := c.uvarint()
 		if err != nil {
@@ -322,7 +324,7 @@ func (v *BatchView) parseDict(d *dictCol, payload []byte, in *Interner) error {
 }
 
 func parseDelta(dst []int64, n int, payload []byte) ([]int64, error) {
-	dst = growInt64(dst, n)
+	dst = grow(dst, n)
 	off, prev := 0, int64(0)
 	for i := 0; i < n; i++ {
 		u, k := binary.Uvarint(payload[off:])
@@ -340,7 +342,7 @@ func parseDelta(dst []int64, n int, payload []byte) ([]int64, error) {
 }
 
 func parseFloat(dst []float64, n int, enc byte, payload []byte) ([]float64, error) {
-	dst = growFloat64(dst, n)
+	dst = grow(dst, n)
 	switch enc {
 	case encF64Milli:
 		off, prev := 0, int64(0)
@@ -370,30 +372,11 @@ func parseFloat(dst []float64, n int, enc byte, payload []byte) ([]float64, erro
 	}
 }
 
-func growStrings(s []string, n int) []string {
+// grow returns s resized to n elements, reusing its backing array when that
+// is large enough; the contents are unspecified (every caller overwrites).
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]string, n)
-	}
-	return s[:n]
-}
-
-func growU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
-	}
-	return s[:n]
-}
-
-func growInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-func growFloat64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -413,7 +396,7 @@ func (v *BatchView) Country(i int) string { return v.country.at(i) }
 func (v *BatchView) ISP(i int) string     { return v.isp.at(i) }
 func (v *BatchView) Domain(i int) string  { return v.domain.at(i) }
 
-func (v *BatchView) ASN(i int) int   { return int(v.asn[i]) }
+func (v *BatchView) ASN(i int) int    { return int(v.asn[i]) }
 func (v *BatchView) Unix(i int) int64 { return v.ts[i] }
 
 // At is the record timestamp, truncated to whole seconds in UTC exactly as
@@ -453,16 +436,11 @@ func (v *BatchView) RecordAt(i int, r *extension.Record) {
 	}
 }
 
-// AppendRecords materialises every row (the slow-path shim for consumers
-// that still want a record slice) and returns the extended dst.
+// AppendRecords materialises every row (for the offline consumers that want
+// a record slice) and returns the extended dst.
 func (v *BatchView) AppendRecords(dst []extension.Record) []extension.Record {
 	base := len(dst)
-	if cap(dst)-base < v.n {
-		grown := make([]extension.Record, base, base+v.n)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:base+v.n]
+	dst = slices.Grow(dst, v.n)[:base+v.n]
 	for i := 0; i < v.n; i++ {
 		v.RecordAt(i, &dst[base+i])
 	}
@@ -489,7 +467,7 @@ func (p *ViewPool) get() *BatchView {
 // release the view with Put when done.
 func (p *ViewPool) Read(r io.Reader) (*BatchView, error) {
 	v := p.get()
-	frame, err := readBatchFrameBuf(r, v.frame[:0])
+	frame, err := readBatchFrame(r, v.frame[:0])
 	if err != nil {
 		p.Put(v)
 		return nil, err

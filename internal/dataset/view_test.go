@@ -2,8 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"strconv"
@@ -19,101 +17,6 @@ func viewRecords(v *BatchView) []extension.Record {
 		v.RecordAt(i, &out[i])
 	}
 	return out
-}
-
-// TestBatchViewMatchesUnmarshal is the tentpole equivalence property: for
-// any batch, the zero-copy view yields exactly the records UnmarshalBatch
-// materialises — same strings, same timestamp truncation, same float bits.
-func TestBatchViewMatchesUnmarshal(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial, n := range []int{0, 1, 2, 7, 64, 513, 5000} {
-		recs := make([]extension.Record, n)
-		for i := range recs {
-			recs[i] = randBatchRecord(r)
-		}
-		frame := MarshalBatch(recs)
-		want, err := UnmarshalBatch(frame)
-		if err != nil {
-			t.Fatalf("trial %d: unmarshal: %v", trial, err)
-		}
-		v, err := ParseBatchView(frame)
-		if err != nil {
-			t.Fatalf("trial %d: view: %v", trial, err)
-		}
-		if v.Len() != len(want) {
-			t.Fatalf("trial %d: view has %d records, want %d", trial, v.Len(), len(want))
-		}
-		got := viewRecords(v)
-		for i := range want {
-			if !recordsEqual(got[i], want[i]) {
-				t.Fatalf("trial %d record %d:\n view      %+v\n unmarshal %+v", trial, i, got[i], want[i])
-			}
-		}
-		// AppendRecords (the slow-path shim) must agree with the accessors,
-		// including when appending after existing elements.
-		app := v.AppendRecords([]extension.Record{{UserID: "sentinel"}})
-		if len(app) != n+1 || app[0].UserID != "sentinel" {
-			t.Fatalf("trial %d: AppendRecords base mangled", trial)
-		}
-		for i := range want {
-			if !recordsEqual(app[i+1], want[i]) {
-				t.Fatalf("trial %d: AppendRecords record %d differs", trial, i)
-			}
-		}
-	}
-}
-
-// TestBatchViewCorruptionParity sweeps structural corruption through the
-// body (bytes flipped, CRC re-patched so the frame-level check passes) and
-// asserts the view's validator accepts exactly the frames UnmarshalBatch
-// accepts — and decodes them identically when both do. Flips without the
-// CRC patch and truncations must fail in both decoders.
-func TestBatchViewCorruptionParity(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	recs := make([]extension.Record, 20)
-	for i := range recs {
-		recs[i] = randBatchRecord(r)
-	}
-	frame := MarshalBatch(recs)
-	bodyLen := int(binary.LittleEndian.Uint32(frame[4:8]))
-
-	for off := 8; off < 8+bodyLen; off++ {
-		mut := append([]byte(nil), frame...)
-		mut[off] ^= 0x41
-		binary.LittleEndian.PutUint32(mut[8+bodyLen:], crc32.Checksum(mut[8:8+bodyLen], batchCRC))
-		want, werr := UnmarshalBatch(mut)
-		v, verr := ParseBatchView(mut)
-		if (werr == nil) != (verr == nil) {
-			t.Fatalf("offset %d: unmarshal err=%v, view err=%v", off, werr, verr)
-		}
-		if werr != nil {
-			continue
-		}
-		got := viewRecords(v)
-		if len(got) != len(want) {
-			t.Fatalf("offset %d: view %d records, unmarshal %d", off, len(got), len(want))
-		}
-		for i := range want {
-			if !recordsEqual(got[i], want[i]) {
-				t.Fatalf("offset %d record %d: decoders disagree", off, i)
-			}
-		}
-	}
-	// Unpatched flips and truncations: both reject, neither panics.
-	for off := 0; off < len(frame); off += 7 {
-		mut := append([]byte(nil), frame...)
-		mut[off] ^= 0x41
-		if _, err := ParseBatchView(mut); err == nil {
-			if _, err := UnmarshalBatch(mut); err != nil {
-				t.Fatalf("flip at %d: view accepted what unmarshal rejects", off)
-			}
-		}
-	}
-	for l := 0; l < len(frame); l++ {
-		if _, err := ParseBatchView(frame[:l]); err == nil {
-			t.Fatalf("truncation to %d bytes accepted by view", l)
-		}
-	}
 }
 
 // TestViewPoolReuseAndIntern drives one pool across many frames, releasing
@@ -135,7 +38,7 @@ func TestViewPoolReuseAndIntern(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		want, _ := UnmarshalBatch(frame)
+		want := csvWireRoundTrip(t, recs)
 		got := viewRecords(v)
 		for i := range want {
 			if !recordsEqual(got[i], want[i]) {
@@ -196,22 +99,78 @@ func TestInternerCapsGrowth(t *testing.T) {
 	}
 }
 
-// TestBatchEncoderMatchesMarshal pins the reusable encoder to MarshalBatch
-// byte-for-byte, across reuse with batches of varying size and content
-// (including the raw-float fallback the ±Inf values trigger).
-func TestBatchEncoderMatchesMarshal(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
+// TestEncodeRowsSplitProperties pins what every frame split relies on — the
+// forwarder splitting by ring owner, the WAL splitting an oversize frame —
+// with one encoder reused throughout, so scratch left over from a previous
+// frame of another size would show:
+//
+//   - re-encoding all rows reproduces the frame byte for byte, and equals
+//     Encode over the materialised records (the two front doors share one
+//     body);
+//   - for any assignment of rows to k owners, each owner's sub-frame parses
+//     to exactly its rows in their original relative order, so the owners
+//     together hold every row once.
+func TestEncodeRowsSplitProperties(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
 	var enc BatchEncoder
-	for trial, n := range []int{0, 1, 5, 64, 513, 64, 2, 1000, 0, 17} {
+	for trial, n := range []int{0, 1, 2, 7, 64, 513, 2000, 3} {
 		recs := make([]extension.Record, n)
 		for i := range recs {
 			recs[i] = randBatchRecord(r)
 		}
-		want := MarshalBatch(recs)
-		got := enc.Encode(recs)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (n=%d): encoder output differs from MarshalBatch (%d vs %d bytes)",
-				trial, n, len(got), len(want))
+		v, err := ParseBatchView(MarshalBatch(recs))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want := viewRecords(v)
+		// AppendRecords agrees with the accessors, also after existing
+		// elements.
+		app := v.AppendRecords([]extension.Record{{UserID: "sentinel"}})
+		if len(app) != n+1 || app[0].UserID != "sentinel" {
+			t.Fatalf("trial %d: AppendRecords base mangled", trial)
+		}
+		for i := range want {
+			if !recordsEqual(app[i+1], want[i]) {
+				t.Fatalf("trial %d: AppendRecords record %d differs", trial, i)
+			}
+		}
+
+		all := make([]int32, n)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		whole := enc.EncodeRows(v, all)
+		if !bytes.Equal(whole, v.Frame()) {
+			t.Fatalf("trial %d (n=%d): EncodeRows over all rows differs from the frame", trial, n)
+		}
+		if !bytes.Equal(whole, MarshalBatch(want)) {
+			t.Fatalf("trial %d (n=%d): EncodeRows differs from Encode over the same records", trial, n)
+		}
+		if !bytes.Equal(enc.Encode(want), v.Frame()) {
+			t.Fatalf("trial %d (n=%d): reused encoder differs from a fresh one", trial, n)
+		}
+
+		for _, k := range []int{1, 2, 3, 5} {
+			owned := make([][]int32, k)
+			for i := 0; i < n; i++ {
+				o := r.Intn(k)
+				owned[o] = append(owned[o], int32(i))
+			}
+			for o, rows := range owned {
+				// The encoder owns its output and a view aliases its frame.
+				sub, err := ParseBatchView(append([]byte(nil), enc.EncodeRows(v, rows)...))
+				if err != nil {
+					t.Fatalf("trial %d k=%d owner %d: %v", trial, k, o, err)
+				}
+				if sub.Len() != len(rows) {
+					t.Fatalf("trial %d k=%d owner %d: %d rows, want %d", trial, k, o, sub.Len(), len(rows))
+				}
+				for j, got := range viewRecords(sub) {
+					if !recordsEqual(got, want[rows[j]]) {
+						t.Fatalf("trial %d k=%d owner %d: row %d is not original row %d", trial, k, o, j, rows[j])
+					}
+				}
+			}
 		}
 	}
 }
