@@ -37,6 +37,49 @@ func quickStudy(t *testing.T) *Study {
 	return sharedStudy
 }
 
+// memo computes one exhibit of the shared study once per test binary. The
+// network exhibits (Figure 8 above all) dominate this package's run time, and
+// several tests assert on the same result.
+type memo[T any] struct {
+	once sync.Once
+	v    T
+	err  error
+}
+
+func (m *memo[T]) get(t *testing.T, compute func(*Study) (T, error)) T {
+	t.Helper()
+	s := quickStudy(t)
+	m.once.Do(func() { m.v, m.err = compute(s) })
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
+	return m.v
+}
+
+var (
+	memoTable2   memo[[]Table2Row]
+	memoTable3   memo[[]Table3Row]
+	memoFigure5  memo[Fig5Result]
+	memoFigure6a memo[[]Fig6aSeries]
+	memoFigure6b memo[[]Fig6bPoint]
+	memoFigure6c memo[Fig6cResult]
+	memoFigure7  memo[Fig7Result]
+	memoFigure8  memo[[]Fig8Row]
+	memoAblation memo[[]AblationLossRow]
+)
+
+func quickTable2(t *testing.T) []Table2Row     { return memoTable2.get(t, (*Study).Table2) }
+func quickTable3(t *testing.T) []Table3Row     { return memoTable3.get(t, (*Study).Table3) }
+func quickFigure5(t *testing.T) Fig5Result     { return memoFigure5.get(t, (*Study).Figure5) }
+func quickFigure6a(t *testing.T) []Fig6aSeries { return memoFigure6a.get(t, (*Study).Figure6a) }
+func quickFigure6b(t *testing.T) []Fig6bPoint  { return memoFigure6b.get(t, (*Study).Figure6b) }
+func quickFigure6c(t *testing.T) Fig6cResult   { return memoFigure6c.get(t, (*Study).Figure6c) }
+func quickFigure7(t *testing.T) Fig7Result     { return memoFigure7.get(t, (*Study).Figure7) }
+func quickFigure8(t *testing.T) []Fig8Row      { return memoFigure8.get(t, (*Study).Figure8) }
+func quickAblation(t *testing.T) []AblationLossRow {
+	return memoAblation.get(t, (*Study).AblationLossModel)
+}
+
 func TestNewStudyValidation(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Epoch = time.Time{}
@@ -178,11 +221,7 @@ func TestFigure4WeatherEffect(t *testing.T) {
 }
 
 func TestFigure5Ordering(t *testing.T) {
-	s := quickStudy(t)
-	res, err := s.Figure5()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickFigure5(t)
 	sl, bb, cell := res["starlink"], res["broadband"], res["cellular"]
 	if len(sl) == 0 || len(bb) == 0 || len(cell) == 0 {
 		t.Fatal("missing series")
@@ -207,11 +246,7 @@ func TestFigure5Ordering(t *testing.T) {
 }
 
 func TestTable2BentPipeDominates(t *testing.T) {
-	s := quickStudy(t)
-	rows, err := s.Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickTable2(t)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -237,11 +272,7 @@ func TestTable2BentPipeDominates(t *testing.T) {
 }
 
 func TestTable3GeographicSpread(t *testing.T) {
-	s := quickStudy(t)
-	rows, err := s.Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickTable3(t)
 	med := map[string]Table3Row{}
 	for _, r := range rows {
 		med[r.City] = r
@@ -263,11 +294,7 @@ func TestTable3GeographicSpread(t *testing.T) {
 }
 
 func TestFigure6aGeography(t *testing.T) {
-	s := quickStudy(t)
-	rows, err := s.Figure6a()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickFigure6a(t)
 	med := map[string]float64{}
 	for _, r := range rows {
 		med[r.Label] = r.MedianMbps
@@ -285,11 +312,7 @@ func TestFigure6aGeography(t *testing.T) {
 }
 
 func TestFigure6bDiurnalSwing(t *testing.T) {
-	s := quickStudy(t)
-	pts, err := s.Figure6b()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := quickFigure6b(t)
 	if len(pts) < 20 {
 		t.Fatalf("only %d samples", len(pts))
 	}
@@ -321,11 +344,7 @@ func TestFigure6bDiurnalSwing(t *testing.T) {
 }
 
 func TestFigure6cLossTail(t *testing.T) {
-	s := quickStudy(t)
-	res, err := s.Figure6c()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickFigure6c(t)
 	if len(res.LossPcts) < 20 {
 		t.Fatalf("only %d runs", len(res.LossPcts))
 	}
@@ -343,11 +362,7 @@ func TestFigure6cLossTail(t *testing.T) {
 }
 
 func TestFigure7LossClumpsAtLoSExit(t *testing.T) {
-	s := quickStudy(t)
-	res, err := s.Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickFigure7(t)
 	if len(res.LossPct) != 720 {
 		t.Fatalf("series length = %d", len(res.LossPct))
 	}
@@ -388,11 +403,7 @@ func TestFigure7LossClumpsAtLoSExit(t *testing.T) {
 }
 
 func TestFigure8CCOrdering(t *testing.T) {
-	s := quickStudy(t)
-	rows, err := s.Figure8()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickFigure8(t)
 	byName := map[string]Fig8Row{}
 	for _, r := range rows {
 		byName[r.Algorithm] = r
@@ -426,11 +437,7 @@ func TestFigure8CCOrdering(t *testing.T) {
 }
 
 func TestAblationLossModel(t *testing.T) {
-	s := quickStudy(t)
-	rows, err := s.AblationLossModel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickAblation(t)
 	byName := map[string]AblationLossRow{}
 	for _, r := range rows {
 		byName[r.Algorithm] = r
@@ -500,11 +507,7 @@ func max(a, b int) int {
 }
 
 func TestFigure7Attribution(t *testing.T) {
-	s := quickStudy(t)
-	res, err := s.Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickFigure7(t)
 	// The paper's claim, quantified: loss is overrepresented near handovers.
 	if res.Attribution.Lift <= 1.5 {
 		t.Errorf("loss-near-handover lift = %.2f, want clearly > 1", res.Attribution.Lift)

@@ -63,49 +63,15 @@ func TestSeedChangesResults(t *testing.T) {
 
 // TestAllReportsRender drives every report function over the shared study.
 func TestAllReportsRender(t *testing.T) {
-	s := quickStudy(t)
 	var buf bytes.Buffer
-
-	if rows, err := s.Table2(); err != nil {
-		t.Fatal(err)
-	} else {
-		ReportTable2(&buf, rows)
-	}
-	if rows, err := s.Table3(); err != nil {
-		t.Fatal(err)
-	} else {
-		ReportTable3(&buf, rows)
-	}
-	if res, err := s.Figure5(); err != nil {
-		t.Fatal(err)
-	} else {
-		ReportFigure5(&buf, res)
-	}
-	if rows, err := s.Figure6a(); err != nil {
-		t.Fatal(err)
-	} else {
-		ReportFigure6a(&buf, rows)
-	}
-	if pts, err := s.Figure6b(); err != nil {
-		t.Fatal(err)
-	} else {
-		ReportFigure6b(&buf, pts)
-	}
-	if res, err := s.Figure6c(); err != nil {
-		t.Fatal(err)
-	} else {
-		ReportFigure6c(&buf, res)
-	}
-	if res, err := s.Figure7(); err != nil {
-		t.Fatal(err)
-	} else {
-		ReportFigure7(&buf, res)
-	}
-	if rows, err := s.Figure8(); err != nil {
-		t.Fatal(err)
-	} else {
-		ReportFigure8(&buf, rows)
-	}
+	ReportTable2(&buf, quickTable2(t))
+	ReportTable3(&buf, quickTable3(t))
+	ReportFigure5(&buf, quickFigure5(t))
+	ReportFigure6a(&buf, quickFigure6a(t))
+	ReportFigure6b(&buf, quickFigure6b(t))
+	ReportFigure6c(&buf, quickFigure6c(t))
+	ReportFigure7(&buf, quickFigure7(t))
+	ReportFigure8(&buf, quickFigure8(t))
 
 	out := buf.String()
 	for _, want := range []string{
@@ -149,46 +115,22 @@ func TestFigureChartsRender(t *testing.T) {
 	if err := plotWriteBox(&buf, Fig4Chart(f4)); err != nil {
 		t.Errorf("fig4 chart: %v", err)
 	}
-	f5, err := s.Figure5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plotWriteLine(&buf, Fig5Chart(f5)); err != nil {
+	if err := plotWriteLine(&buf, Fig5Chart(quickFigure5(t))); err != nil {
 		t.Errorf("fig5 chart: %v", err)
 	}
-	f6a, err := s.Figure6a()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plotWriteLine(&buf, Fig6aChart(f6a)); err != nil {
+	if err := plotWriteLine(&buf, Fig6aChart(quickFigure6a(t))); err != nil {
 		t.Errorf("fig6a chart: %v", err)
 	}
-	f6b, err := s.Figure6b()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plotWriteLine(&buf, Fig6bChart(f6b)); err != nil {
+	if err := plotWriteLine(&buf, Fig6bChart(quickFigure6b(t))); err != nil {
 		t.Errorf("fig6b chart: %v", err)
 	}
-	f6c, err := s.Figure6c()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plotWriteLine(&buf, Fig6cChart(f6c)); err != nil {
+	if err := plotWriteLine(&buf, Fig6cChart(quickFigure6c(t))); err != nil {
 		t.Errorf("fig6c chart: %v", err)
 	}
-	f7, err := s.Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plotWriteLine(&buf, Fig7Chart(f7)); err != nil {
+	if err := plotWriteLine(&buf, Fig7Chart(quickFigure7(t))); err != nil {
 		t.Errorf("fig7 chart: %v", err)
 	}
-	f8, err := s.Figure8()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plotWriteBar(&buf, Fig8Chart(f8)); err != nil {
+	if err := plotWriteBar(&buf, Fig8Chart(quickFigure8(t))); err != nil {
 		t.Errorf("fig8 chart: %v", err)
 	}
 	if !strings.Contains(buf.String(), "<svg") {
