@@ -73,39 +73,35 @@ type rangeSet struct {
 	rs []byteRange
 }
 
-// add inserts [start, end), merging overlapping or adjacent ranges.
+// add inserts [start, end), merging overlapping or adjacent ranges. The
+// merged range replaces the run it absorbs in place.
 func (s *rangeSet) add(start, end int64) {
 	if end <= start {
 		return
 	}
-	// A fresh slice is required: inserting can grow the output past the
-	// read position, so writing into s.rs's backing array would corrupt the
-	// ranges still being iterated.
-	out := make([]byteRange, 0, len(s.rs)+1)
-	placed := false
-	for _, r := range s.rs {
-		switch {
-		case r.end < start: // strictly before, not adjacent
-			out = append(out, r)
-		case r.start > end: // strictly after, not adjacent
-			if !placed {
-				out = append(out, byteRange{start, end})
-				placed = true
-			}
-			out = append(out, r)
-		default: // overlaps or touches: absorb
-			if r.start < start {
-				start = r.start
-			}
-			if r.end > end {
-				end = r.end
-			}
+	rs := s.rs
+	i := 0 // first range not strictly before [start, end)
+	for i < len(rs) && rs[i].end < start {
+		i++
+	}
+	j := i // first range strictly after it; rs[i:j] overlap or touch
+	for j < len(rs) && rs[j].start <= end {
+		if rs[j].start < start {
+			start = rs[j].start
 		}
+		if rs[j].end > end {
+			end = rs[j].end
+		}
+		j++
 	}
-	if !placed {
-		out = append(out, byteRange{start, end})
+	if i == j {
+		rs = append(rs, byteRange{})
+		copy(rs[i+1:], rs[i:])
+	} else {
+		rs = append(rs[:i+1], rs[j:]...)
 	}
-	s.rs = out
+	rs[i] = byteRange{start, end}
+	s.rs = rs
 }
 
 // trimBelow removes all bytes below the watermark.
@@ -184,9 +180,9 @@ type Flow struct {
 	// Pacing.
 	nextSendAt    time.Duration
 	sendScheduled bool
+	sendFn        func() // the scheduled-send callback, built once
 
-	// RTO timer epoch: incremented to invalidate stale timers.
-	rtoEpoch uint64
+	rtoTimer *netsim.Timer
 
 	// Receiver state.
 	rcvNext int64    // next expected byte
@@ -231,6 +227,15 @@ func NewFlow(sim *netsim.Sim, path *netsim.Path, cfg FlowConfig) (*Flow, error) 
 		id:   flowIDs.Add(1),
 	}
 	f.algo.Init(f.mss)
+	f.sendFn = func() {
+		f.sendScheduled = false
+		f.trySend()
+	}
+	f.rtoTimer = sim.NewTimer(func() {
+		if !f.stopped {
+			f.onTimeout()
+		}
+	})
 	f.snd, f.rcv = path.Client(), path.Server()
 	if cfg.Reverse {
 		f.snd, f.rcv = f.rcv, f.snd
@@ -250,7 +255,7 @@ func (f *Flow) Start() {
 // Stop halts the sender; in-flight packets still drain.
 func (f *Flow) Stop() {
 	f.stopped = true
-	f.rtoEpoch++ // cancel pending timers
+	f.rtoTimer.Stop()
 }
 
 // Stats returns a snapshot of the flow's statistics.
@@ -307,15 +312,7 @@ func (f *Flow) rto() time.Duration {
 }
 
 // armRTO (re)arms the retransmission timer.
-func (f *Flow) armRTO() {
-	f.rtoEpoch++
-	epoch := f.rtoEpoch
-	f.sim.Schedule(f.rto(), func() {
-		if epoch == f.rtoEpoch && !f.stopped {
-			f.onTimeout()
-		}
-	})
-}
+func (f *Flow) armRTO() { f.sim.ResetTimer(f.rtoTimer, f.rto()) }
 
 // trySend transmits retransmissions and new data as the window and pacing
 // rate allow. Retransmissions take priority and are paced like everything
@@ -437,15 +434,13 @@ func (f *Flow) segmentSize() int {
 
 func (f *Flow) scheduleSend(d time.Duration) {
 	f.sendScheduled = true
-	f.sim.Schedule(d, func() {
-		f.sendScheduled = false
-		f.trySend()
-	})
+	f.sim.Schedule(d, f.sendFn)
 }
 
 // sendSegment emits one data segment.
 func (f *Flow) sendSegment(seq int64, size int, retrans bool) {
-	p := &netsim.Packet{
+	p := f.sim.NewPacket()
+	*p = netsim.Packet{
 		ID:          f.sim.NextPacketID(),
 		Flow:        f.id,
 		Size:        size + headerBytes,
@@ -468,7 +463,8 @@ func (f *Flow) sendSegment(seq int64, size int, retrans bool) {
 }
 
 // handleData runs on the server: reassemble, advance rcvNext, and ack with
-// the full out-of-order state.
+// the full out-of-order state. The data packet is freed once the ack is
+// sent.
 func (f *Flow) handleData(s *netsim.Sim, p *netsim.Packet) {
 	if p.IsAck || p.ICMP != netsim.ICMPNone {
 		return
@@ -478,19 +474,27 @@ func (f *Flow) handleData(s *netsim.Sim, p *netsim.Packet) {
 	if end > f.rcvNext {
 		f.rcvOOO.add(maxInt64(p.Seq, f.rcvNext), end)
 	}
-	// Advance over any now-contiguous prefix.
-	for len(f.rcvOOO.rs) > 0 && f.rcvOOO.rs[0].start <= f.rcvNext {
-		if f.rcvOOO.rs[0].end > f.rcvNext {
-			f.rcvNext = f.rcvOOO.rs[0].end
+	// Advance over any now-contiguous prefix, then drop it in place so the
+	// slice keeps its capacity.
+	rs := f.rcvOOO.rs
+	k := 0
+	for ; k < len(rs) && rs[k].start <= f.rcvNext; k++ {
+		if rs[k].end > f.rcvNext {
+			f.rcvNext = rs[k].end
 		}
-		f.rcvOOO.rs = f.rcvOOO.rs[1:]
+	}
+	if k > 0 {
+		f.rcvOOO.rs = rs[:copy(rs, rs[k:])]
 	}
 
-	var sack []netsim.SackBlock
+	// The ack carries a copy of the whole out-of-order state, in a recycled
+	// buffer the sender hands back when it frees the ack.
+	ack := s.NewPacket()
+	sack := s.SackBuffer()
 	for _, r := range f.rcvOOO.rs {
 		sack = append(sack, netsim.SackBlock{Start: r.start, End: r.end})
 	}
-	ack := &netsim.Packet{
+	*ack = netsim.Packet{
 		ID:          s.NextPacketID(),
 		Flow:        f.id,
 		Size:        ackSize,
@@ -509,18 +513,25 @@ func (f *Flow) handleData(s *netsim.Sim, p *netsim.Packet) {
 		Retrans:     p.Retrans,
 	}
 	f.rcv.Handle(s, ack)
+	s.FreePacket(p)
 }
 
-// handleAck runs on the client.
+// handleAck runs on the client. The ack is freed, Sack buffer and all, as
+// soon as the scoreboard is installed from it.
 func (f *Flow) handleAck(s *netsim.Sim, p *netsim.Packet) {
-	if !p.IsAck || f.stopped {
+	if !p.IsAck {
+		return
+	}
+	if f.stopped {
+		s.FreePacket(p)
 		return
 	}
 	now := s.Now()
+	ackNo, retrans, delivered, deliveredAt := p.Ack, p.Retrans, p.Delivered, p.DeliveredAt
 
 	// RTT sample (Karn's rule: never from retransmitted segments).
 	var rtt time.Duration
-	if !p.Retrans && p.SentAt > 0 {
+	if !retrans && p.SentAt > 0 {
 		rtt = now - p.SentAt
 		f.updateRTT(rtt)
 	}
@@ -537,11 +548,12 @@ func (f *Flow) handleAck(s *netsim.Sim, p *netsim.Packet) {
 			f.highestSacked = b.End
 		}
 	}
+	s.FreePacket(p)
 
-	advanced := p.Ack > f.una
+	advanced := ackNo > f.una
 	if advanced {
-		acked := int(p.Ack - f.una)
-		f.una = p.Ack
+		acked := int(ackNo - f.una)
+		f.una = ackNo
 		f.delivered += int64(acked)
 		f.deliveredAt = now
 		f.stats.DeliveredBytes = f.delivered
@@ -556,7 +568,7 @@ func (f *Flow) handleAck(s *netsim.Sim, p *netsim.Packet) {
 		if f.markedLostUpTo < f.una {
 			f.markedLostUpTo = f.una
 		}
-		if f.inRecovery && p.Ack >= f.recover {
+		if f.inRecovery && ackNo >= f.recover {
 			f.inRecovery = false
 			f.rtoRecovery = false
 			f.retransmitted.clear()
@@ -567,9 +579,9 @@ func (f *Flow) handleAck(s *netsim.Sim, p *netsim.Packet) {
 		// excluded: a retransmission that fills a hole releases a burst of
 		// long-buffered bytes at once, which would wildly inflate the rate.
 		var rate float64
-		if !p.Retrans {
-			if interval := now - p.DeliveredAt; interval > 0 {
-				rate = float64(f.delivered-p.Delivered) / interval.Seconds()
+		if !retrans {
+			if interval := now - deliveredAt; interval > 0 {
+				rate = float64(f.delivered-delivered) / interval.Seconds()
 			}
 		}
 		f.algo.OnAck(AckEvent{
@@ -588,7 +600,7 @@ func (f *Flow) handleAck(s *netsim.Sim, p *netsim.Packet) {
 
 		if f.cfg.LimitBytes > 0 && f.una >= f.cfg.LimitBytes {
 			f.stopped = true
-			f.rtoEpoch++
+			f.rtoTimer.Stop()
 			if f.OnDone != nil {
 				f.OnDone()
 			}
