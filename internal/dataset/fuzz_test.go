@@ -3,6 +3,8 @@ package dataset
 import (
 	"bytes"
 	"encoding/csv"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -54,10 +56,10 @@ func FuzzUnmarshalExtensionRow(f *testing.F) {
 			return
 		}
 		// Round trip: what the WAL logs must decode back to itself. The
-		// schema stores RFC3339 UTC at second precision, so normalise the
-		// input's timestamp the same way first, and skip the handful of
-		// timestamps RFC3339 cannot re-express (years outside 0000-9999
-		// after UTC conversion).
+		// schema stores RFC3339 UTC at second precision and the timings at
+		// three decimals, so normalise the input the same way first, and
+		// skip the handful of timestamps RFC3339 cannot re-express (years
+		// outside 0000-9999 after UTC conversion).
 		utc := rec.At.UTC().Truncate(time.Second)
 		if utc.Year() < 0 || utc.Year() > 9999 {
 			return
@@ -66,9 +68,19 @@ func FuzzUnmarshalExtensionRow(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-unmarshal of marshalled record failed: %v", err)
 		}
+		milli := func(v float64) float64 {
+			q, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'f', 3, 64), 64)
+			return q
+		}
 		want := rec
 		want.At = utc
-		if back != want {
+		want.PTTMs, want.PLTMs = milli(rec.PTTMs), milli(rec.PLTMs)
+		// Compare the timings by bits, so NaN and -0 must survive too.
+		sameBits := math.Float64bits(back.PTTMs) == math.Float64bits(want.PTTMs) &&
+			math.Float64bits(back.PLTMs) == math.Float64bits(want.PLTMs)
+		rest, wantRest := back, want
+		rest.PTTMs, rest.PLTMs, wantRest.PTTMs, wantRest.PLTMs = 0, 0, 0, 0
+		if !sameBits || rest != wantRest {
 			t.Fatalf("round trip changed record:\n in %+v\nout %+v", want, back)
 		}
 	})
