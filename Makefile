@@ -3,7 +3,7 @@ GO ?= go
 # Each fuzz target gets this much wall time under `make fuzz`.
 FUZZTIME ?= 30s
 
-.PHONY: build test check fuzz bench bench-trace bench-sim bench-cluster bench-e2e bench-obsplane bench-tsdb
+.PHONY: build test check check-steps fuzz bench bench-trace bench-sim bench-cluster bench-e2e bench-obsplane bench-tsdb
 
 build:
 	$(GO) build ./...
@@ -12,19 +12,25 @@ build:
 test: build
 	$(GO) test ./...
 
-# Tier-2 gate: vet-clean and race-clean across the whole tree, the three
+# Tier-2 gate: vet-clean and race-clean across the whole tree, the
 # allocation gates of the frame path (ingest, WAL replay, the misrouted-frame
-# split — they skip under -race, so they run again without it), then the
-# fuzz corpus sweep. The trace package runs first under -race as a fast
-# dedicated gate (concurrent spans against scrapes is its whole contract);
-# the full -race sweep then covers everything including the collector.
-check: build
+# split) and of the packet path (a cubic iperf flow) — they skip under -race,
+# so they run again without it — then the fuzz corpus sweep. The trace
+# package runs first under -race as a fast dedicated gate (concurrent spans
+# against scrapes is its whole contract); the full -race sweep then covers
+# everything including the collector. The last line printed is the target's
+# wall time, pass or fail.
+check:
+	@start=$$(date +%s); $(MAKE) --no-print-directory check-steps; status=$$?; \
+	echo "make check: $$(( $$(date +%s) - start )) s wall"; exit $$status
+
+check-steps: build
 	$(GO) vet ./...
 	$(GO) test -race ./internal/trace/...
 	$(GO) test -race -run 'TestShedOverloadKeepsSampledTraffic' ./internal/collector/
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit)AllocBudget' -count 1 ./internal/collector/
+	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|Iperf)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/
 	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestCSV|E2EIngestBatch)$$' -benchtime 1x -short .
 	$(GO) run ./cmd/campaign -smoke
 	$(MAKE) fuzz
