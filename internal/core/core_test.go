@@ -66,6 +66,8 @@ var (
 	memoFigure7  memo[Fig7Result]
 	memoFigure8  memo[[]Fig8Row]
 	memoAblation memo[[]AblationLossRow]
+	memoHandover memo[[]AblationHandoverRow]
+	memoISL      memo[[]ISLRow]
 )
 
 func quickTable2(t *testing.T) []Table2Row     { return memoTable2.get(t, (*Study).Table2) }
@@ -79,6 +81,10 @@ func quickFigure8(t *testing.T) []Fig8Row      { return memoFigure8.get(t, (*Stu
 func quickAblation(t *testing.T) []AblationLossRow {
 	return memoAblation.get(t, (*Study).AblationLossModel)
 }
+func quickHandoverAblation(t *testing.T) []AblationHandoverRow {
+	return memoHandover.get(t, (*Study).AblationHandoverPolicy)
+}
+func quickISL(t *testing.T) []ISLRow { return memoISL.get(t, (*Study).ExtensionISL) }
 
 func TestNewStudyValidation(t *testing.T) {
 	cfg := QuickConfig()
@@ -455,11 +461,7 @@ func TestAblationLossModel(t *testing.T) {
 }
 
 func TestAblationHandoverPolicy(t *testing.T) {
-	s := quickStudy(t)
-	rows, err := s.AblationHandoverPolicy()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickHandoverAblation(t)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -15,6 +15,24 @@ import (
 // or transport behaviour shows up here as a different hash.
 const packetExhibitsDigest = "0eca7a7e6b1ec8e2b50bae3117e81086eafc747e810338f574fd81d6287884cd"
 
+// probeExhibitsDigest pins the two study results that drive measure's probe
+// trains outside packetExhibitsDigest: the ISL extension's pings and the
+// handover-policy ablation's UDP blasts. It was computed before those trains
+// stopped scheduling one closure per probe.
+const probeExhibitsDigest = "f8c985e2e06d78ce05e8e85052bfe3c57465e50dcf54e49689deb965a5db0167"
+
+// exhibitDigest hashes a rendered report followed by the raw results it was
+// rendered from, printed with %v at full float precision. fmt prints maps in
+// key order, so the raw dump is deterministic.
+func exhibitDigest(report []byte, raw ...any) string {
+	h := sha256.New()
+	h.Write(report)
+	for _, r := range raw {
+		fmt.Fprintf(h, "%v\n", r)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestPacketExhibitsGoldenDigest hashes the rendered network exhibits of the
 // shared quick study, plus every result at full float precision, and
 // compares the hash with the pinned value. Other architectures may fuse
@@ -44,12 +62,27 @@ func TestPacketExhibitsGoldenDigest(t *testing.T) {
 	for _, r := range ablation {
 		fmt.Fprintf(&buf, "ablation %s bursty %.3f iid %.3f\n", r.Algorithm, r.Bursty, r.IID)
 	}
-	h := sha256.New()
-	h.Write(buf.Bytes())
-	// fmt prints maps in key order, so the raw dump is deterministic.
-	fmt.Fprintf(h, "%v\n%v\n%v\n%v\n%v\n%v\n%v\n%v\n%v\n",
-		table2, table3, fig5, fig6a, fig6b, fig6c, fig7, fig8, ablation)
-	if got := hex.EncodeToString(h.Sum(nil)); got != packetExhibitsDigest {
+	got := exhibitDigest(buf.Bytes(), table2, table3, fig5, fig6a, fig6b, fig6c, fig7, fig8, ablation)
+	if got != packetExhibitsDigest {
 		t.Errorf("packet exhibits digest = %s, want %s\n%s", got, packetExhibitsDigest, buf.String())
+	}
+}
+
+// TestProbeExhibitsGoldenDigest is TestPacketExhibitsGoldenDigest for the
+// ISL extension and the handover-policy ablation.
+func TestProbeExhibitsGoldenDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest pinned on amd64")
+	}
+	var buf bytes.Buffer
+	isl := quickISL(t)
+	ReportExtensionISL(&buf, isl)
+	handover := quickHandoverAblation(t)
+	for _, r := range handover {
+		fmt.Fprintf(&buf, "handover %s handovers=%d hard=%d loss %.3f%%\n",
+			r.Policy, r.Handovers, r.HardHandovers, r.MeanLossPct)
+	}
+	if got := exhibitDigest(buf.Bytes(), isl, handover); got != probeExhibitsDigest {
+		t.Errorf("probe exhibits digest = %s, want %s\n%s", got, probeExhibitsDigest, buf.String())
 	}
 }

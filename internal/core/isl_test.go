@@ -7,11 +7,7 @@ import (
 )
 
 func TestExtensionISL(t *testing.T) {
-	s := quickStudy(t)
-	rows, err := s.ExtensionISL()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickISL(t)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
