@@ -177,6 +177,160 @@ func TestTimerMatchesClosureReference(t *testing.T) {
 	}
 }
 
+// trainScript drives a Sim through a seeded random mix of probe trains,
+// closures, timer re-arms and link sends. As in timerScript, every callback
+// logs itself and then draws its next actions, so the first divergence
+// changes everything after it. With asCalls set, each train is built as n
+// ScheduleAt calls instead, the way the probe loops were written before
+// Train.
+type trainScript struct {
+	s       *Sim
+	rng     *rand.Rand
+	asCalls bool
+	budget  int // actions left
+	ids     int // last id handed out
+	log     []firing
+	pending []int // Pending() at each firing
+	timers  []*Timer
+	links   []*Link
+	// Trains of each edge case started, so the test can check it covers them.
+	single, equalTime, past int
+}
+
+func (sc *trainScript) fired(id int) {
+	sc.log = append(sc.log, firing{sc.s.Now(), id})
+	sc.pending = append(sc.pending, sc.s.Pending())
+	for k := 1 + sc.rng.Intn(3); k > 0 && sc.budget > 0; k-- {
+		sc.budget--
+		sc.ids++
+		id := sc.ids
+		// Whole milliseconds, often zero, so that trains, closures, timers
+		// and deliveries collide and the seq tie-break decides.
+		d := Time(sc.rng.Intn(4)) * time.Millisecond
+		switch op := sc.rng.Intn(10); {
+		case op < 2:
+			sc.s.ResetTimer(sc.timers[sc.rng.Intn(len(sc.timers))], d)
+		case op < 4:
+			sc.s.Schedule(d, func() { sc.fired(id) })
+		case op < 6:
+			l := sc.links[sc.rng.Intn(len(sc.links))]
+			l.Send(sc.s, &Packet{ID: uint64(id), Size: 125 * (1 + sc.rng.Intn(8))})
+		default:
+			sc.train(id)
+		}
+	}
+}
+
+// train starts a train of 1–5 members whose ids run from first. Its start
+// may lie up to 3 ms in the past, and a zero gap makes all its members due
+// at once.
+func (sc *trainScript) train(first int) {
+	start := sc.s.Now() + Time(sc.rng.Intn(7)-3)*time.Millisecond
+	gap := Time(sc.rng.Intn(3)) * time.Millisecond
+	n := 1 + sc.rng.Intn(5)
+	sc.ids += n - 1
+	if n == 1 {
+		sc.single++
+	}
+	if gap == 0 && n > 1 {
+		sc.equalTime++
+	}
+	if start < sc.s.Now() {
+		sc.past++
+	}
+	if !sc.asCalls {
+		sc.s.Train(start, gap, n, func(i int) { sc.fired(first + i) })
+		return
+	}
+	for i := 0; i < n; i++ {
+		sc.s.ScheduleAt(start+Time(i)*gap, func() { sc.fired(first + i) })
+	}
+}
+
+// runTrainScript returns the firing log, Pending() at each firing and the
+// final seq counter.
+func runTrainScript(seed int64, asCalls bool) *trainScript {
+	s := NewSim(seed)
+	sc := &trainScript{s: s, rng: rand.New(rand.NewSource(seed)), asCalls: asCalls, budget: 400}
+	for i := 0; i < 2; i++ {
+		sc.timers = append(sc.timers, s.NewTimer(func() { sc.fired(-1 - i) }))
+	}
+	sink := HandlerFunc(func(_ *Sim, p *Packet) { sc.fired(int(p.ID)) })
+	for i := 0; i < 3; i++ {
+		sc.links = append(sc.links, &Link{
+			RateBps: float64(1+i) * 1e6,
+			Delay:   Time(i) * time.Millisecond,
+			DelayFn: func(Time) Time { return Time(sc.rng.Intn(2)) * time.Millisecond },
+			Dst:     sink,
+		})
+	}
+	for id := -10; id > -14; id-- {
+		s.Schedule(0, func() { sc.fired(id) })
+	}
+	s.Run()
+	return sc
+}
+
+// TestTrainMatchesScheduleReference: over random mixes of trains, closures,
+// timer re-arms and link sends, a Train fires its members at exactly the
+// (now, id) sequence that n ScheduleAt calls give, Pending() agrees at every
+// firing, and the seq counter ends where it did, so no other event's key
+// moved.
+func TestTrainMatchesScheduleReference(t *testing.T) {
+	var single, equalTime, past int
+	for seed := int64(1); seed <= 200; seed++ {
+		want := runTrainScript(seed, true)
+		got := runTrainScript(seed, false)
+		if !slices.Equal(got.log, want.log) {
+			n := 0
+			for n < len(got.log) && n < len(want.log) && got.log[n] == want.log[n] {
+				n++
+			}
+			t.Fatalf("seed %d: firing sequences diverge at %d of %d/%d: got %v, want %v", seed, n,
+				len(got.log), len(want.log), got.log[n:min(n+5, len(got.log))], want.log[n:min(n+5, len(want.log))])
+		}
+		if !slices.Equal(got.pending, want.pending) {
+			t.Fatalf("seed %d: Pending() per firing = %v, want %v", seed, got.pending, want.pending)
+		}
+		if got.s.seq != want.s.seq {
+			t.Fatalf("seed %d: seq counter ends at %d, want %d", seed, got.s.seq, want.s.seq)
+		}
+		single += got.single
+		equalTime += got.equalTime
+		past += got.past
+	}
+	if single < 200 || equalTime < 200 || past < 200 {
+		t.Fatalf("over 200 scripts: %d single-member trains, %d equal-time trains, %d starting in the past; "+
+			"the scripts are not exercising the edge cases", single, equalTime, past)
+	}
+}
+
+// TestTrainPendingAndGap: Pending counts the members of a train that have
+// not fired though the train has one queue entry, and a negative gap panics.
+func TestTrainPendingAndGap(t *testing.T) {
+	s := NewSim(1)
+	var fired []Time
+	s.Train(0, time.Millisecond, 5, func(int) { fired = append(fired, s.Now()) }) // 0..4 ms
+	s.Schedule(10*time.Millisecond, func() {})
+	if got := s.Pending(); got != 6 {
+		t.Fatalf("pending = %d, want 6 (5 members + 1 closure)", got)
+	}
+	s.RunUntil(2 * time.Millisecond)
+	if got := s.Pending(); got != 3 {
+		t.Fatalf("pending at 2ms = %d, want 3 (members at 3 and 4 ms + the closure)", got)
+	}
+	s.Run()
+	if got := s.Pending(); got != 0 || len(fired) != 5 {
+		t.Fatalf("after Run: pending = %d, %d members fired; want 0 and 5", got, len(fired))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("negative gap did not panic")
+		}
+	}()
+	s.Train(s.Now(), -time.Millisecond, 2, func(int) {})
+}
+
 // TestTimerStopAndRearm covers the timer's edge cases directly: a stopped
 // timer does not fire, re-arming later moves the deadline, re-arming earlier
 // fires early and exactly once.

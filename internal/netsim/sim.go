@@ -34,6 +34,7 @@ const (
 	evDeliver                  // hand link's head in-flight packet to its Dst
 	evSend                     // link.Send(pkt), for replies sent after a delay
 	evTimer                    // a Timer's queue entry (see fireTimer)
+	evTrain                    // a Train's queue entry; fn is its fire
 )
 
 // event is one queue entry, stored by value. Only the fields its kind uses
@@ -116,7 +117,8 @@ type Sim struct {
 	pktID   uint64
 	stopped bool
 	// backlog counts in-flight packets queued on links behind each link's
-	// head, which alone has a queue entry; Pending adds it back.
+	// head, and train members behind each train's next one; only those
+	// heads have queue entries, and Pending adds the rest back.
 	backlog int
 	// Free-lists for NewPacket and SackBuffer. Neither ever holds more
 	// entries than NewPacket has allocated packets, so packets built by
@@ -208,6 +210,58 @@ func (s *Sim) ScheduleAt(at Time, fn func()) {
 	s.pq.push(event{at: at, seq: s.seq, kind: evFunc, fn: fn})
 }
 
+// Train runs emit(0), …, emit(n-1) at start, start+gap, …, start+(n-1)·gap:
+// a probe train. Each member fires exactly where the i-th of n back-to-back
+// ScheduleAt(start+i·gap) calls would have, with the same (at, seq) position
+// in the event order, but the train keeps one queue entry instead of n. Like
+// ScheduleAt, members due in the past fire at the current time. A negative
+// gap panics; n <= 0 schedules nothing.
+func (s *Sim) Train(start, gap Time, n int, emit func(i int)) {
+	if gap < 0 {
+		panic(fmt.Sprintf("netsim: train gap %v is negative", gap))
+	}
+	if n <= 0 {
+		return
+	}
+	t := &train{s: s, emit: emit, start: start, gap: gap, floor: s.now, base: s.seq + 1, n: n}
+	t.fire = t.advance
+	// Reserve the seqs the n ScheduleAt calls would have taken.
+	s.seq += uint64(n)
+	s.backlog += n - 1
+	t.push()
+}
+
+// train is a Train in progress. Its one queue entry is keyed as member next
+// would have been: no member's key is below the one before it, so queueing
+// the next member only when the previous one fires keeps the global order
+// (the argument of Link.enqueue).
+type train struct {
+	s     *Sim
+	emit  func(i int)
+	fire  func() // advance, bound once so that re-queueing allocates nothing
+	start Time
+	gap   Time
+	floor Time   // the time Train was called; earlier members fire at it
+	base  uint64 // member i's seq is base+i
+	next  int
+	n     int
+}
+
+func (t *train) push() {
+	at := max(t.start+Time(t.next)*t.gap, t.floor)
+	t.s.pq.push(event{at: at, seq: t.base + uint64(t.next), kind: evTrain, fn: t.fire})
+}
+
+// advance queues the member after next, then emits next.
+func (t *train) advance() {
+	i := t.next
+	if t.next++; t.next < t.n {
+		t.s.backlog--
+		t.push()
+	}
+	t.emit(i)
+}
+
 // sendAfter runs l.Send(s, p) after delay, as Schedule would, without a
 // closure.
 func (s *Sim) sendAfter(delay Time, l *Link, p *Packet) {
@@ -250,13 +304,13 @@ func (s *Sim) step() {
 		e.link.Send(s, e.pkt)
 	case evTimer:
 		s.fireTimer(e.timer, e.seq)
-	default:
+	default: // evFunc, and evTrain's advance
 		e.fn()
 	}
 }
 
 // Pending returns the number of queued events, counting every packet in
-// flight on a link.
+// flight on a link and every train member yet to fire.
 func (s *Sim) Pending() int { return len(s.pq) + s.backlog }
 
 // Timer is a re-armable one-shot callback, for protocol timers that are
