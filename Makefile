@@ -14,8 +14,9 @@ test: build
 
 # Tier-2 gate: vet-clean and race-clean across the whole tree, the
 # allocation gates of the frame path (ingest, WAL replay, the misrouted-frame
-# split) and of the packet path (a cubic iperf flow) — they skip under -race,
-# so they run again without it — then the fuzz corpus sweep. The trace
+# split) and of the packet path (a cubic iperf flow, a UDP blast) — they
+# skip under -race, so they run again without it — then the fuzz corpus
+# sweep. The trace
 # package runs first under -race as a fast dedicated gate (concurrent spans
 # against scrapes is its whole contract); the full -race sweep then covers
 # everything including the collector. The last line printed is the target's
@@ -30,7 +31,7 @@ check-steps: build
 	$(GO) test -race -run 'TestShedOverloadKeepsSampledTraffic' ./internal/collector/
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|Iperf)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/
+	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|Iperf|UDPBlast)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/ ./internal/measure/
 	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestCSV|E2EIngestBatch)$$' -benchtime 1x -short .
 	$(GO) run ./cmd/campaign -smoke
 	$(MAKE) fuzz

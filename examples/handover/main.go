@@ -37,21 +37,23 @@ func main() {
 	const seconds = 720
 	const pps = 100
 	received := make([]int, seconds)
-	path.Server().RegisterLocal(39000, netsim.HandlerFunc(func(s *netsim.Sim, p *netsim.Packet) {
+	client, server := path.Client(), path.Server()
+	server.RegisterLocal(39000, netsim.HandlerFunc(func(s *netsim.Sim, p *netsim.Packet) {
 		if sec := int(p.SentAt / time.Second); sec >= 0 && sec < seconds {
 			received[sec]++
 		}
+		s.FreePacket(p)
 	}))
-	for i := 0; i < seconds*pps; i++ {
-		at := time.Duration(i) * (time.Second / pps)
-		sim.Schedule(at, func() {
-			path.Client().Handle(sim, &netsim.Packet{
-				ID: sim.NextPacketID(), Size: 1250, TTL: 64,
-				Src: path.Client().Name, Dst: path.Server().Name, DstPort: 39000,
-				SentAt: sim.Now(),
-			})
-		})
-	}
+	// One paced probe every 10 ms: a single queue entry for the whole train.
+	sim.Train(0, time.Second/pps, seconds*pps, func(int) {
+		p := sim.NewPacket()
+		*p = netsim.Packet{
+			ID: sim.NextPacketID(), Size: 1250, TTL: 64,
+			Src: client.Name, Dst: server.Name, DstPort: 39000,
+			SentAt: sim.Now(),
+		}
+		client.Handle(sim, p)
+	})
 
 	serving := make([]string, seconds)
 	for sec := 0; sec < seconds; sec++ {

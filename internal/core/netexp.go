@@ -388,23 +388,24 @@ func (s *Study) Figure7() (Fig7Result, error) {
 	const pps = 100
 	received := make([]int, seconds)
 	port := 39000
-	path.Server().RegisterLocal(port, netsim.HandlerFunc(func(s *netsim.Sim, p *netsim.Packet) {
+	client, server := path.Client(), path.Server()
+	server.RegisterLocal(port, netsim.HandlerFunc(func(s *netsim.Sim, p *netsim.Packet) {
 		// Attribute to the second the probe was sent in.
 		sec := int(p.SentAt / time.Second)
 		if sec >= 0 && sec < seconds {
 			received[sec]++
 		}
+		s.FreePacket(p)
 	}))
-	for i := 0; i < seconds*pps; i++ {
-		at := time.Duration(i) * (time.Second / pps)
-		sim.Schedule(at, func() {
-			path.Client().Handle(sim, &netsim.Packet{
-				ID: sim.NextPacketID(), Size: 1250, TTL: 64,
-				Src: path.Client().Name, Dst: path.Server().Name, DstPort: port,
-				SentAt: sim.Now(),
-			})
-		})
-	}
+	sim.Train(sim.Now(), time.Second/pps, seconds*pps, func(int) {
+		p := sim.NewPacket()
+		*p = netsim.Packet{
+			ID: sim.NextPacketID(), Size: 1250, TTL: 64,
+			Src: client.Name, Dst: server.Name, DstPort: port,
+			SentAt: sim.Now(),
+		}
+		client.Handle(sim, p)
+	})
 
 	res := Fig7Result{
 		LossPct:    make([]float64, seconds),

@@ -89,29 +89,28 @@ func Ping(sim *netsim.Sim, path *netsim.Path, count int, interval time.Duration)
 
 	client, server := path.Client(), path.Server()
 	client.RegisterLocal(port, netsim.HandlerFunc(func(s *netsim.Sim, p *netsim.Packet) {
-		if p.ICMP != netsim.ICMPEchoReply || !sent[p.ProbeID] {
-			return
+		if p.ICMP == netsim.ICMPEchoReply && sent[p.ProbeID] {
+			delete(sent, p.ProbeID)
+			res.Received++
+			res.RTTs = append(res.RTTs, s.Now()-p.SentAt)
 		}
-		delete(sent, p.ProbeID)
-		res.Received++
-		res.RTTs = append(res.RTTs, s.Now()-p.SentAt)
+		s.FreePacket(p)
 	}))
 	defer client.UnregisterLocal(port)
 
-	for i := 0; i < count; i++ {
-		i := i
-		sim.Schedule(time.Duration(i)*interval, func() {
-			id := sim.NextPacketID()
-			sent[id] = true
-			client.Handle(sim, &netsim.Packet{
-				ID: id, Size: 64, TTL: 64,
-				Src: client.Name, SrcPort: port,
-				Dst: server.Name, DstPort: 0,
-				ICMP: netsim.ICMPEcho, ProbeID: id,
-				SentAt: sim.Now(),
-			})
-		})
-	}
+	sim.Train(sim.Now(), interval, count, func(int) {
+		id := sim.NextPacketID()
+		sent[id] = true
+		p := sim.NewPacket()
+		*p = netsim.Packet{
+			ID: id, Size: 64, TTL: 64,
+			Src: client.Name, SrcPort: port,
+			Dst: server.Name, DstPort: 0,
+			ICMP: netsim.ICMPEcho, ProbeID: id,
+			SentAt: sim.Now(),
+		}
+		client.Handle(sim, p)
+	})
 	sim.RunUntil(sim.Now() + time.Duration(count)*interval + 3*time.Second)
 	return res, nil
 }
@@ -154,7 +153,7 @@ func (o *TracerouteOptions) defaults(path *netsim.Path) {
 // answers the final hop.
 func Traceroute(sim *netsim.Sim, path *netsim.Path, opts TracerouteOptions) ([]Hop, error) {
 	opts.defaults(path)
-	if opts.ProbesPerHop < 1 || opts.MaxTTL < 1 {
+	if opts.ProbesPerHop < 1 || opts.MaxTTL < 1 || opts.Interval < 0 {
 		return nil, fmt.Errorf("measure: invalid traceroute options %+v", opts)
 	}
 
@@ -170,39 +169,36 @@ func Traceroute(sim *netsim.Sim, path *netsim.Path, opts TracerouteOptions) ([]H
 	client, server := path.Client(), path.Server()
 	client.RegisterLocal(port, netsim.HandlerFunc(func(s *netsim.Sim, p *netsim.Packet) {
 		pr, ok := pending[p.ProbeID]
-		if !ok {
-			return
+		if ok && (p.ICMP == netsim.ICMPTimeExceeded || p.ICMP == netsim.ICMPEchoReply) {
+			delete(pending, p.ProbeID)
+			h := &hops[pr.ttl-1]
+			h.RTTs = append(h.RTTs, s.Now()-pr.sentAt)
+			addrs[pr.ttl-1] = p.ICMPFrom
 		}
-		if p.ICMP != netsim.ICMPTimeExceeded && p.ICMP != netsim.ICMPEchoReply {
-			return
-		}
-		delete(pending, p.ProbeID)
-		h := &hops[pr.ttl-1]
-		h.RTTs = append(h.RTTs, s.Now()-pr.sentAt)
-		addrs[pr.ttl-1] = p.ICMPFrom
+		s.FreePacket(p)
 	}))
 	defer client.UnregisterLocal(port)
 
-	var at time.Duration
-	for ttl := 1; ttl <= opts.MaxTTL; ttl++ {
-		hops[ttl-1].TTL = ttl
-		for q := 0; q < opts.ProbesPerHop; q++ {
-			ttl := ttl
-			sim.Schedule(at, func() {
-				id := sim.NextPacketID()
-				pending[id] = probe{ttl: ttl, sentAt: sim.Now()}
-				client.Handle(sim, &netsim.Packet{
-					ID: id, Size: opts.ProbeSize, TTL: ttl,
-					Src: client.Name, SrcPort: port,
-					Dst: server.Name, DstPort: 0,
-					ICMP: netsim.ICMPEcho, ProbeID: id,
-					SentAt: sim.Now(),
-				})
-			})
-			at += opts.Interval
-		}
+	for i := range hops {
+		hops[i].TTL = i + 1
 	}
-	sim.RunUntil(sim.Now() + at + 5*time.Second)
+	// Probe k goes out at k·Interval, ProbesPerHop probes per TTL in turn.
+	n := opts.MaxTTL * opts.ProbesPerHop
+	sim.Train(sim.Now(), opts.Interval, n, func(k int) {
+		ttl := 1 + k/opts.ProbesPerHop
+		id := sim.NextPacketID()
+		pending[id] = probe{ttl: ttl, sentAt: sim.Now()}
+		p := sim.NewPacket()
+		*p = netsim.Packet{
+			ID: id, Size: opts.ProbeSize, TTL: ttl,
+			Src: client.Name, SrcPort: port,
+			Dst: server.Name, DstPort: 0,
+			ICMP: netsim.ICMPEcho, ProbeID: id,
+			SentAt: sim.Now(),
+		}
+		client.Handle(sim, p)
+	})
+	sim.RunUntil(sim.Now() + time.Duration(n)*opts.Interval + 5*time.Second)
 
 	// Trim hops past the destination: once the server answered, later TTLs
 	// repeat it.
@@ -436,6 +432,10 @@ func IperfUDP(sim *netsim.Sim, path *netsim.Path, rateBps float64, duration time
 		return IperfResult{}, fmt.Errorf("measure: invalid UDP iperf parameters")
 	}
 	const pktSize = 1250 // 10 kbit packets make the arithmetic clean
+	gap := time.Duration(float64(pktSize*8) / rateBps * float64(time.Second))
+	if gap <= 0 {
+		return IperfResult{}, fmt.Errorf("measure: UDP rate %g b/s leaves no time between %d-byte packets", rateBps, pktSize)
+	}
 	snd, rcv := path.Client(), path.Server()
 	if reverse {
 		snd, rcv = rcv, snd
@@ -446,22 +446,21 @@ func IperfUDP(sim *netsim.Sim, path *netsim.Path, rateBps float64, duration time
 	rcv.RegisterLocal(port, netsim.HandlerFunc(func(s *netsim.Sim, p *netsim.Packet) {
 		received++
 		rcvBytes += int64(p.Size)
+		s.FreePacket(p)
 	}))
 	defer rcv.UnregisterLocal(port)
 
-	gap := time.Duration(float64(pktSize*8) / rateBps * float64(time.Second))
 	n := int(duration / gap)
 	start := sim.Now()
-	for i := 0; i < n; i++ {
-		i := i
-		sim.Schedule(time.Duration(i)*gap, func() {
-			snd.Handle(sim, &netsim.Packet{
-				ID: sim.NextPacketID(), Size: pktSize, TTL: 64,
-				Src: snd.Name, Dst: rcv.Name, DstPort: port,
-				SentAt: sim.Now(),
-			})
-		})
-	}
+	sim.Train(start, gap, n, func(int) {
+		p := sim.NewPacket()
+		*p = netsim.Packet{
+			ID: sim.NextPacketID(), Size: pktSize, TTL: 64,
+			Src: snd.Name, Dst: rcv.Name, DstPort: port,
+			SentAt: sim.Now(),
+		}
+		snd.Handle(sim, p)
+	})
 	sim.RunUntil(start + duration + 2*time.Second)
 
 	res := IperfResult{
