@@ -79,10 +79,10 @@ func TestSketchMergeLargeCounts(t *testing.T) {
 		t.Fatalf("merged count %d, want %d (lost %d samples)", merged.Count(), wantCount, wantCount-merged.Count())
 	}
 	// The merged bucket counts must be the exact sums.
-	if got := merged.buckets[100]; got != big+5+big {
+	if got := merged.bucket(100); got != big+5+big {
 		t.Fatalf("bucket 100 holds %d, want %d", got, big+5+big)
 	}
-	if got := merged.buckets[200]; got != 1+big+big {
+	if got := merged.bucket(200); got != 1+big+big {
 		t.Fatalf("bucket 200 holds %d, want %d", got, 1+big+big)
 	}
 	// Rank arithmetic at ~1.7e10 samples must stay in range: the median
@@ -168,8 +168,8 @@ func TestSketchMergeAccuracyAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lowKey := s.key(100)   // ~100ms bucket
-	highKey := s.key(5000) // ~5s bucket
+	lowKey := int(s.key(100))   // ~100ms bucket
+	highKey := int(s.key(5000)) // ~5s bucket
 	const quarter = uint64(1) << 32
 	blob := buildSketchBlob(DefaultSketchRelErr, 1024, 0,
 		[]int{lowKey, highKey}, []uint64{3 * quarter, quarter},
