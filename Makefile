@@ -14,7 +14,8 @@ test: build
 
 # Tier-2 gate: vet-clean and race-clean across the whole tree, the
 # allocation gates of the frame path (ingest, WAL replay, the misrouted-frame
-# split) and of the packet path (a cubic iperf flow, a UDP blast) — they
+# split), of the read path (Snapshot plus the city table) and of the packet
+# path (a cubic iperf flow, a UDP blast) — they
 # skip under -race, so they run again without it — then the fuzz corpus
 # sweep. The trace
 # package runs first under -race as a fast dedicated gate (concurrent spans
@@ -31,15 +32,16 @@ check-steps: build
 	$(GO) test -race -run 'TestShedOverloadKeepsSampledTraffic' ./internal/collector/
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|Iperf|UDPBlast)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/ ./internal/measure/
+	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|Snapshot|Iperf|UDPBlast)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/ ./internal/measure/
 	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestCSV|E2EIngestBatch)$$' -benchtime 1x -short .
 	$(GO) run ./cmd/campaign -smoke
 	$(MAKE) fuzz
 
 # Fuzz the parsers that face untrusted bytes: WAL segment replay (the
-# crash-recovery read path) and the dataset row/stream decoders the
-# collector's ingest and replay run per record. Native Go fuzzing; each
-# target runs for FUZZTIME.
+# crash-recovery read path), the dataset row/stream decoders the
+# collector's ingest and replay run per record, and the sketch blobs that
+# checkpoints and cluster state carry. Native Go fuzzing; each target runs
+# for FUZZTIME.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayDir -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadNodeJSON -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalBatch -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayBatchFrame -fuzztime=$(FUZZTIME) ./internal/collector/
+	$(GO) test -run=^$$ -fuzz=FuzzSketchUnmarshal -fuzztime=$(FUZZTIME) ./internal/stats/
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/tle/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/tsdb/
 

@@ -204,6 +204,10 @@ func NewAggregator(cfg Config) *Aggregator {
 // that was durable before the previous crash or shutdown.
 func OpenAggregator(cfg Config) (*Aggregator, error) {
 	cfg.normalize()
+	// The shards build their sketches without checking; check the error once.
+	if _, err := stats.NewQuantileSketch(cfg.SketchRelErr); err != nil {
+		return nil, fmt.Errorf("collector: %w", err)
+	}
 	a := &Aggregator{cfg: cfg, shards: make([]*shard, cfg.Shards), met: newMetrics(cfg.Registry)}
 	for i := range a.shards {
 		a.shards[i] = newShard(i, cfg, a.met)

@@ -21,9 +21,25 @@ type nodeKey struct {
 
 // extAgg is the streaming aggregate for one (city, ISP) group. Counts,
 // sums and the domain set are exact; percentiles come from the sketch.
+// domains lists the distinct domains in first-seen order and is only ever
+// appended to, so a snapshot can share a prefix of it instead of copying
+// (shard.snapshot); seen is the membership set behind it, private to the
+// owner.
 type extAgg struct {
-	domains map[string]struct{}
+	seen    map[string]struct{}
+	domains []string
 	ptt     *stats.QuantileSketch
+}
+
+func newExtAgg(ptt *stats.QuantileSketch) *extAgg {
+	return &extAgg{seen: make(map[string]struct{}), ptt: ptt}
+}
+
+func (g *extAgg) addDomain(d string) {
+	if _, ok := g.seen[d]; !ok {
+		g.seen[d] = struct{}{}
+		g.domains = append(g.domains, d)
+	}
 }
 
 // nodeAgg is the streaming aggregate for one (node, kind) group.
@@ -110,11 +126,11 @@ func (s *shard) apply(it item) {
 		g := s.ext[extKey{r.City, r.ISP}]
 		if g == nil {
 			ptt, _ := stats.NewQuantileSketch(s.relErr)
-			g = &extAgg{domains: make(map[string]struct{}), ptt: ptt}
+			g = newExtAgg(ptt)
 			s.ext[extKey{r.City, r.ISP}] = g
 			s.met.groups.Set(float64(len(s.ext) + len(s.nodes)))
 		}
-		g.domains[r.Domain] = struct{}{}
+		g.addDomain(r.Domain)
 		g.ptt.Add(r.PTTMs)
 	case itemNode:
 		n := it.node
@@ -166,12 +182,12 @@ func (s *shard) applyBatch(it item) {
 			g = s.ext[extKey{city, isp}]
 			if g == nil {
 				ptt, _ := stats.NewQuantileSketch(s.relErr)
-				g = &extAgg{domains: make(map[string]struct{}), ptt: ptt}
+				g = newExtAgg(ptt)
 				s.ext[extKey{city, isp}] = g
 				s.met.groups.Set(float64(len(s.ext) + len(s.nodes)))
 			}
 		}
-		g.domains[v.Domain(i)] = struct{}{}
+		g.addDomain(v.Domain(i))
 		g.ptt.Add(v.PTTMs(i))
 	}
 	s.met.processed.Add(uint64(len(it.rows)))
@@ -196,31 +212,48 @@ func (s *shard) stats() ShardStats {
 	}
 }
 
-// shardSnap is a consistent copy of one shard's state, safe to merge and
+// extSnap is one (city, ISP) group as a snapshot holds it: the group's
+// distinct domains and a sketch that no longer changes.
+type extSnap struct {
+	extKey
+	domains []string
+	ptt     *stats.QuantileSketch
+}
+
+// nodeSnap is one (node, kind) group as a snapshot holds it.
+type nodeSnap struct {
+	nodeKey
+	nodeAgg
+}
+
+// shardSnap is a consistent view of one shard's state, safe to merge and
 // read outside the shard goroutine.
 type shardSnap struct {
 	stats ShardStats
-	ext   map[extKey]*extAgg
-	nodes map[nodeKey]*nodeAgg
+	ext   []extSnap
+	nodes []nodeSnap
 }
 
+// snapshot captures the shard between two applies. Sketches are cloned;
+// domain lists are not. The view takes each list's length-capped prefix
+// list[:n:n], and the shard only ever writes a list at index n or beyond,
+// or into a fresh array when an append outgrows the old one, so the n
+// strings the view sees are never written again. The ctl reply that carries
+// the view orders the shard's earlier writes before any read of it.
 func (s *shard) snapshot() shardSnap {
 	snap := shardSnap{
 		stats: s.stats(),
-		ext:   make(map[extKey]*extAgg, len(s.ext)),
-		nodes: make(map[nodeKey]*nodeAgg, len(s.nodes)),
+		ext:   make([]extSnap, 0, len(s.ext)),
+		nodes: make([]nodeSnap, 0, len(s.nodes)),
 	}
 	for k, g := range s.ext {
-		domains := make(map[string]struct{}, len(g.domains))
-		for d := range g.domains {
-			domains[d] = struct{}{}
-		}
-		snap.ext[k] = &extAgg{domains: domains, ptt: g.ptt.Clone()}
+		n := len(g.domains)
+		snap.ext = append(snap.ext, extSnap{extKey: k, domains: g.domains[:n:n], ptt: g.ptt.Clone()})
 	}
 	for k, g := range s.nodes {
-		c := *g
+		c := nodeSnap{k, *g}
 		c.down = g.down.Clone()
-		snap.nodes[k] = &c
+		snap.nodes = append(snap.nodes, c)
 	}
 	return snap
 }
