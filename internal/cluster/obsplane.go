@@ -244,7 +244,7 @@ func (n *Node) handleClusterTraces(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
-	writeJSON(w, http.StatusOK, struct {
+	collector.WriteJSON(w, http.StatusOK, struct {
 		Traces []ClusterTraceInfo `json:"traces"`
 	}{out})
 }
@@ -273,7 +273,7 @@ func (n *Node) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.URL.Query().Get("format") {
 	case "", "json":
-		writeJSON(w, http.StatusOK, tr)
+		collector.WriteJSON(w, http.StatusOK, tr)
 	case "jsonl":
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = trace.WriteJSONL(w, []trace.Trace{tr})
