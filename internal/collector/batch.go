@@ -305,23 +305,31 @@ func (a *Aggregator) appendRowsWAL(enc *dataset.BatchEncoder, v *dataset.BatchVi
 	return a.appendRowsWAL(enc, v, rows[mid:])
 }
 
+// maxPooledSplitter caps what a splitter may hold (frameSplitter.size) and
+// still go back to the pool. A request that outgrew it (a giant frame, local
+// or not) drops its splitter rather than pinning the memory.
+const maxPooledSplitter = 4 << 20
+
 // peerFrames is one peer's share of an ingest request: rows is scratch for
 // the frame being split, body the re-encoded sub-frames to POST, concatenated
 // (the /ingest/batch wire format), so a request costs one POST per peer
 // however many frames it carried.
 type peerFrames struct {
+	peer    string
 	rows    []int32
 	body    []byte
 	records int
 }
 
-// frameSplitter cuts one request's misrouted frames up by ring owner. It
-// lives for the request: the peer bodies are released with it at the ack.
+// frameSplitter cuts a request's misrouted frames up by ring owner. Servers
+// pool it across requests (Server.splitter, Server.releaseSplitter), so its
+// encoder, scratch and peer bodies stop regrowing from zero every request.
 type frameSplitter struct {
 	fwd   Forwarder
 	enc   dataset.BatchEncoder
 	local []int32
-	peers map[string]*peerFrames
+	known []*peerFrames // every peer this splitter has served, buffers kept
+	peers []*peerFrames // this request's peers, in first-seen order
 }
 
 // split looks up every row's owner and returns the view this instance should
@@ -333,18 +341,10 @@ func (sp *frameSplitter) split(views *dataset.ViewPool, v *dataset.BatchView) (*
 	n := v.Len()
 	sp.local = growI32(sp.local, n)[:0]
 	for i := 0; i < n; i++ {
-		peer := sp.fwd.OwnerExtension(v.City(i), v.ISP(i))
-		if peer == "" {
+		pf := sp.owner(v, i)
+		if pf == nil {
 			sp.local = append(sp.local, int32(i))
 			continue
-		}
-		pf := sp.peers[peer]
-		if pf == nil {
-			if sp.peers == nil {
-				sp.peers = make(map[string]*peerFrames)
-			}
-			pf = &peerFrames{rows: make([]int32, 0, n)}
-			sp.peers[peer] = pf
 		}
 		pf.rows = append(pf.rows, int32(i))
 	}
@@ -366,6 +366,65 @@ func (sp *frameSplitter) split(views *dataset.ViewPool, v *dataset.BatchView) (*
 	return views.Parse(sp.enc.EncodeRows(v, sp.local))
 }
 
+// owner asks the forwarder for row i's owner and returns its peerFrames, or
+// nil when the row stays here. A peer with neither rows nor records is new
+// to this request and joins peers, in first-seen order.
+func (sp *frameSplitter) owner(v *dataset.BatchView, i int) *peerFrames {
+	peer := sp.fwd.OwnerExtension(v.City(i), v.ISP(i))
+	if peer == "" {
+		return nil
+	}
+	k := 0
+	for k < len(sp.known) && sp.known[k].peer != peer {
+		k++
+	}
+	if k == len(sp.known) {
+		sp.known = append(sp.known, &peerFrames{peer: peer})
+	}
+	pf := sp.known[k]
+	if len(pf.rows) == 0 && pf.records == 0 {
+		sp.peers = append(sp.peers, pf)
+	}
+	return pf
+}
+
+// size is the bytes sp holds at capacity: row scratch, peer bodies and the
+// encoder's scratch.
+func (sp *frameSplitter) size() int {
+	n := 4*cap(sp.local) + sp.enc.Footprint()
+	for _, pf := range sp.known {
+		n += 4*cap(pf.rows) + cap(pf.body)
+	}
+	return n
+}
+
+// splitter takes a pooled splitter for a request routed through fwd.
+func (s *Server) splitter(fwd Forwarder) *frameSplitter {
+	sp, _ := s.splitters.Get().(*frameSplitter)
+	if sp == nil {
+		sp = new(frameSplitter)
+	}
+	sp.fwd = fwd
+	return sp
+}
+
+// releaseSplitter empties sp and pools it unless it is nil or has outgrown
+// maxPooledSplitter. Call it only when no transport can still read a peer
+// body — before any forward, or after every forward succeeded: net/http may
+// still be reading a request body after a failed Do returns, so a splitter
+// whose forward failed is dropped, never released.
+func (s *Server) releaseSplitter(sp *frameSplitter) {
+	if sp == nil || sp.size() > maxPooledSplitter {
+		return
+	}
+	for _, pf := range sp.peers {
+		pf.rows, pf.body, pf.records = pf.rows[:0], pf.body[:0], 0
+	}
+	sp.peers = sp.peers[:0]
+	sp.fwd = nil
+	s.splitters.Put(sp)
+}
+
 // handleIngestBatch is the columnar twin of handleIngestExtension, running
 // the pipelined fast path: each frame is validated once into a pooled
 // zero-copy view and fanned to the shards as row slices. A frame with rows
@@ -382,7 +441,10 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		shedReject(w, r, reason)
 		return
 	}
-	split := frameSplitter{fwd: s.ingestForwarder(r)}
+	var split *frameSplitter
+	if fwd := s.ingestForwarder(r); fwd != nil {
+		split = s.splitter(fwd)
+	}
 	decode := s.startDecode(r)
 	var reply IngestReply
 	for {
@@ -396,13 +458,14 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 				s.agg.views.Put(v)
 			}
 		}
-		if err == nil && split.fwd != nil {
+		if err == nil && split != nil {
 			v, err = split.split(&s.agg.views, v)
 		}
 		if err != nil {
 			decode.SetError(err)
 			decode.Finish()
 			ingestError(w, reply, fmt.Sprintf("bad frame: %v", err))
+			s.releaseSplitter(split)
 			return
 		}
 		if v == nil {
@@ -413,13 +476,16 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		reply.Dropped += drop
 	}
 	finishDecode(decode, reply)
-	for peer, pf := range split.peers {
-		n, err := split.fwd.ForwardFrame(peer, pf.body, pf.records, rootContext(r))
-		reply.Forwarded += n
-		if err != nil {
-			forwardError(w, reply, peer, err)
-			return
+	if split != nil {
+		for _, pf := range split.peers {
+			n, err := split.fwd.ForwardFrame(pf.peer, pf.body, pf.records, rootContext(r))
+			reply.Forwarded += n
+			if err != nil {
+				forwardError(w, reply, pf.peer, err)
+				return // split is dropped: the failed POST may still read its body
+			}
 		}
 	}
+	s.releaseSplitter(split)
 	s.ackIngest(w, r, reply, start)
 }

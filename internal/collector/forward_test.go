@@ -1,0 +1,438 @@
+package collector
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math/rand"
+	"net/http"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"starlinkview/internal/dataset"
+	"starlinkview/internal/extension"
+	"starlinkview/internal/obs"
+	"starlinkview/internal/trace"
+	"starlinkview/internal/wal"
+)
+
+// goldenForwardDigest was computed before the splitter was pooled across
+// requests. It covers every forward POST body, its record count and every
+// frame this instance logged over a seeded request sequence, so it must not
+// move.
+const goldenForwardDigest = "6246c7a0278eb2d83427cbc4e2b2ce030ed0fe1f92c1d36db2a45a9066ba5ff0"
+
+// epochRing is a forwarder whose ring the test redraws between requests:
+// names lists the owners a (city, ISP) key hashes over ("" is this
+// instance) and salt shifts the hash, so consecutive requests see different
+// peer sets and different splits. It keeps each POST body of the current
+// request by peer. Requests must be serial.
+type epochRing struct {
+	names []string
+	salt  uint32
+	posts map[string]forwardPost
+	order []string // peers in POST order
+}
+
+type forwardPost struct {
+	body    []byte
+	records int
+}
+
+func (f *epochRing) OwnerExtension(city, isp string) string {
+	return f.names[(shardHash(isp, city)+f.salt)%uint32(len(f.names))]
+}
+
+func (f *epochRing) OwnerNode(dataset.NodeSample) string { return "" }
+
+func (f *epochRing) ForwardExtension(string, []extension.Record, trace.SpanContext) (int, error) {
+	panic("the batch handler forwards frames, not records")
+}
+
+func (f *epochRing) ForwardFrame(peer string, frames []byte, records int, _ trace.SpanContext) (int, error) {
+	if _, dup := f.posts[peer]; dup {
+		panic("two POSTs to " + peer + " in one request")
+	}
+	f.posts[peer] = forwardPost{append([]byte(nil), frames...), records}
+	f.order = append(f.order, peer)
+	return records, nil
+}
+
+func (f *epochRing) ForwardNode(string, []dataset.NodeSample, trace.SpanContext) (int, error) {
+	return 0, nil
+}
+
+// TestForwardSplitGoldenDigest runs a seeded sequence of batch requests of
+// one to four frames through one server whose ring changes between
+// requests, and hashes each request's reply counts, every forward POST body
+// with its record count (peers in name order), and then every frame the
+// instance logged. A splitter that carries rows or bytes from one request
+// into the next changes the digest.
+func TestForwardSplitGoldenDigest(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	dir := t.TempDir()
+	srv, err := OpenServer(Config{Shards: 4, Registry: obs.NewRegistry(), WAL: WALConfig{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := &epochRing{}
+	srv.SetForwarder(fwd)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(contextWithTimeout(t))
+
+	pool := []string{"peer-a", "peer-b", "peer-c", "peer-d"}
+	h := sha256.New()
+	for req := 0; req < 60; req++ {
+		names := []string{""}
+		for _, i := range r.Perm(len(pool))[:1+r.Intn(3)] {
+			names = append(names, pool[i])
+		}
+		if r.Intn(6) == 0 {
+			names = names[1:] // nothing stays here
+		}
+		fwd.names, fwd.salt = names, uint32(r.Intn(1000))
+		fwd.posts = make(map[string]forwardPost)
+		var body []byte
+		for f := 1 + r.Intn(4); f > 0; f-- {
+			body = append(body, dataset.MarshalBatch(goldenRecords(r, 1+r.Intn(300)))...)
+		}
+		reply := postFrames(t, srv, body)
+		fmt.Fprintf(h, "request %d: accepted %d dropped %d forwarded %d\n",
+			req, reply.Accepted, reply.Dropped, reply.Forwarded)
+		peers := make([]string, 0, len(fwd.posts))
+		for peer := range fwd.posts {
+			peers = append(peers, peer)
+		}
+		slices.Sort(peers)
+		for _, peer := range peers {
+			p := fwd.posts[peer]
+			if p.records == 0 || len(p.body) == 0 {
+				t.Fatalf("request %d: empty POST to %s", req, peer)
+			}
+			fmt.Fprintf(h, "%s %d %d\n", peer, p.records, len(p.body))
+			h.Write(p.body)
+		}
+	}
+	frames := 0
+	err = wal.ReplayDir(nil, copyWALDir(t, dir), 0, func(rec wal.Rec) error {
+		frames++
+		fmt.Fprintf(h, "logged kind %d, %d bytes\n", rec.Kind, len(rec.Payload))
+		h.Write(rec.Payload)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames == 0 {
+		t.Fatal("the sequence logged no local frame")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenForwardDigest {
+		t.Errorf("forward digest %s, want %s", got, goldenForwardDigest)
+	}
+}
+
+// TestForwardOrderFirstSeen checks that a request's POSTs go out in the
+// order its rows first name their peers, across frames, so the reply after a
+// partial failure and the order of forward spans do not depend on map
+// iteration. The splitter is pooled, so peers of earlier requests are still
+// known to it and must neither be posted to nor reorder the next request.
+func TestForwardOrderFirstSeen(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	srv, err := OpenServer(Config{Shards: 2, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := &epochRing{}
+	srv.SetForwarder(fwd)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(contextWithTimeout(t))
+	pool := []string{"peer-a", "peer-b", "peer-c", "peer-d", "peer-e"}
+	for req := 0; req < 30; req++ {
+		fwd.names = append([]string{""}, pool[:1+r.Intn(len(pool))]...)
+		r.Shuffle(len(fwd.names), func(i, j int) { fwd.names[i], fwd.names[j] = fwd.names[j], fwd.names[i] })
+		fwd.salt = uint32(r.Intn(1000))
+		fwd.posts, fwd.order = make(map[string]forwardPost), nil
+		var body []byte
+		var want []string
+		for f := 1 + r.Intn(3); f > 0; f-- {
+			recs := goldenRecords(r, 1+r.Intn(40))
+			for _, rec := range recs {
+				if o := fwd.OwnerExtension(rec.City, rec.ISP); o != "" && !slices.Contains(want, o) {
+					want = append(want, o)
+				}
+			}
+			body = append(body, dataset.MarshalBatch(recs)...)
+		}
+		postFrames(t, srv, body)
+		if !slices.Equal(fwd.order, want) {
+			t.Fatalf("request %d posted to %v, want first-seen order %v", req, fwd.order, want)
+		}
+	}
+}
+
+// lateReader is a forwarder for concurrent requests. It owns a third of the
+// keyspace like ringThirds and checks every body it is handed against the
+// rows the test expects of that request and peer. It fails about a quarter
+// of the POSTs after reading half the body, and reads the other half later
+// from another goroutine, as net/http may after Do returns. A splitter that
+// is reused while such a read is pending races with it, and changes the
+// bytes the late read checksums.
+type lateReader struct {
+	want func(req int, peer string) []extension.Record
+
+	late    sync.WaitGroup
+	torn    atomic.Int32 // late reads that found the body changed
+	mu      sync.Mutex
+	bad     []string
+	records int // accepted by successful POSTs
+}
+
+func (f *lateReader) OwnerExtension(city, isp string) string {
+	return [...]string{"", "peer-a", "peer-b"}[shardHash(isp, city)%3]
+}
+
+func (f *lateReader) OwnerNode(dataset.NodeSample) string { return "" }
+
+func (f *lateReader) ForwardExtension(string, []extension.Record, trace.SpanContext) (int, error) {
+	panic("the batch handler forwards frames, not records")
+}
+
+func (f *lateReader) ForwardNode(string, []dataset.NodeSample, trace.SpanContext) (int, error) {
+	return 0, nil
+}
+
+func (f *lateReader) fail(format string, args ...any) {
+	f.mu.Lock()
+	f.bad = append(f.bad, fmt.Sprintf(format, args...))
+	f.mu.Unlock()
+}
+
+func (f *lateReader) ForwardFrame(peer string, frames []byte, records int, _ trace.SpanContext) (int, error) {
+	sum := crc32.ChecksumIEEE(frames)
+	if sum%4 == 0 {
+		half := len(frames) / 2
+		_ = crc32.ChecksumIEEE(frames[:half])
+		f.late.Add(1)
+		go func() {
+			defer f.late.Done()
+			time.Sleep(2 * time.Millisecond)
+			if crc32.ChecksumIEEE(frames) != sum {
+				f.torn.Add(1)
+			}
+		}()
+		return 0, fmt.Errorf("connection reset after %d bytes", half)
+	}
+	var got []extension.Record
+	for rd := bytes.NewReader(frames); ; {
+		recs, err := dataset.ReadBatch(rd)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			f.fail("%s: body: %v", peer, err)
+			return 0, err
+		}
+		got = append(got, recs...)
+	}
+	req := -1
+	if len(got) > 0 {
+		fmt.Sscanf(got[0].UserID, "q%d", &req)
+	}
+	if want := f.want(req, peer); len(got) != records || !sameRecords(got, want) {
+		f.fail("%s: request %d: body of %d rows (records %d) is not its %d rows", peer, req, len(got), records, len(want))
+		return 0, fmt.Errorf("wrong body")
+	}
+	f.mu.Lock()
+	f.records += records
+	f.mu.Unlock()
+	return records, nil
+}
+
+// TestForwardSplitPoolRaces sends concurrent split requests through the
+// splitter pool against a forwarder that fails some POSTs while a late read
+// of their body is still pending. Every POST body must hold exactly its
+// request's rows for that peer, no body may change under a late read (the
+// race detector watches the same reads), each reply must count its own
+// request, and the instance must end up holding exactly the local rows of
+// every request.
+func TestForwardSplitPoolRaces(t *testing.T) {
+	const clients, perClient = 4, 30
+	r := rand.New(rand.NewSource(29))
+	type request struct {
+		body   []byte
+		byPeer map[string][]extension.Record
+	}
+	reqs := make([]request, clients*perClient)
+	fwd := &lateReader{}
+	for id := range reqs {
+		rq := request{byPeer: make(map[string][]extension.Record)}
+		for f := 1 + r.Intn(4); f > 0; f-- {
+			recs := goldenRecords(r, 1+r.Intn(200))
+			for i := range recs {
+				recs[i].UserID = fmt.Sprintf("q%d", id)
+			}
+			frame := dataset.MarshalBatch(recs)
+			rq.body = append(rq.body, frame...)
+			decoded, err := dataset.UnmarshalBatch(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range decoded {
+				owner := fwd.OwnerExtension(rec.City, rec.ISP)
+				rq.byPeer[owner] = append(rq.byPeer[owner], rec)
+			}
+		}
+		reqs[id] = rq
+	}
+	fwd.want = func(req int, peer string) []extension.Record {
+		if req < 0 || req >= len(reqs) {
+			return nil
+		}
+		return reqs[req].byPeer[peer]
+	}
+
+	srv, err := OpenServer(Config{Shards: 4, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetForwarder(fwd)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(contextWithTimeout(t))
+
+	var wg sync.WaitGroup
+	var failed atomic.Int32
+	errs := make(chan error, len(reqs))
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for id := c; id < len(reqs); id += clients {
+				rq := reqs[id]
+				resp, err := http.Post(srv.URL()+PathIngestBatch, BatchContentType, bytes.NewReader(rq.body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				var reply IngestReply
+				err = json.NewDecoder(resp.Body).Decode(&reply)
+				resp.Body.Close()
+				if err != nil {
+					errs <- err
+					return
+				}
+				local := len(rq.byPeer[""])
+				foreign := len(rq.byPeer["peer-a"]) + len(rq.byPeer["peer-b"])
+				switch {
+				case reply.Accepted != local || reply.Dropped != 0:
+					errs <- fmt.Errorf("request %d: reply %+v, want %d accepted", id, reply, local)
+				case resp.StatusCode == http.StatusOK && reply.Forwarded != foreign:
+					errs <- fmt.Errorf("request %d: 200 with %d forwarded, want %d", id, reply.Forwarded, foreign)
+				case resp.StatusCode == http.StatusBadGateway:
+					failed.Add(1)
+				case resp.StatusCode != http.StatusOK:
+					errs <- fmt.Errorf("request %d: status %d", id, resp.StatusCode)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	fwd.late.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, msg := range fwd.bad {
+		t.Error(msg)
+	}
+	if n := fwd.torn.Load(); n != 0 {
+		t.Errorf("%d bodies changed while a failed POST could still read them", n)
+	}
+	if failed.Load() == 0 || int(failed.Load()) == len(reqs) {
+		t.Fatalf("%d of %d requests failed a forward; the test needs some of each", failed.Load(), len(reqs))
+	}
+
+	ref := NewAggregator(Config{Shards: 4, Registry: obs.NewRegistry()})
+	for _, rq := range reqs {
+		for _, rec := range rq.byPeer[""] {
+			ref.OfferExtension(rec)
+		}
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Snapshot()
+	waitProcessed(srv.Aggregator(), want.Accepted)
+	got := srv.Aggregator().Snapshot()
+	if got.Accepted != want.Accepted || len(got.Groups) != len(want.Groups) {
+		t.Fatalf("instance holds %d records in %d groups, want %d in %d",
+			got.Accepted, len(got.Groups), want.Accepted, len(want.Groups))
+	}
+	for i, g := range got.Groups {
+		w := want.Groups[i]
+		if g.City != w.City || g.ISP != w.ISP || g.Count != w.Count || g.Domains != w.Domains ||
+			g.P50PTTMs != w.P50PTTMs || g.P95PTTMs != w.P95PTTMs {
+			t.Errorf("group %d: got %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+// TestSplitterPoolDropsOversized checks the pool's size cap. A splitter
+// within it comes back from the pool; one that split a single all-local frame
+// whose row scratch alone passes maxPooledSplitter is dropped at the ack, so
+// the pool never hands it out again.
+func TestSplitterPoolDropsOversized(t *testing.T) {
+	srv, err := OpenServer(Config{Shards: 1, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := &epochRing{names: []string{""}, posts: make(map[string]forwardPost)}
+	srv.SetForwarder(fwd)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(contextWithTimeout(t))
+	if !raceEnabled { // the race detector makes sync.Pool drop items at random
+		kept := false
+		for i := 0; i < 10 && !kept; i++ {
+			sp := srv.splitter(fwd)
+			srv.releaseSplitter(sp)
+			kept = srv.splitter(fwd) == sp
+		}
+		if !kept {
+			t.Fatal("a released splitter never came back from the pool")
+		}
+	}
+
+	var views dataset.ViewPool
+	small, err := views.Parse(dataset.MarshalBatch(goldenRecords(rand.New(rand.NewSource(32)), 64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int32, maxPooledSplitter/4+1024)
+	for i := range rows {
+		rows[i] = int32(i % small.Len())
+	}
+	var enc dataset.BatchEncoder
+	reply := postFrames(t, srv, enc.EncodeRows(small, rows))
+	if reply.Accepted != len(rows) || reply.Forwarded != 0 {
+		t.Fatalf("reply %+v, want all %d rows accepted here", reply, len(rows))
+	}
+	for i := 0; i < 10; i++ {
+		if sp := srv.splitter(fwd); cap(sp.local) >= len(rows) {
+			t.Fatalf("the pool handed back the splitter of the %d-row frame", len(rows))
+		}
+	}
+}

@@ -102,6 +102,10 @@ type Server struct {
 	// resolve it once per ingest request.
 	fwdMu sync.RWMutex
 	fwd   Forwarder
+
+	// splitters pools the batch handler's frameSplitters; only requests
+	// routed through a forwarder take one.
+	splitters sync.Pool
 }
 
 // NewServer builds a server around a fresh aggregator with the given

@@ -93,6 +93,15 @@ func (e *BatchEncoder) EncodeRows(v *BatchView, rows []int32) []byte {
 	})
 }
 
+// Footprint is about how many bytes the encoder's scratch keeps between
+// frames: its buffers at capacity, and per dictionary entry slot a string
+// header plus roughly 48 B of index map, which keeps its buckets when
+// cleared. A pool of encoders can use it to drop one a giant frame has grown.
+func (e *BatchEncoder) Footprint() int {
+	return cap(e.buf) + cap(e.idxBuf) + cap(e.payload) +
+		8*cap(e.millis) + 8*cap(e.quant) + 64*cap(e.entries)
+}
+
 // encode writes the frame: header, the fifteen columns in schema order, CRC.
 func (e *BatchEncoder) encode(c *batchColumns) []byte {
 	dst := e.buf[:0]
