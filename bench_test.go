@@ -412,6 +412,13 @@ func BenchmarkExtensionISL(b *testing.B) {
 // BenchmarkCollectorIngest measures records/sec through the ingest
 // service's sharded aggregation path (hash, bounded queue, per-shard
 // streaming stats) at 1, 4 and 8 shards, with concurrent producers.
+// offerRecords feeds records to an aggregator as one batch frame, the one
+// way browsing records reach its shards, and returns how many it accepted.
+func offerRecords(agg *collector.Aggregator, sc trace.SpanContext, recs ...extension.Record) int {
+	acc, _ := agg.OfferExtensionFrame(nil, recs, sc)
+	return acc
+}
+
 func BenchmarkCollectorIngest(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	cities := []string{"London", "Seattle", "Sydney", "Berlin", "Warsaw", "Toronto"}
@@ -433,7 +440,7 @@ func BenchmarkCollectorIngest(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					agg.OfferExtension(recs[int(idx.Add(1))%len(recs)])
+					offerRecords(agg, trace.SpanContext{}, recs[int(idx.Add(1))%len(recs)])
 				}
 			})
 			b.StopTimer()
@@ -481,11 +488,11 @@ func BenchmarkTracedIngest(b *testing.B) {
 				if sends%100 == 0 {
 					root := tracer.StartRoot("bench ingest", trace.SpanContext{})
 					decode := tracer.StartChild(root.Context(), "ingest.decode")
-					agg.OfferExtensionSpan(r, decode.Context())
+					offerRecords(agg, decode.Context(), r)
 					decode.Finish()
 					root.Finish()
 				} else {
-					agg.OfferExtension(r)
+					offerRecords(agg, trace.SpanContext{}, r)
 				}
 			}
 		})
@@ -921,7 +928,7 @@ func BenchmarkShedIdleIngest(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					if _, ok := agg.Admit(false); ok {
-						agg.OfferExtension(recs[int(idx.Add(1))%len(recs)])
+						offerRecords(agg, trace.SpanContext{}, recs[int(idx.Add(1))%len(recs)])
 					}
 				}
 			})
@@ -963,7 +970,7 @@ func benchScrapeCluster(b *testing.B, k int) ([]string, func()) {
 		nodes[i] = n
 	}
 	for i, r := range recs {
-		if !srvs[i%k].Aggregator().OfferExtension(r) {
+		if offerRecords(srvs[i%k].Aggregator(), trace.SpanContext{}, r) != 1 {
 			b.Fatalf("record %d rejected", i)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"starlinkview/internal/collector"
 	"starlinkview/internal/obs"
+	"starlinkview/internal/trace"
 	"starlinkview/internal/tsdb"
 )
 
@@ -32,7 +33,7 @@ func benchPopulatedRegistry(b *testing.B) *obs.Registry {
 	b.Cleanup(func() { _ = agg.Close() })
 	recs := benchIngestRecords()
 	for _, r := range recs {
-		if !agg.OfferExtension(r) {
+		if offerRecords(agg, trace.SpanContext{}, r) != 1 {
 			b.Fatal("record rejected")
 		}
 	}

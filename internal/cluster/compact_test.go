@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/csv"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,37 +15,62 @@ import (
 	"starlinkview/internal/wal"
 )
 
-// TestCompactColdSegments drives a WAL through several rotations with a
-// live aggregator, compacts beside it, and checks the outputs are exactly
-// the sealed segments' records in release order — then that a second pass
-// is a no-op and a second output directory is byte-identical.
+// legacyRow is a kind-1 WAL payload as collectors wrote them when the CSV
+// wire logged one record at a time: the record's dataset CSV row.
+func legacyRow(t *testing.T, r record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	if err := cw.Write(dataset.MarshalExtensionRow(r)); err != nil {
+		t.Fatal(err)
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCompactColdSegments drives a WAL through several rotations, with
+// browsing records logged both as kind-1 CSV rows (as older logs hold them)
+// and as batch frames between node samples, compacts beside the live
+// writer, and checks the outputs are exactly the sealed segments' records in
+// release order — then that a second pass is a no-op and a second output
+// directory is byte-identical.
 func TestCompactColdSegments(t *testing.T) {
 	walDir := t.TempDir()
 	outDir := filepath.Join(t.TempDir(), "out")
 
-	agg, err := collector.OpenAggregator(collector.Config{
-		Shards: 2,
-		WAL: collector.WALConfig{
-			Dir:          walDir,
-			SegmentBytes: 8 << 10, // force several rotations
-		},
-	})
+	w, err := wal.Open(wal.Config{Dir: walDir, SegmentBytes: 8 << 10}) // force several rotations
 	if err != nil {
 		t.Fatal(err)
 	}
+	appendRec := func(kind byte, payload []byte) {
+		t.Helper()
+		if _, err := w.Append(kind, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
 	records := testRecords(600)
 	samples := testSamples(120)
-	for _, r := range records {
-		if !agg.OfferExtension(r) {
-			t.Fatal("record rejected")
+	for i := 0; i < len(records); i += 50 {
+		chunk := records[i:min(i+50, len(records))]
+		if i%100 == 0 {
+			for _, r := range chunk {
+				appendRec(collector.WALKindExtension, legacyRow(t, r))
+			}
+		} else {
+			appendRec(collector.WALKindExtensionBatch, dataset.MarshalBatch(chunk))
+		}
+		for _, s := range samples[i/5 : i/5+10] {
+			payload, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendRec(collector.WALKindNode, append(payload, '\n'))
 		}
 	}
-	for _, s := range samples {
-		if !agg.OfferNodeSample(s) {
-			t.Fatal("sample rejected")
-		}
-	}
-	if err := agg.SyncWAL(); err != nil {
+	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -55,7 +83,7 @@ func TestCompactColdSegments(t *testing.T) {
 	}
 
 	// Count what the sealed segments actually hold, straight off the log.
-	wantExt, wantNodes := 0, 0
+	wantExt, wantNodes, rows := 0, 0, 0
 	for _, seg := range segs[:len(segs)-1] {
 		f, err := os.Open(filepath.Join(walDir, seg.Name))
 		if err != nil {
@@ -65,6 +93,13 @@ func TestCompactColdSegments(t *testing.T) {
 			switch r.Kind {
 			case collector.WALKindExtension:
 				wantExt++
+				rows++
+			case collector.WALKindExtensionBatch:
+				recs, err := collector.DecodeWALExtensionBatch(r.Payload)
+				if err != nil {
+					return err
+				}
+				wantExt += len(recs)
 			case collector.WALKindNode:
 				wantNodes++
 			}
@@ -76,7 +111,11 @@ func TestCompactColdSegments(t *testing.T) {
 		}
 	}
 
-	// Compact while the aggregator is still live: sealed segments are
+	if rows == 0 || rows == wantExt {
+		t.Fatalf("sealed segments hold %d CSV rows of %d records; want both kinds", rows, wantExt)
+	}
+
+	// Compact while the writer is still live: sealed segments are
 	// immutable, so this must be safe and complete.
 	res, err := CompactColdSegments(CompactConfig{WALDir: walDir, OutDir: outDir})
 	if err != nil {
@@ -166,7 +205,7 @@ func TestCompactColdSegments(t *testing.T) {
 		}
 	}
 
-	if err := agg.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -46,7 +46,7 @@ func ingestAll(t *testing.T, p, k int, records []record, samples []sample) *coll
 	}
 	for i, r := range records {
 		if i%k == p%k {
-			if !agg.OfferExtension(r) {
+			if offerRecords(agg, r) != 1 {
 				t.Fatalf("record %d rejected", i)
 			}
 		}

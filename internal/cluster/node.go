@@ -213,13 +213,16 @@ func (n *Node) OwnerNode(s dataset.NodeSample) string {
 }
 
 // forwardFrameRecords caps the records per frame ForwardExtension encodes,
-// so a large misrouted CSV batch travels as several concatenated frames,
-// each inside the frame-body and WAL-payload bounds, rather than one the
-// owner would have to reject or split.
+// so a large record slice travels as several concatenated frames, each
+// inside the frame-body and WAL-payload bounds, rather than one the owner
+// would have to reject or split.
 const forwardFrameRecords = 1 << 15
 
-// ForwardExtension relays misrouted browsing records (the CSV handler's) to
-// their owner as batch frames and returns how many it accepted.
+// ForwardExtension relays browsing records to their owner as batch frames
+// and returns how many it accepted. No ingest handler calls it — both
+// browsing wires forward the frames their split builds, with ForwardFrame —
+// but benchmark/other_layers.go times it, both ends, under
+// cluster.forward_ns_per_record.
 func (n *Node) ForwardExtension(peer string, recs []extension.Record, parent trace.SpanContext) (int, error) {
 	var enc dataset.BatchEncoder
 	var frames []byte

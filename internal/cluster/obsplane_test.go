@@ -64,7 +64,7 @@ func TestFederatedMetricsPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range records {
-		if !refAgg.OfferExtension(r) {
+		if offerRecords(refAgg, r) != 1 {
 			t.Fatalf("reference record %d rejected", i)
 		}
 	}
@@ -117,7 +117,7 @@ func TestFederatedMetricsPartitionProperty(t *testing.T) {
 
 			// Partition the stream: instance p takes every k-th item.
 			for i, r := range records {
-				if !srvs[i%k].Aggregator().OfferExtension(r) {
+				if offerRecords(srvs[i%k].Aggregator(), r) != 1 {
 					t.Fatalf("record %d rejected by instance %d", i, i%k)
 				}
 			}

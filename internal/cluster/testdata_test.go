@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"starlinkview/internal/collector"
 	"starlinkview/internal/dataset"
 	"starlinkview/internal/extension"
+	"starlinkview/internal/trace"
 )
 
 // Shorthands for the two streamed record types.
@@ -13,6 +15,13 @@ type (
 	record = extension.Record
 	sample = dataset.NodeSample
 )
+
+// offerRecords feeds records to an aggregator as one batch frame, the one
+// way browsing records reach its shards, and returns how many it accepted.
+func offerRecords(agg *collector.Aggregator, recs ...extension.Record) int {
+	acc, _ := agg.OfferExtensionFrame(nil, recs, trace.SpanContext{})
+	return acc
+}
 
 // testRecords builds n deterministic browsing records spanning several
 // (city, ISP) groups, so any partitioning splits at least some groups.

@@ -1,19 +1,16 @@
 package collector
 
-// Columnar batch ingest: the wire and WAL fast path for mega-campaigns.
+// Columnar batch ingest: the one way browsing records reach the shards.
 //
 // POST /ingest/batch carries concatenated dataset batch frames
-// (dataset.MarshalBatch). Relative to the per-record CSV path the server
-// saves three ways: the body decodes column-at-a-time instead of
-// field-at-a-time, the WAL logs the verbatim wire frame once per batch
-// instead of re-marshalling a CSV row per record, and the ack still rides
-// the same group-commit fsync. Replay and compaction understand both frame
-// kinds, so a log may freely mix them.
-//
-// A frame has one decoded form here, the dataset.BatchView, and one way into
-// the shards, OfferBatchView. Whatever has to cut a frame up — the forwarder
-// by ring owner, the WAL by payload bound — re-encodes row subsets of the
-// view (BatchEncoder.EncodeRows) and never builds a record slice.
+// (dataset.MarshalBatch); POST /ingest/extension carries CSV rows, which the
+// server gathers into frames of its own (server.go). Either way a frame has
+// one decoded form here, the dataset.BatchView, and one way into the shards,
+// OfferBatchView: the WAL logs the frame once, the shards take it as row
+// slices, and the ack rides the group-commit fsync. Whatever has to cut a
+// frame up — the forwarder by ring owner, the WAL by payload bound —
+// re-encodes row subsets of the view (BatchEncoder.EncodeRows) and never
+// builds a record slice.
 
 import (
 	"fmt"
@@ -91,9 +88,8 @@ func (b *batchApply) done() {
 
 // partition groups the view's row indices by owning shard with a counting
 // sort: one hash per row and two linear passes, no per-row allocation. Rows
-// stay ascending within each shard, so a shard applies exactly the
-// subsequence — in the same order — that the serial per-record path would
-// deliver it, and snapshots come out identical.
+// stay ascending within each shard, so a shard applies its rows in frame
+// order, and snapshots do not depend on the shard count.
 func (b *batchApply) partition() {
 	a, v := b.agg, b.view
 	n, nsh := v.Len(), len(a.shards)
@@ -425,12 +421,79 @@ func (s *Server) releaseSplitter(sp *frameSplitter) {
 	s.splitters.Put(sp)
 }
 
-// handleIngestBatch is the columnar twin of handleIngestExtension, running
-// the pipelined fast path: each frame is validated once into a pooled
-// zero-copy view and fanned to the shards as row slices. A frame with rows
-// owned elsewhere is split on the view and each peer's rows are forwarded as
-// frames, so the owner lands them on this same path. The 200 waits on the
-// same WAL group commit.
+// viewIngest is one ingest request's pass through the steps both browsing
+// wires share once they hold a frame: the PTT check, the split by ring
+// owner when a forwarder routes the request, OfferBatchView for the rows
+// this instance keeps, and at the end one ForwardFrame per peer, in the
+// order the request's rows first named them.
+type viewIngest struct {
+	s      *Server
+	split  *frameSplitter
+	decode *trace.Span
+	reply  IngestReply
+}
+
+// beginViewIngest opens the request's decode span and, when a forwarder
+// routes the request, takes a pooled splitter.
+func (s *Server) beginViewIngest(r *http.Request) viewIngest {
+	in := viewIngest{s: s, decode: s.startDecode(r)}
+	if fwd := s.ingestForwarder(r); fwd != nil {
+		in.split = s.splitter(fwd)
+	}
+	return in
+}
+
+// offer runs one pooled view through the shared steps, taking ownership of
+// it. An error means the request is bad: answer it with fail.
+func (in *viewIngest) offer(v *dataset.BatchView) error {
+	if i := badPTTRow(v); i >= 0 {
+		err := fmt.Errorf("row %d: ptt %v outside [0, %v]", i, v.PTTMs(i), maxPTTMs)
+		in.s.agg.views.Put(v)
+		return err
+	}
+	if in.split != nil {
+		var err error
+		if v, err = in.split.split(&in.s.agg.views, v); err != nil || v == nil {
+			return err // v == nil: every row belonged elsewhere
+		}
+	}
+	acc, drop := in.s.agg.OfferBatchView(v, representative(in.decode, in.reply))
+	in.reply.Accepted += acc
+	in.reply.Dropped += drop
+	return nil
+}
+
+// fail answers a malformed request with a 400 carrying the counts so far.
+// Rows already offered stay aggregated; no peer is sent its rows.
+func (in *viewIngest) fail(w http.ResponseWriter, msg string, err error) {
+	in.decode.SetError(err)
+	in.decode.Finish()
+	ingestError(w, in.reply, fmt.Sprintf("%s: %v", msg, err))
+	in.s.releaseSplitter(in.split)
+}
+
+// finish closes the decode span, forwards each peer its rows, and
+// acknowledges the request once everything is owned and durable.
+func (in *viewIngest) finish(w http.ResponseWriter, r *http.Request, start time.Time) {
+	finishDecode(in.decode, in.reply)
+	if split := in.split; split != nil {
+		for _, pf := range split.peers {
+			n, err := split.fwd.ForwardFrame(pf.peer, pf.body, pf.records, rootContext(r))
+			in.reply.Forwarded += n
+			if err != nil {
+				forwardError(w, in.reply, pf.peer, err)
+				return // split is dropped: the failed POST may still read its body
+			}
+		}
+	}
+	in.s.releaseSplitter(in.split)
+	in.s.ackIngest(w, r, in.reply, start)
+}
+
+// handleIngestBatch runs each frame of the body through the shared steps:
+// validated once into a pooled zero-copy view, split when rows belong
+// elsewhere, and fanned to the shards as row slices. The 200 waits on the WAL
+// group commit and on every forward.
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -441,51 +504,19 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		shedReject(w, r, reason)
 		return
 	}
-	var split *frameSplitter
-	if fwd := s.ingestForwarder(r); fwd != nil {
-		split = s.splitter(fwd)
-	}
-	decode := s.startDecode(r)
-	var reply IngestReply
+	in := s.beginViewIngest(r)
 	for {
 		v, err := s.agg.views.Read(r.Body)
 		if err == io.EOF {
 			break
 		}
 		if err == nil {
-			if i := badPTTRow(v); i >= 0 {
-				err = fmt.Errorf("row %d: ptt %v outside [0, %v]", i, v.PTTMs(i), maxPTTMs)
-				s.agg.views.Put(v)
-			}
-		}
-		if err == nil && split != nil {
-			v, err = split.split(&s.agg.views, v)
+			err = in.offer(v)
 		}
 		if err != nil {
-			decode.SetError(err)
-			decode.Finish()
-			ingestError(w, reply, fmt.Sprintf("bad frame: %v", err))
-			s.releaseSplitter(split)
+			in.fail(w, "bad frame", err)
 			return
 		}
-		if v == nil {
-			continue // every row belonged elsewhere
-		}
-		acc, drop := s.agg.OfferBatchView(v, representative(decode, reply))
-		reply.Accepted += acc
-		reply.Dropped += drop
 	}
-	finishDecode(decode, reply)
-	if split != nil {
-		for _, pf := range split.peers {
-			n, err := split.fwd.ForwardFrame(pf.peer, pf.body, pf.records, rootContext(r))
-			reply.Forwarded += n
-			if err != nil {
-				forwardError(w, reply, pf.peer, err)
-				return // split is dropped: the failed POST may still read its body
-			}
-		}
-	}
-	s.releaseSplitter(split)
-	s.ackIngest(w, r, reply, start)
+	in.finish(w, r, start)
 }

@@ -18,6 +18,7 @@ import (
 	"starlinkview/internal/dataset"
 	"starlinkview/internal/extension"
 	"starlinkview/internal/obs"
+	"starlinkview/internal/stats"
 	"starlinkview/internal/trace"
 	"starlinkview/internal/wal"
 	"starlinkview/internal/weather"
@@ -53,6 +54,43 @@ func batchTestRecords(seed int64, n int) []extension.Record {
 		}
 	}
 	return recs
+}
+
+// foldSnapshot is the reference the ingest paths are held to: recs folded
+// in order straight into one extAgg per (city, ISP) group — no wire, frame,
+// queue or shard in between — and rendered as a snapshot. Records must hold
+// what ingest applies, PTTs at the wires' milli precision.
+func foldSnapshot(recs []extension.Record) *Snapshot {
+	groups := make(map[extKey]*extAgg)
+	for _, r := range recs {
+		k := extKey{r.City, r.ISP}
+		g := groups[k]
+		if g == nil {
+			ptt, _ := stats.NewQuantileSketch(stats.DefaultSketchRelErr)
+			g = newExtAgg(ptt)
+			groups[k] = g
+		}
+		g.addDomain(r.Domain)
+		g.ptt.Add(r.PTTMs)
+	}
+	n := uint64(len(recs))
+	s := &Snapshot{relErr: stats.DefaultSketchRelErr, Accepted: n, Processed: n}
+	for k, g := range groups {
+		s.ext = append(s.ext, extSnap{extKey: k, domains: g.domains, ptt: g.ptt})
+	}
+	s.render()
+	return s
+}
+
+// milliRecords returns recs as ingest applies them: through a batch frame,
+// which keeps PTT and PLT at milli precision.
+func milliRecords(t *testing.T, recs []extension.Record) []extension.Record {
+	t.Helper()
+	out, err := dataset.UnmarshalBatch(dataset.MarshalBatch(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func comparableAggSnapshot(t *testing.T, snap *Snapshot) []byte {
@@ -125,14 +163,19 @@ func ingestVia(t *testing.T, wire Wire, recs []extension.Record) ([]byte, string
 
 // TestBatchIngestMatchesPerRecord is the wire-equivalence property: the
 // same record stream through /ingest/batch and /ingest/extension produces
-// byte-identical aggregate snapshots, and a WAL replay of the batch frames
-// (checkpoint deleted, full replay) rebuilds that same state.
+// the aggregate snapshot of the records folded one at a time, byte for
+// byte, and a WAL replay of the batch frames (checkpoint deleted, full
+// replay) rebuilds that same state.
 func TestBatchIngestMatchesPerRecord(t *testing.T) {
 	recs := batchTestRecords(1, 5000)
+	want := comparableAggSnapshot(t, foldSnapshot(milliRecords(t, recs)))
 	csvSnap, _ := ingestVia(t, WireCSV, recs)
 	batchSnap, batchDir := ingestVia(t, WireBatch, recs)
-	if string(csvSnap) != string(batchSnap) {
-		t.Fatalf("batch-wire snapshot differs from per-record wire:\n csv   %s\n batch %s", csvSnap, batchSnap)
+	if string(csvSnap) != string(want) {
+		t.Fatalf("CSV-wire snapshot differs from the per-record fold:\n csv  %s\n fold %s", csvSnap, want)
+	}
+	if string(batchSnap) != string(want) {
+		t.Fatalf("batch-wire snapshot differs from the per-record fold:\n batch %s\n fold  %s", batchSnap, want)
 	}
 
 	// Force a replay from the logged batch frames alone.
@@ -386,15 +429,8 @@ func TestBatchHandlerSplitsByOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := comparableAggSnapshot(t, srv.Aggregator().Snapshot())
-	ref := NewAggregator(Config{Shards: 4, Registry: obs.NewRegistry()})
-	for _, r := range wantByOwner[""] {
-		ref.OfferExtension(r)
-	}
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if want := comparableAggSnapshot(t, ref.Snapshot()); string(live) != string(want) {
-		t.Fatalf("live snapshot differs from a reference fed only the local rows:\n live %s\n want %s", live, want)
+	if want := comparableAggSnapshot(t, foldSnapshot(wantByOwner[""])); string(live) != string(want) {
+		t.Fatalf("live snapshot differs from a fold of only the local rows:\n live %s\n want %s", live, want)
 	}
 	if string(replayed) != string(live) {
 		t.Fatalf("replayed snapshot differs from the live one")

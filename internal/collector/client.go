@@ -20,7 +20,8 @@ import (
 type Wire int
 
 const (
-	// WireCSV sends per-record CSV rows to PathIngestExtension (default).
+	// WireCSV sends headerless dataset CSV rows to PathIngestExtension
+	// (default).
 	WireCSV Wire = iota
 	// WireBatch sends columnar frames (dataset.MarshalBatch) to
 	// PathIngestBatch — the fast path for high-volume streams.
@@ -186,20 +187,13 @@ func (c *Client) flushExtLocked() error {
 		c.ext = c.ext[:0]
 		return c.post(PathIngestBatch, BatchContentType, bytes.NewReader(frame), n)
 	}
-	var buf bytes.Buffer
-	cw := csv.NewWriter(&buf)
-	for _, r := range c.ext {
-		if err := cw.Write(dataset.MarshalExtensionRow(r)); err != nil {
-			return fmt.Errorf("collector: encode: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("collector: encode: %w", err)
+	payload, err := EncodeExtensionBatch(c.ext)
+	if err != nil {
+		return err
 	}
 	n := len(c.ext)
 	c.ext = c.ext[:0]
-	return c.post(PathIngestExtension, ExtensionContentType, &buf, n)
+	return c.post(PathIngestExtension, ExtensionContentType, bytes.NewReader(payload), n)
 }
 
 func (c *Client) flushNodesLocked() error {

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"starlinkview/internal/dataset"
-	"starlinkview/internal/extension"
 	"starlinkview/internal/obs"
 	"starlinkview/internal/stats"
 	"starlinkview/internal/trace"
@@ -123,10 +122,14 @@ func (c *Config) normalize() {
 	}
 }
 
-// itemKind discriminates the two record families on a shard queue.
+// itemKind indexes the per-family [2] metric arrays and discriminates what a
+// shard queue carries: node samples one at a time, browsing records only as
+// row slices of a batch view.
 type itemKind uint8
 
 const (
+	// itemExtension indexes the browsing-record metrics; no queue item has
+	// this kind, since every browsing record arrives in a view (itemBatch).
 	itemExtension itemKind = iota
 	itemNode
 	// itemBatch carries a slice of rows of a shared zero-copy batch view
@@ -136,16 +139,15 @@ const (
 	itemBatch
 )
 
-// item is one queued record, stamped at enqueue so shards can measure
-// ingest latency (time spent queued before application). span is valid only
-// on a batch's representative record (the first accepted one): the shard
-// opens a single shard.apply span per batch from it, so the per-record hot
-// path pays one Valid() branch, not one span.
+// item is one queued node sample or batch slice, stamped at enqueue so
+// shards can measure ingest latency (time spent queued before application).
+// span is valid only on a request's representative item (the first
+// accepted one): the shard opens a single shard.apply span per request from
+// it, so the per-record hot path pays one Valid() branch, not one span.
 type item struct {
 	kind     itemKind
 	enqueued time.Time
 	span     trace.SpanContext
-	ext      extension.Record
 	node     dataset.NodeSample
 
 	// Batch fan-out (kind == itemBatch): rows indexes batch.view; the shard
@@ -350,65 +352,52 @@ func (a *Aggregator) shardFor(k1, k2 string) *shard {
 	return a.shards[a.shardIndex(k1, k2)]
 }
 
-// OfferExtension submits one browsing record. It reports false when the
-// record was shed (DropNewest under pressure, or after Close).
-func (a *Aggregator) OfferExtension(r extension.Record) bool {
-	return a.offer(a.shardFor(r.City, r.ISP), item{kind: itemExtension, ext: r})
+// OfferNodeSample submits one volunteer-node sample. It reports false when
+// the sample was shed (DropNewest under pressure, a failed WAL append, or
+// after Close).
+func (a *Aggregator) OfferNodeSample(s dataset.NodeSample) bool {
+	return a.OfferNodeSampleSpan(s, trace.SpanContext{})
 }
 
-// OfferExtensionSpan is OfferExtension carrying a span context through the
+// OfferNodeSampleSpan is OfferNodeSample carrying a span context through the
 // shard queue: the shard reports a shard.apply child span and stamps the
 // apply-latency histogram with the trace as an exemplar. Pass the zero
-// context for untraced records.
-func (a *Aggregator) OfferExtensionSpan(r extension.Record, sc trace.SpanContext) bool {
-	return a.offer(a.shardFor(r.City, r.ISP), item{kind: itemExtension, ext: r, span: sc})
-}
-
-// OfferNodeSample submits one volunteer-node sample.
-func (a *Aggregator) OfferNodeSample(s dataset.NodeSample) bool {
-	return a.offer(a.shardFor(s.Node, s.Kind), item{kind: itemNode, node: s})
-}
-
-// OfferNodeSampleSpan is OfferNodeSample carrying a span context; see
-// OfferExtensionSpan.
+// context for untraced samples.
 func (a *Aggregator) OfferNodeSampleSpan(s dataset.NodeSample, sc trace.SpanContext) bool {
-	return a.offer(a.shardFor(s.Node, s.Kind), item{kind: itemNode, node: s, span: sc})
-}
-
-func (a *Aggregator) offer(sh *shard, it item) bool {
+	sh := a.shardFor(s.Node, s.Kind)
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.closed {
-		sh.met.dropped[it.kind].Inc()
+		sh.met.dropped[itemNode].Inc()
 		return false
 	}
-	// Log before enqueue: once a record can reach the aggregates it is in
+	// Log before enqueue: once a sample can reach the aggregates it is in
 	// the WAL, so a crash at any later point replays it. Durability of the
 	// ack is the caller's job (SyncWAL) — group commit batches the fsync.
 	if a.wal != nil {
-		sp := a.cfg.Tracer.StartChild(it.span, "wal.append")
-		lsn, err := a.appendWAL(it)
+		sp := a.cfg.Tracer.StartChild(sc, "wal.append")
+		lsn, err := a.appendNodeWAL(s)
 		if err != nil {
 			sp.SetError(err)
 			sp.Finish()
-			sh.met.dropped[it.kind].Inc()
+			sh.met.dropped[itemNode].Inc()
 			return false
 		}
 		sp.SetInt("lsn", int64(lsn))
 		sp.Finish()
 	}
-	it.enqueued = time.Now()
+	it := item{kind: itemNode, enqueued: time.Now(), span: sc, node: s}
 	if a.cfg.Policy == Block {
 		sh.ch <- it
-		sh.met.accepted[it.kind].Inc()
+		sh.met.accepted[itemNode].Inc()
 		return true
 	}
 	select {
 	case sh.ch <- it:
-		sh.met.accepted[it.kind].Inc()
+		sh.met.accepted[itemNode].Inc()
 		return true
 	default:
-		sh.met.dropped[it.kind].Inc()
+		sh.met.dropped[itemNode].Inc()
 		return false
 	}
 }

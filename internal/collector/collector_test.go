@@ -15,7 +15,15 @@ import (
 
 	"starlinkview/internal/dataset"
 	"starlinkview/internal/extension"
+	"starlinkview/internal/trace"
 )
+
+// offerRecords feeds records to the aggregator as one batch frame, the one
+// way browsing records reach its shards, and returns how many it accepted.
+func offerRecords(a *Aggregator, recs ...extension.Record) int {
+	acc, _ := a.OfferExtensionFrame(nil, recs, trace.SpanContext{})
+	return acc
+}
 
 // testRecord builds a cheap synthetic browsing record.
 func testRecord(rng *rand.Rand, city, isp string) extension.Record {
@@ -37,7 +45,7 @@ func TestAggregatorCountsAndGroups(t *testing.T) {
 	for i := 0; i < n; i++ {
 		city := []string{"London", "Seattle", "Sydney"}[rng.Intn(3)]
 		isp := []string{"starlink", "broadband", "cellular"}[rng.Intn(3)]
-		if !agg.OfferExtension(testRecord(rng, city, isp)) {
+		if offerRecords(agg, testRecord(rng, city, isp)) != 1 {
 			t.Fatal("Block policy must never shed")
 		}
 		perGroup[extKey{city, isp}]++
@@ -59,7 +67,7 @@ func TestAggregatorCountsAndGroups(t *testing.T) {
 		}
 	}
 	// Offers after Close are shed, not panics.
-	if agg.OfferExtension(testRecord(rng, "London", "starlink")) {
+	if offerRecords(agg, testRecord(rng, "London", "starlink")) == 1 {
 		t.Fatal("offer after close must report shed")
 	}
 }
@@ -74,7 +82,7 @@ func TestAggregatorConcurrentProducers(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < each; i++ {
-				agg.OfferExtension(testRecord(rng, fmt.Sprintf("City%d", rng.Intn(12)), "starlink"))
+				offerRecords(agg, testRecord(rng, fmt.Sprintf("City%d", rng.Intn(12)), "starlink"))
 			}
 		}(int64(w))
 	}
@@ -102,7 +110,7 @@ func TestDropNewestShedsUnderPressure(t *testing.T) {
 	const n = 200
 	offered, shed := 0, 0
 	for i := 0; i < n; i++ {
-		if agg.OfferExtension(testRecord(rng, "London", "starlink")) {
+		if offerRecords(agg, testRecord(rng, "London", "starlink")) == 1 {
 			offered++
 		} else {
 			shed++
@@ -133,7 +141,7 @@ func TestBlockPolicyLosesNothingUnderPressure(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 300
 	for i := 0; i < n; i++ {
-		if !agg.OfferExtension(testRecord(rng, "Seattle", []string{"starlink", "broadband"}[i%2])) {
+		if offerRecords(agg, testRecord(rng, "Seattle", []string{"starlink", "broadband"}[i%2])) != 1 {
 			t.Fatal("Block policy shed a record")
 		}
 	}
@@ -157,7 +165,7 @@ func TestSnapshotWhileIngesting(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				agg.OfferExtension(testRecord(rng, "Warsaw", "starlink"))
+				offerRecords(agg, testRecord(rng, "Warsaw", "starlink"))
 			}
 		}
 	}()

@@ -65,21 +65,16 @@ func fastpathRecords(r *rand.Rand, n int) []extension.Record {
 
 // TestOfferBatchViewMatchesSerial is the fan-out equivalence property: the
 // partitioned batch path must leave the aggregator in byte-identical state
-// (rendered group rows, counters) to the serial per-record path, because
-// each shard applies the same subsequence in the same order.
+// (rendered group rows, counters) to the records folded serially, one at a
+// time, because each shard applies its groups' rows in frame order.
 func TestOfferBatchViewMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	serial := NewAggregator(Config{Shards: 8, QueueLen: 4096})
 	batched := NewAggregator(Config{Shards: 8, QueueLen: 4096})
-	defer serial.Close()
 	defer batched.Close()
+	var all []extension.Record
 	for frameN := 0; frameN < 20; frameN++ {
 		recs := fastpathRecords(r, 1+r.Intn(700))
-		for i := range recs {
-			if !serial.OfferExtension(recs[i]) {
-				t.Fatal("serial offer rejected")
-			}
-		}
+		all = append(all, recs...)
 		v, err := batched.views.Parse(dataset.MarshalBatch(recs))
 		if err != nil {
 			t.Fatal(err)
@@ -89,13 +84,10 @@ func TestOfferBatchViewMatchesSerial(t *testing.T) {
 			t.Fatalf("frame %d: accepted %d dropped %d of %d", frameN, acc, drop, len(recs))
 		}
 	}
-	if err := serial.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if err := batched.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a, err := json.Marshal(serial.Snapshot().Groups)
+	a, err := json.Marshal(foldSnapshot(all).Groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +98,8 @@ func TestOfferBatchViewMatchesSerial(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("snapshots diverge:\n serial  %s\n batched %s", a, b)
 	}
-	ss, bs := serial.Stats(), batched.Stats()
-	if ss.Accepted != bs.Accepted || ss.Processed != bs.Processed || bs.Dropped != 0 {
-		t.Fatalf("counters diverge: serial %+v batched %+v", ss, bs)
+	if bs := batched.Stats(); bs.Accepted != uint64(len(all)) || bs.Processed != uint64(len(all)) || bs.Dropped != 0 {
+		t.Fatalf("counters %+v, want %d accepted and processed", bs, len(all))
 	}
 }
 
@@ -186,10 +177,6 @@ func (f *ringThirds) OwnerExtension(city, isp string) string {
 }
 
 func (f *ringThirds) OwnerNode(dataset.NodeSample) string { return "" }
-
-func (f *ringThirds) ForwardExtension(string, []extension.Record, trace.SpanContext) (int, error) {
-	panic("the batch handler forwards frames, not records")
-}
 
 func (f *ringThirds) ForwardFrame(peer string, frames []byte, records int, _ trace.SpanContext) (int, error) {
 	f.records += records

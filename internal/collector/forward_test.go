@@ -52,10 +52,6 @@ func (f *epochRing) OwnerExtension(city, isp string) string {
 
 func (f *epochRing) OwnerNode(dataset.NodeSample) string { return "" }
 
-func (f *epochRing) ForwardExtension(string, []extension.Record, trace.SpanContext) (int, error) {
-	panic("the batch handler forwards frames, not records")
-}
-
 func (f *epochRing) ForwardFrame(peer string, frames []byte, records int, _ trace.SpanContext) (int, error) {
 	if _, dup := f.posts[peer]; dup {
 		panic("two POSTs to " + peer + " in one request")
@@ -203,10 +199,6 @@ func (f *lateReader) OwnerExtension(city, isp string) string {
 }
 
 func (f *lateReader) OwnerNode(dataset.NodeSample) string { return "" }
-
-func (f *lateReader) ForwardExtension(string, []extension.Record, trace.SpanContext) (int, error) {
-	panic("the batch handler forwards frames, not records")
-}
 
 func (f *lateReader) ForwardNode(string, []dataset.NodeSample, trace.SpanContext) (int, error) {
 	return 0, nil
@@ -364,16 +356,11 @@ func TestForwardSplitPoolRaces(t *testing.T) {
 		t.Fatalf("%d of %d requests failed a forward; the test needs some of each", failed.Load(), len(reqs))
 	}
 
-	ref := NewAggregator(Config{Shards: 4, Registry: obs.NewRegistry()})
+	var local []extension.Record
 	for _, rq := range reqs {
-		for _, rec := range rq.byPeer[""] {
-			ref.OfferExtension(rec)
-		}
+		local = append(local, rq.byPeer[""]...)
 	}
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Snapshot()
+	want := foldSnapshot(local)
 	waitProcessed(srv.Aggregator(), want.Accepted)
 	got := srv.Aggregator().Snapshot()
 	if got.Accepted != want.Accepted || len(got.Groups) != len(want.Groups) {

@@ -113,7 +113,7 @@ func waitProcessed(a *Aggregator, n uint64) {
 }
 
 // TestSnapshotGoldenDigest pins the read path's output over a seeded ingest
-// through both the batch-frame and per-record paths plus node samples, with
+// of batch frames, one-record frames and node samples, with
 // a checkpoint half-way. The same digest must come back from the live
 // aggregator, from a crash copy of its WAL directory (checkpoint plus
 // replayed tail), and from a clean restart (final checkpoint alone).
@@ -136,14 +136,14 @@ func TestSnapshotGoldenDigest(t *testing.T) {
 	a := open(dir)
 	var offered uint64
 	ingest := func(recs []extension.Record, samples []dataset.NodeSample) {
-		// Frames of uneven size, every fifth record sent alone over the
-		// per-record path, node samples spread between them.
+		// Frames of uneven size, every fifth record sent alone in a frame
+		// of its own, node samples spread between them.
 		for len(recs) > 0 {
 			n := min(len(recs), 1+r.Intn(400))
 			var frame []extension.Record
 			for _, rec := range recs[:n] {
 				if r.Intn(5) == 0 {
-					if !a.OfferExtension(rec) {
+					if offerRecords(a, rec) != 1 {
 						t.Fatal("offer rejected")
 					}
 					offered++

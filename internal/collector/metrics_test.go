@@ -102,8 +102,9 @@ func TestMetricsMatchClientTotals(t *testing.T) {
 		map[string]string{"path": PathIngestExtension, "code": "200"}); got != float64(cs.Batches) {
 		t.Fatalf("http_requests_total for ingest %v, want %d", got, cs.Batches)
 	}
-	if got := samples.Sum("wal_appends_total", nil); got != n {
-		t.Fatalf("wal_appends_total %v, want %d", got, n)
+	// One WAL append per frame: each 100-row request is one frame.
+	if got := samples.Sum("wal_appends_total", nil); got != float64(cs.Batches) {
+		t.Fatalf("wal_appends_total %v, want one per request, %d", got, cs.Batches)
 	}
 	if got := samples.Sum("wal_fsyncs_total", nil); got < 1 {
 		t.Fatalf("wal_fsyncs_total %v, want >= 1", got)
@@ -273,7 +274,7 @@ func TestStatsEndpointUsesRegistry(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
-		srv.Aggregator().OfferExtension(testRecord(rng, "London", "starlink"))
+		offerRecords(srv.Aggregator(), testRecord(rng, "London", "starlink"))
 	}
 	var st StatsReply
 	if err := getTestJSON(srv.URL()+PathStats, &st); err != nil {

@@ -127,7 +127,7 @@ func TestReadPathRacesWriters(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				k := keys[i%len(keys)]
 				rec := extension.Record{City: k.City, ISP: k.ISP, Domain: fmt.Sprintf("w%d-%d", w, i), PTTMs: float64(1 + i%300)}
-				if !a.OfferExtension(rec) {
+				if offerRecords(a, rec) != 1 {
 					t.Error("offer rejected")
 					return
 				}
@@ -277,11 +277,7 @@ func TestRecoverySkipsBadPTT(t *testing.T) {
 	recs := batchTestRecords(10, 8)
 	row := recs[0]
 	row.PTTMs = math.Inf(1)
-	payload, err := encodeExtensionPayload(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Append(WALKindExtension, payload); err != nil {
+	if _, err := w.Append(WALKindExtension, legacyCSVPayload(t, row)); err != nil {
 		t.Fatal(err)
 	}
 	recs[2].PTTMs, recs[6].PTTMs, recs[7].PTTMs = math.NaN(), math.Inf(-1), 1e308
@@ -382,7 +378,7 @@ func TestRestoreMapStoreInfinity(t *testing.T) {
 	if err := json.Unmarshal(payload, &cf); err != nil {
 		t.Fatal(err)
 	}
-	legacy := ckptExt{City: "Lima", ISP: "dsl", Domains: []string{"a.example"}, PTT: mapStoreInfBlob()}
+	legacy := GroupState{City: "Lima", ISP: "dsl", Domains: []string{"a.example"}, PTT: mapStoreInfBlob()}
 	cf.Ext = append(cf.Ext, legacy)
 	if payload, err = json.Marshal(cf); err != nil {
 		t.Fatal(err)

@@ -80,12 +80,10 @@ type IngestReply struct {
 // accepted; the ingest acknowledgement waits on them, so a 200 means every
 // record in the batch is owned (and, with WALs, durable) somewhere.
 // ForwardFrame takes concatenated batch frames holding the given number of
-// records (what the batch handler's split produces); ForwardExtension takes
-// records (what the CSV handler has) and ends in the same POST.
+// browsing records: what the split of either browsing wire produces.
 type Forwarder interface {
 	OwnerExtension(city, isp string) string
 	OwnerNode(s dataset.NodeSample) string
-	ForwardExtension(peer string, recs []extension.Record, parent trace.SpanContext) (int, error)
 	ForwardFrame(peer string, frames []byte, records int, parent trace.SpanContext) (int, error)
 	ForwardNode(peer string, samples []dataset.NodeSample, parent trace.SpanContext) (int, error)
 }
@@ -256,6 +254,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// csvFrameRows is how many CSV rows the extension handler gathers before it
+// encodes them as one frame — the size of the frames a batch client sends —
+// and csvFrameBytes bounds the CSV bytes behind one frame, so a request of
+// long rows cannot build a frame over the batch wire's body bound.
+const (
+	csvFrameRows  = 1024
+	csvFrameBytes = 4 << 20
+)
+
+// handleIngestExtension is the CSV front end to the batch path: it parses
+// rows into records, with the row and PTT errors the CSV wire has always
+// given, and encodes every csvFrameRows of them (or csvFrameBytes of CSV)
+// into a frame that takes the same steps a /ingest/batch frame does. Rows
+// read before a bad one are framed and offered before the 400.
 func (s *Server) handleIngestExtension(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -266,59 +278,60 @@ func (s *Server) handleIngestExtension(w http.ResponseWriter, r *http.Request) {
 		shedReject(w, r, reason)
 		return
 	}
-	fwd := s.ingestForwarder(r)
+	in := s.beginViewIngest(r)
 	cr := csv.NewReader(r.Body)
 	cr.FieldsPerRecord = len(dataset.ExtensionHeader())
 	cr.ReuseRecord = true
-	decode := s.startDecode(r)
-	var reply IngestReply
-	var byPeer map[string][]extension.Record
+	var (
+		enc    dataset.BatchEncoder
+		recs   []extension.Record
+		framed int64 // input offset of the first row not yet framed
+	)
+	offerRecs := func() error {
+		if len(recs) == 0 {
+			return nil
+		}
+		v, err := s.agg.views.Parse(enc.Encode(recs))
+		recs, framed = recs[:0], cr.InputOffset()
+		if err != nil {
+			return err
+		}
+		return in.offer(v)
+	}
 	for {
 		row, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			decode.SetError(err)
-			decode.Finish()
-			ingestError(w, reply, fmt.Sprintf("bad row: %v", err))
-			return
-		}
-		rec, err := dataset.UnmarshalExtensionRow(row)
-		if err == nil && !validPTT(rec.PTTMs) {
-			err = fmt.Errorf("ptt %v outside [0, %v]", rec.PTTMs, maxPTTMs)
-		}
-		if err != nil {
-			decode.SetError(err)
-			decode.Finish()
-			ingestError(w, reply, fmt.Sprintf("bad record: %v", err))
-			return
-		}
-		if fwd != nil {
-			if peer := fwd.OwnerExtension(rec.City, rec.ISP); peer != "" {
-				if byPeer == nil {
-					byPeer = make(map[string][]extension.Record)
-				}
-				byPeer[peer] = append(byPeer[peer], rec)
-				continue
+		msg := "bad row"
+		var rec extension.Record
+		if err == nil {
+			msg = "bad record"
+			rec, err = dataset.UnmarshalExtensionRow(row)
+			if err == nil && !validPTT(rec.PTTMs) {
+				err = fmt.Errorf("ptt %v outside [0, %v]", rec.PTTMs, maxPTTMs)
 			}
 		}
-		if s.agg.OfferExtensionSpan(rec, representative(decode, reply)) {
-			reply.Accepted++
-		} else {
-			reply.Dropped++
-		}
-	}
-	finishDecode(decode, reply)
-	for peer, recs := range byPeer {
-		n, err := fwd.ForwardExtension(peer, recs, rootContext(r))
-		reply.Forwarded += n
 		if err != nil {
-			forwardError(w, reply, peer, err)
+			if ferr := offerRecs(); ferr != nil {
+				msg, err = "bad frame", ferr
+			}
+			in.fail(w, msg, err)
 			return
 		}
+		recs = append(recs, rec)
+		if len(recs) == csvFrameRows || cr.InputOffset()-framed >= csvFrameBytes {
+			if err := offerRecs(); err != nil {
+				in.fail(w, "bad frame", err)
+				return
+			}
+		}
 	}
-	s.ackIngest(w, r, reply, start)
+	if err := offerRecs(); err != nil {
+		in.fail(w, "bad frame", err)
+		return
+	}
+	in.finish(w, r, start)
 }
 
 // admitIngest asks the shed controller whether the request may enter. The
@@ -397,9 +410,10 @@ func (s *Server) startDecode(r *http.Request) *trace.Span {
 	return s.agg.cfg.Tracer.StartChild(root.Context(), "ingest.decode")
 }
 
-// representative picks the span context the batch threads through the shard
-// queue: the first accepted record carries the decode span, the rest a zero
-// context — one shard.apply span per batch, one branch per record.
+// representative picks the span context a request threads through the shard
+// queues: what it offers until something is accepted carries the decode span,
+// the rest a zero context — one shard.apply span per request, one branch per
+// record or slice.
 func representative(decode *trace.Span, reply IngestReply) trace.SpanContext {
 	if decode == nil || reply.Accepted > 0 {
 		return trace.SpanContext{}

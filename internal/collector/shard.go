@@ -101,6 +101,7 @@ func (s *shard) run(wg *sync.WaitGroup) {
 	}
 }
 
+// apply applies one queued item: a batch slice, or one node sample.
 func (s *shard) apply(it item) {
 	if it.kind == itemBatch {
 		s.applyBatch(it)
@@ -109,7 +110,7 @@ func (s *shard) apply(it item) {
 	if s.applyDelay > 0 {
 		time.Sleep(s.applyDelay)
 	}
-	// A valid span context marks the batch's representative record: open
+	// A valid span context marks the request's representative item: open
 	// the (back-dated) shard.apply span covering queue wait plus apply, and
 	// stamp the latency histogram with the trace as an exemplar.
 	var sp *trace.Span
@@ -120,41 +121,27 @@ func (s *shard) apply(it item) {
 	} else {
 		s.met.applyLatency.Observe(time.Since(it.enqueued).Seconds())
 	}
-	switch it.kind {
-	case itemExtension:
-		r := it.ext
-		g := s.ext[extKey{r.City, r.ISP}]
-		if g == nil {
-			ptt, _ := stats.NewQuantileSketch(s.relErr)
-			g = newExtAgg(ptt)
-			s.ext[extKey{r.City, r.ISP}] = g
-			s.met.groups.Set(float64(len(s.ext) + len(s.nodes)))
-		}
-		g.addDomain(r.Domain)
-		g.ptt.Add(r.PTTMs)
-	case itemNode:
-		n := it.node
-		g := s.nodes[nodeKey{n.Node, n.Kind}]
-		if g == nil {
-			down, _ := stats.NewQuantileSketch(s.relErr)
-			g = &nodeAgg{down: down}
-			s.nodes[nodeKey{n.Node, n.Kind}] = g
-			s.met.groups.Set(float64(len(s.ext) + len(s.nodes)))
-		}
-		g.count++
-		g.down.Add(n.DownMbps)
-		g.upSum += n.UpMbps
-		g.pingSum += n.PingMs
-		g.lossSum += n.LossPct
+	n := it.node
+	g := s.nodes[nodeKey{n.Node, n.Kind}]
+	if g == nil {
+		down, _ := stats.NewQuantileSketch(s.relErr)
+		g = &nodeAgg{down: down}
+		s.nodes[nodeKey{n.Node, n.Kind}] = g
+		s.met.groups.Set(float64(len(s.ext) + len(s.nodes)))
 	}
+	g.count++
+	g.down.Add(n.DownMbps)
+	g.upSum += n.UpMbps
+	g.pingSum += n.PingMs
+	g.lossSum += n.LossPct
 	s.met.processed.Inc()
 	sp.Finish()
 }
 
 // applyBatch applies one partition of a shared batch view: every row keyed
-// to this shard, in ascending row order — the same per-shard subsequence the
-// serial per-record path delivers, so aggregates (and snapshots) come out
-// identical — then releases this shard's reference on the view. One latency
+// to this shard, in ascending row order — the order the view holds them in,
+// so a shard's aggregates do not depend on how many shards share the view —
+// then releases this shard's reference on the view. One latency
 // observation and at most one span cover the whole slice; consecutive rows
 // of one (city, ISP) reuse the group lookup, so a sorted batch pays roughly
 // one map probe per group rather than one per record.

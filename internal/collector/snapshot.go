@@ -211,27 +211,38 @@ func (s *Snapshot) ExportState() (MergeState, error) {
 	out := MergeState{
 		RelErr:   s.relErr,
 		Accepted: s.Accepted, Dropped: s.Dropped, Processed: s.Processed,
-		Groups: make([]GroupState, 0, len(s.ext)),
-		Nodes:  make([]NodeState, 0, len(s.nodes)),
 	}
-	for _, g := range s.ext {
+	var err error
+	out.Groups, out.Nodes, err = appendStates(make([]GroupState, 0, len(s.ext)), make([]NodeState, 0, len(s.nodes)), s.ext, s.nodes)
+	if err != nil {
+		return MergeState{}, err
+	}
+	return out, nil
+}
+
+// appendStates appends ext and nodes to groups and ns in wire form, in the
+// order given, with each group's domains sorted. ExportState hands it a
+// snapshot's key-sorted groups; a checkpoint hands it each shard's groups in
+// whatever order the shard held them, since restore does not care.
+func appendStates(groups []GroupState, ns []NodeState, ext []extSnap, nodes []nodeSnap) ([]GroupState, []NodeState, error) {
+	for _, g := range ext {
 		blob, err := g.ptt.MarshalBinary()
 		if err != nil {
-			return MergeState{}, err
+			return nil, nil, err
 		}
-		out.Groups = append(out.Groups, GroupState{City: g.City, ISP: g.ISP, Domains: sortedDomains(g.domains), PTT: blob})
+		groups = append(groups, GroupState{City: g.City, ISP: g.ISP, Domains: sortedDomains(g.domains), PTT: blob})
 	}
-	for _, g := range s.nodes {
+	for _, g := range nodes {
 		blob, err := g.down.MarshalBinary()
 		if err != nil {
-			return MergeState{}, err
+			return nil, nil, err
 		}
-		out.Nodes = append(out.Nodes, NodeState{
+		ns = append(ns, NodeState{
 			Node: g.Node, Kind: g.Kind, Count: g.count, Down: blob,
 			UpSum: g.upSum, PingSum: g.pingSum, LossSum: g.lossSum,
 		})
 	}
-	return out, nil
+	return groups, ns, nil
 }
 
 // sortedDomains returns a sorted copy of a group's domain list, which may be
@@ -242,14 +253,62 @@ func sortedDomains(domains []string) []string {
 	return out
 }
 
+// mergeGroupState decodes one group's wire state into m: a key m lacks gets
+// a fresh aggregate around the decoded sketch, a key it holds merges the
+// sketch in, and either way the domains are added. It returns how many
+// records the state carried. Checkpoint restore and MergeStates both fold
+// states through it.
+func mergeGroupState(m map[extKey]*extAgg, gs GroupState) (uint64, error) {
+	ptt := &stats.QuantileSketch{}
+	if err := ptt.UnmarshalBinary(gs.PTT); err != nil {
+		return 0, fmt.Errorf("group %s/%s: %w", gs.City, gs.ISP, err)
+	}
+	k := extKey{gs.City, gs.ISP}
+	g := m[k]
+	if g == nil {
+		g = newExtAgg(ptt)
+		m[k] = g
+	} else if err := g.ptt.Merge(ptt); err != nil {
+		return 0, fmt.Errorf("group %s/%s: %w", gs.City, gs.ISP, err)
+	}
+	for _, d := range gs.Domains {
+		g.addDomain(d)
+	}
+	return ptt.Count(), nil
+}
+
+// mergeNodeState is mergeGroupState for one (node, kind) state: counts and
+// sums add, sketches merge.
+func mergeNodeState(m map[nodeKey]*nodeAgg, ns NodeState) error {
+	down := &stats.QuantileSketch{}
+	if err := down.UnmarshalBinary(ns.Down); err != nil {
+		return fmt.Errorf("node %s/%s: %w", ns.Node, ns.Kind, err)
+	}
+	k := nodeKey{ns.Node, ns.Kind}
+	g := m[k]
+	if g == nil {
+		m[k] = &nodeAgg{count: ns.Count, down: down, upSum: ns.UpSum, pingSum: ns.PingSum, lossSum: ns.LossSum}
+		return nil
+	}
+	g.count += ns.Count
+	g.upSum += ns.UpSum
+	g.pingSum += ns.PingSum
+	g.lossSum += ns.LossSum
+	if err := g.down.Merge(down); err != nil {
+		return fmt.Errorf("node %s/%s: %w", ns.Node, ns.Kind, err)
+	}
+	return nil
+}
+
 // MergeStates folds K exported instance states into one Snapshot, as if a
 // single instance had ingested every record behind them. Sketch merges are
 // exact bucket additions, domain sets union, counters sum — so tables and
 // quantiles match a single-instance run bit for bit (per-group means can
 // differ only when one group's records were split across instances, and
-// then only by float summation order). All states must share one sketch
-// relative error. An empty input merges to an empty snapshot with the
-// default relative error.
+// then only by float summation order). The same group on two instances comes
+// from a membership change or misrouted-then-forwarded traffic. All states
+// must share one sketch relative error. An empty input merges to an empty
+// snapshot with the default relative error.
 func MergeStates(states ...MergeState) (*Snapshot, error) {
 	relErr := stats.DefaultSketchRelErr
 	if len(states) > 0 {
@@ -266,45 +325,13 @@ func MergeStates(states ...MergeState) (*Snapshot, error) {
 		s.Dropped += st.Dropped
 		s.Processed += st.Processed
 		for _, gs := range st.Groups {
-			ptt := &stats.QuantileSketch{}
-			if err := ptt.UnmarshalBinary(gs.PTT); err != nil {
-				return nil, fmt.Errorf("collector: merge group %s/%s: %w", gs.City, gs.ISP, err)
-			}
-			k := extKey{gs.City, gs.ISP}
-			g := ext[k]
-			if g == nil {
-				g = newExtAgg(ptt)
-				ext[k] = g
-			} else {
-				// The same group on two instances: a membership change or
-				// misrouted-then-forwarded traffic split it. Merge the
-				// sketches; the domain loop below takes the union.
-				if err := g.ptt.Merge(ptt); err != nil {
-					return nil, fmt.Errorf("collector: merge group %s/%s: %w", gs.City, gs.ISP, err)
-				}
-			}
-			for _, d := range gs.Domains {
-				g.addDomain(d)
+			if _, err := mergeGroupState(ext, gs); err != nil {
+				return nil, fmt.Errorf("collector: merge %w", err)
 			}
 		}
 		for _, ns := range st.Nodes {
-			down := &stats.QuantileSketch{}
-			if err := down.UnmarshalBinary(ns.Down); err != nil {
-				return nil, fmt.Errorf("collector: merge node %s/%s: %w", ns.Node, ns.Kind, err)
-			}
-			k := nodeKey{ns.Node, ns.Kind}
-			g := nodes[k]
-			if g == nil {
-				nodes[k] = &nodeAgg{count: ns.Count, down: down,
-					upSum: ns.UpSum, pingSum: ns.PingSum, lossSum: ns.LossSum}
-				continue
-			}
-			g.count += ns.Count
-			g.upSum += ns.UpSum
-			g.pingSum += ns.PingSum
-			g.lossSum += ns.LossSum
-			if err := g.down.Merge(down); err != nil {
-				return nil, fmt.Errorf("collector: merge node %s/%s: %w", ns.Node, ns.Kind, err)
+			if err := mergeNodeState(nodes, ns); err != nil {
+				return nil, fmt.Errorf("collector: merge %w", err)
 			}
 		}
 	}

@@ -173,7 +173,7 @@ func TestUntracedServerHasNoTraceSurface(t *testing.T) {
 	}
 	defer srv.Shutdown(context.Background())
 	rng := rand.New(rand.NewSource(9))
-	if !srv.Aggregator().OfferExtension(testRecord(rng, "London", "starlink")) {
+	if offerRecords(srv.Aggregator(), testRecord(rng, "London", "starlink")) != 1 {
 		t.Fatal("untraced offer refused")
 	}
 	resp, err := http.Get(srv.URL() + PathTraces)

@@ -10,14 +10,16 @@ import (
 
 	"starlinkview/internal/dataset"
 	"starlinkview/internal/extension"
-	"starlinkview/internal/stats"
 	"starlinkview/internal/wal"
 )
 
 // WAL record kinds: the payloads reuse the dataset release encodings, so a
-// WAL segment is itself a replayable dataset — extension records as the CSV
-// rows dataset.MarshalExtensionRow emits, node samples as the JSON lines of
-// dataset.WriteNodeJSON.
+// WAL segment is itself a replayable dataset — browsing records as batch
+// frames (walKindExtensionBatch, batch.go), node samples as the JSON lines of
+// dataset.WriteNodeJSON. Kind 1, one browsing record as the CSV row
+// dataset.MarshalExtensionRow emits, is what the CSV wire logged before it
+// became a front end to frames: nothing writes it now, but recovery,
+// compaction and -wal-dump still read it in older logs.
 const (
 	walKindExtension byte = 1
 	walKindNode      byte = 2
@@ -110,61 +112,13 @@ type WALStats struct {
 // a write-ahead log.
 var ErrNoWAL = errors.New("collector: aggregator has no WAL")
 
-// encodeExtensionPayload renders one record as its WAL payload — exactly
-// one dataset CSV row.
-func encodeExtensionPayload(r extension.Record) ([]byte, error) {
-	var buf bytes.Buffer
-	cw := csv.NewWriter(&buf)
-	if err := cw.Write(dataset.MarshalExtensionRow(r)); err != nil {
-		return nil, err
+// appendNodeWAL logs one node sample as its JSON line, returning its LSN.
+func (a *Aggregator) appendNodeWAL(s dataset.NodeSample) (uint64, error) {
+	payload, err := json.Marshal(s)
+	if err != nil {
+		return 0, err
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeWALRecord turns a replayed WAL record back into a queue item.
-func decodeWALRecord(rec wal.Rec) (item, error) {
-	switch rec.Kind {
-	case walKindExtension:
-		r, err := DecodeWALExtension(rec.Payload)
-		if err != nil {
-			return item{}, err
-		}
-		if !validPTT(r.PTTMs) {
-			return item{}, fmt.Errorf("collector: wal row: ptt %v outside [0, %v]", r.PTTMs, maxPTTMs)
-		}
-		return item{kind: itemExtension, ext: r}, nil
-	case walKindNode:
-		s, err := DecodeWALNode(rec.Payload)
-		if err != nil {
-			return item{}, err
-		}
-		return item{kind: itemNode, node: s}, nil
-	default:
-		return item{}, fmt.Errorf("collector: unknown wal record kind %d", rec.Kind)
-	}
-}
-
-// appendWAL logs one queue item, returning its LSN.
-func (a *Aggregator) appendWAL(it item) (uint64, error) {
-	switch it.kind {
-	case itemExtension:
-		payload, err := encodeExtensionPayload(it.ext)
-		if err != nil {
-			return 0, err
-		}
-		return a.wal.Append(walKindExtension, payload)
-	default:
-		payload, err := json.Marshal(it.node)
-		if err != nil {
-			return 0, err
-		}
-		payload = append(payload, '\n')
-		return a.wal.Append(walKindNode, payload)
-	}
+	return a.wal.Append(walKindNode, append(payload, '\n'))
 }
 
 // SyncWAL blocks until every record appended so far is durable — the
@@ -202,50 +156,21 @@ func (a *Aggregator) WALRecovery() WALRecovery { return a.walRecovery }
 // --- checkpoint payload ------------------------------------------------
 
 // ckptFile is the checkpoint payload: the full grouped aggregate state,
-// flat (not per shard) so the shard count may change between runs. Sketches
-// travel as their exact binary serialisation.
+// flat (not per shard) so the shard count may change between runs, in the
+// wire form a MergeState carries. Sketches travel as their exact binary
+// serialisation.
 type ckptFile struct {
-	RelErr float64    `json:"rel_err"`
-	Ext    []ckptExt  `json:"ext"`
-	Nodes  []ckptNode `json:"nodes"`
-}
-
-type ckptExt struct {
-	City    string   `json:"city"`
-	ISP     string   `json:"isp"`
-	Domains []string `json:"domains"`
-	PTT     []byte   `json:"ptt"`
-}
-
-type ckptNode struct {
-	Node    string  `json:"node"`
-	Kind    string  `json:"kind"`
-	Count   uint64  `json:"count"`
-	Down    []byte  `json:"down"`
-	UpSum   float64 `json:"up_sum"`
-	PingSum float64 `json:"ping_sum"`
-	LossSum float64 `json:"loss_sum"`
+	RelErr float64      `json:"rel_err"`
+	Ext    []GroupState `json:"ext"`
+	Nodes  []NodeState  `json:"nodes"`
 }
 
 func encodeCheckpoint(parts []shardSnap, relErr float64) ([]byte, error) {
 	out := ckptFile{RelErr: relErr}
 	for _, p := range parts {
-		for _, g := range p.ext {
-			blob, err := g.ptt.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			out.Ext = append(out.Ext, ckptExt{City: g.City, ISP: g.ISP, Domains: sortedDomains(g.domains), PTT: blob})
-		}
-		for _, g := range p.nodes {
-			blob, err := g.down.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			out.Nodes = append(out.Nodes, ckptNode{
-				Node: g.Node, Kind: g.Kind, Count: g.count, Down: blob,
-				UpSum: g.upSum, PingSum: g.pingSum, LossSum: g.lossSum,
-			})
+		var err error
+		if out.Ext, out.Nodes, err = appendStates(out.Ext, out.Nodes, p.ext, p.nodes); err != nil {
+			return nil, err
 		}
 	}
 	return json.Marshal(out)
@@ -264,36 +189,26 @@ func (a *Aggregator) restoreCheckpoint(payload []byte) (uint64, error) {
 			cf.RelErr, a.cfg.SketchRelErr)
 	}
 	var restored uint64
-	for _, e := range cf.Ext {
-		ptt := &stats.QuantileSketch{}
-		if err := ptt.UnmarshalBinary(e.PTT); err != nil {
-			return 0, fmt.Errorf("collector: checkpoint group %s/%s: %w", e.City, e.ISP, err)
+	for _, gs := range cf.Ext {
+		sh := a.shardFor(gs.City, gs.ISP)
+		n, err := mergeGroupState(sh.ext, gs)
+		if err != nil {
+			return 0, fmt.Errorf("collector: checkpoint %w", err)
 		}
-		g := newExtAgg(ptt)
-		for _, d := range e.Domains {
-			g.addDomain(d)
-		}
-		sh := a.shardFor(e.City, e.ISP)
-		sh.ext[extKey{e.City, e.ISP}] = g
 		sh.met.groups.Set(float64(len(sh.ext) + len(sh.nodes)))
-		sh.met.accepted[itemExtension].Add(ptt.Count())
-		sh.met.processed.Add(ptt.Count())
-		restored += ptt.Count()
+		sh.met.accepted[itemExtension].Add(n)
+		sh.met.processed.Add(n)
+		restored += n
 	}
-	for _, n := range cf.Nodes {
-		down := &stats.QuantileSketch{}
-		if err := down.UnmarshalBinary(n.Down); err != nil {
-			return 0, fmt.Errorf("collector: checkpoint node %s/%s: %w", n.Node, n.Kind, err)
-		}
-		sh := a.shardFor(n.Node, n.Kind)
-		sh.nodes[nodeKey{n.Node, n.Kind}] = &nodeAgg{
-			count: n.Count, down: down,
-			upSum: n.UpSum, pingSum: n.PingSum, lossSum: n.LossSum,
+	for _, ns := range cf.Nodes {
+		sh := a.shardFor(ns.Node, ns.Kind)
+		if err := mergeNodeState(sh.nodes, ns); err != nil {
+			return 0, fmt.Errorf("collector: checkpoint %w", err)
 		}
 		sh.met.groups.Set(float64(len(sh.ext) + len(sh.nodes)))
-		sh.met.accepted[itemNode].Add(n.Count)
-		sh.met.processed.Add(n.Count)
-		restored += n.Count
+		sh.met.accepted[itemNode].Add(ns.Count)
+		sh.met.processed.Add(ns.Count)
+		restored += ns.Count
 	}
 	return restored, nil
 }
@@ -317,30 +232,9 @@ func (a *Aggregator) recoverWAL() error {
 	default:
 		return err
 	}
+	var enc dataset.BatchEncoder
 	err = a.wal.Replay(lsn, func(r wal.Rec) error {
-		if r.Kind == walKindExtensionBatch {
-			v, derr := a.views.Parse(r.Payload)
-			if derr != nil {
-				// The frame CRC matched at the WAL layer but the columnar
-				// body is bad: skip the whole frame and count it once.
-				rec.SkippedCorrupt++
-				return nil
-			}
-			v, dropped := a.validRows(v)
-			rec.SkippedCorrupt += uint64(dropped)
-			if v != nil {
-				a.replayView(v, &rec)
-			}
-			return nil
-		}
-		it, derr := decodeWALRecord(r)
-		if derr != nil {
-			// A durable frame with an undecodable payload: skip and
-			// count, never abort recovery over one bad record.
-			rec.SkippedCorrupt++
-			return nil
-		}
-		a.replayItem(it, &rec)
+		a.replayRecord(r, &enc, &rec)
 		return nil
 	})
 	if err != nil {
@@ -350,19 +244,51 @@ func (a *Aggregator) recoverWAL() error {
 	return nil
 }
 
-// replayItem re-applies one recovered record to its shard (the goroutines
-// have not started yet, so direct apply is safe).
-func (a *Aggregator) replayItem(it item, rec *WALRecovery) {
-	it.enqueued = time.Now()
-	var sh *shard
-	if it.kind == itemExtension {
-		sh = a.shardFor(it.ext.City, it.ext.ISP)
-	} else {
-		sh = a.shardFor(it.node.Node, it.node.Kind)
+// replayRecord re-applies one logged record to the (not yet started) shards.
+// A record whose payload does not decode, or whose PTT ingest would refuse
+// (which a log written before ingest bounded PTTs may hold), is skipped and
+// counted, never fatal: a batch frame that fails to parse counts once, a
+// frame's refused rows count one each. A kind-1 row replays as a one-row
+// view, encoded with enc, so every browsing record reaches the shards the
+// way live ingest delivers it.
+func (a *Aggregator) replayRecord(r wal.Rec, enc *dataset.BatchEncoder, rec *WALRecovery) {
+	switch r.Kind {
+	case walKindExtensionBatch:
+		v, err := a.views.Parse(r.Payload)
+		if err != nil {
+			rec.SkippedCorrupt++
+			return
+		}
+		v, dropped := a.validRows(v)
+		rec.SkippedCorrupt += uint64(dropped)
+		if v != nil {
+			a.replayView(v, rec)
+		}
+	case walKindExtension:
+		row, err := DecodeWALExtension(r.Payload)
+		if err != nil || !validPTT(row.PTTMs) {
+			rec.SkippedCorrupt++
+			return
+		}
+		v, err := a.views.Parse(enc.Encode([]extension.Record{row}))
+		if err != nil {
+			rec.SkippedCorrupt++
+			return
+		}
+		a.replayView(v, rec)
+	case walKindNode:
+		s, err := DecodeWALNode(r.Payload)
+		if err != nil {
+			rec.SkippedCorrupt++
+			return
+		}
+		sh := a.shardFor(s.Node, s.Kind)
+		sh.met.accepted[itemNode].Inc()
+		sh.apply(item{kind: itemNode, enqueued: time.Now(), node: s})
+		rec.ReplayedRecords++
+	default:
+		rec.SkippedCorrupt++
 	}
-	sh.met.accepted[it.kind].Inc()
-	sh.apply(it)
-	rec.ReplayedRecords++
 }
 
 // replayView re-applies one recovered frame through the live path's own

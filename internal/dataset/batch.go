@@ -26,8 +26,8 @@ package dataset
 // the records the CSV wire path would deliver — timestamps truncated to
 // whole seconds in UTC and the timing floats quantised to the same values
 // strconv.FormatFloat(v, 'f', 3, 64) → ParseFloat round-trips to. That is
-// what lets the batch and per-record ingest paths produce byte-identical
-// aggregate snapshots.
+// what lets the collector frame the rows its CSV wire receives without
+// changing any value a MarshalExtensionRow row carries.
 
 import (
 	"encoding/binary"
