@@ -130,8 +130,9 @@ func benchE2EIngest(b *testing.B, wire collector.Wire, shards int) {
 	}
 }
 
-// BenchmarkE2EIngestCSV is the per-record baseline: every record crosses
-// the wire as a CSV row and lands in the WAL as its own record.
+// BenchmarkE2EIngestCSV is the row-wire baseline: every record crosses the
+// wire as a CSV row, which the server parses and frames before the WAL and
+// the shards see it.
 func BenchmarkE2EIngestCSV(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
