@@ -77,12 +77,18 @@ type batchApply struct {
 	next    []int32 // scratch: per-shard write cursor for the placement pass
 }
 
-// done releases one shard's reference on the shared view.
+// done releases one shard's reference on the shared view. The last one
+// returns the view and the header to their pools and, during replay, the
+// view's token to the replay window.
 func (b *batchApply) done() {
 	if b.pending.Add(-1) == 0 {
+		window := b.agg.window
 		b.agg.views.Put(b.view)
 		b.view = nil
 		b.agg.applyPool.Put(b)
+		if window != nil {
+			<-window
+		}
 	}
 }
 
@@ -223,6 +229,14 @@ func (a *Aggregator) OfferBatchView(v *dataset.BatchView, sc trace.SpanContext) 
 		sp.SetInt("records", int64(n))
 		sp.Finish()
 	}
+	return a.enqueueView(v, sc)
+}
+
+// enqueueView partitions v by shard and hands each touched shard one item
+// carrying its row slice, under the configured policy; the first item handed
+// over carries sc. It is the one way browsing records reach a shard, live
+// or replayed, and returns per-record accepted/dropped counts.
+func (a *Aggregator) enqueueView(v *dataset.BatchView, sc trace.SpanContext) (accepted, dropped int) {
 	ba, touched := a.partitionView(v)
 	now := time.Now()
 	spanned := false

@@ -289,11 +289,18 @@ func replayMallocs(t *testing.T, dir string, wantRecords int) (mallocs, allocByt
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
+// replayBytesPerRecord is replay's marginal byte budget. Replay measures
+// about 0.3 B per record with its views crossing to the shard goroutines; a
+// view that stopped going back to the pool would cost its frame buffer and
+// columns again, tens of bytes per record.
+const replayBytesPerRecord = 2
+
 // TestBatchReplayAllocBudget holds WAL replay of a batch-frame log to the
 // fast path's budget. Opening an aggregator has a fixed cost (registry,
 // shards, the log itself), so the gate is on the marginal cost: the extra
 // allocations a log three times as long takes to recover, per extra record,
-// must stay at or below 0.2. The materialising replay this replaced cost one
+// must stay at or below 0.2, and the extra bytes at or below
+// replayBytesPerRecord. The materialising replay this replaced cost one
 // record slice and a fresh string per dictionary entry per frame, about 208
 // bytes per record.
 func TestBatchReplayAllocBudget(t *testing.T) {
@@ -331,9 +338,13 @@ func TestBatchReplayAllocBudget(t *testing.T) {
 	longN, longB := replayMallocs(t, longDir, longFrames*perFrame)
 	extra := float64((longFrames - shortFrames) * perFrame)
 	perRecord := (float64(longN) - float64(shortN)) / extra
+	bytesPerRecord := (float64(longB) - float64(shortB)) / extra
 	t.Logf("marginal replay cost: %.4f allocs/record, %.1f B/record (open: %d allocs for %d frames, %d for %d)",
-		perRecord, (float64(longB)-float64(shortB))/extra, shortN, shortFrames, longN, longFrames)
+		perRecord, bytesPerRecord, shortN, shortFrames, longN, longFrames)
 	if perRecord > 0.2 {
-		t.Fatalf("batch replay allocates %.4f/record; budget is 0.2/record", perRecord)
+		t.Errorf("batch replay allocates %.4f/record; budget is 0.2/record", perRecord)
+	}
+	if bytesPerRecord > replayBytesPerRecord {
+		t.Errorf("batch replay allocates %.1f B/record; budget is %d B/record", bytesPerRecord, replayBytesPerRecord)
 	}
 }

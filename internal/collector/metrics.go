@@ -57,6 +57,7 @@ type metrics struct {
 	recRestored  *obs.Gauge // wal_recovery_restored_records
 	recReplayed  *obs.Gauge // wal_recovery_replayed_records
 	recSkipped   *obs.Gauge // wal_recovery_skipped_records
+	recSeconds   *obs.Gauge // collector_wal_recovery_seconds
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -122,6 +123,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Records re-applied from the log tail at startup."),
 		recSkipped: reg.Gauge("wal_recovery_skipped_records",
 			"Durable frames whose payloads failed to decode during replay."),
+		recSeconds: reg.Gauge("collector_wal_recovery_seconds",
+			"Time from opening the aggregator to ready: log scan, checkpoint restore and replay."),
 	}
 }
 
@@ -198,8 +201,8 @@ func registerTracerGauges(reg *obs.Registry, t *trace.Tracer) {
 	})
 }
 
-// setRecovery publishes what startup recovery rebuilt.
-func (m *metrics) setRecovery(rec WALRecovery) {
+// setRecovery publishes what startup recovery rebuilt and how long it took.
+func (m *metrics) setRecovery(rec WALRecovery, took time.Duration) {
 	m.recSegments.Set(float64(rec.Log.Segments))
 	m.recRecords.Set(float64(rec.Log.Records))
 	m.recTornBytes.Set(float64(rec.Log.TornBytes))
@@ -207,4 +210,5 @@ func (m *metrics) setRecovery(rec WALRecovery) {
 	m.recRestored.Set(float64(rec.RestoredRecords))
 	m.recReplayed.Set(float64(rec.ReplayedRecords))
 	m.recSkipped.Set(float64(rec.SkippedCorrupt))
+	m.recSeconds.Set(took.Seconds())
 }

@@ -101,10 +101,15 @@ func (s *shard) run(wg *sync.WaitGroup) {
 	}
 }
 
-// apply applies one queued item: a batch slice, or one node sample.
+// apply applies one queued item: a batch slice or one node sample, or
+// passes a replay barrier.
 func (s *shard) apply(it item) {
-	if it.kind == itemBatch {
+	switch it.kind {
+	case itemBatch:
 		s.applyBatch(it)
+		return
+	case itemBarrier:
+		it.batch.done()
 		return
 	}
 	if s.applyDelay > 0 {
