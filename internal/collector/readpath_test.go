@@ -233,6 +233,9 @@ func TestBadPTTRejected(t *testing.T) {
 		t.Errorf("node samples with down_mbps 1e308: status %d, want 200", got)
 	}
 	accepted := uint64(len(recs)) + 2
+	// An ack means logged and queued, not applied: wait for the shards to
+	// apply the two node samples before reading them back.
+	waitProcessed(srv.Aggregator(), accepted)
 
 	var reply struct {
 		Snapshot struct {
