@@ -406,8 +406,9 @@ type Packet struct {
 	// caps this at 3-4 blocks per segment; the simulation reports the full
 	// state, which approximates what a modern SACK+RACK stack reconstructs
 	// across consecutive acks.
-	Sack   []SackBlock
-	SentAt Time // stamped at first transmission; echoed back in acks
+	Sack      []SackBlock
+	SackBytes int64 // bytes the Sack blocks cover
+	SentAt    Time  // stamped at first transmission; echoed back in acks
 
 	// Rate-sampling fields (see cc package): the sender's delivered-bytes
 	// counter and its timestamp at the moment this packet was sent.
