@@ -40,8 +40,10 @@ check-steps: build
 # Fuzz the parsers that face untrusted bytes: WAL segment replay (the
 # crash-recovery read path), the dataset row/stream decoders the
 # collector's ingest and replay run per record, and the sketch blobs that
-# checkpoints and cluster state carry. Native Go fuzzing; each target runs
-# for FUZZTIME.
+# checkpoints and cluster state carry. Also fuzz the TCP sender's SACK
+# scoreboard against its full-rescan reference, with the fuzz bytes
+# choosing the loss, reordering and recovery script. Native Go fuzzing; each
+# target runs for FUZZTIME.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayDir -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -53,6 +55,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSketchUnmarshal -fuzztime=$(FUZZTIME) ./internal/stats/
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/tle/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/tsdb/
+	$(GO) test -run=^$$ -fuzz=FuzzScoreboardMatchesScan -fuzztime=$(FUZZTIME) ./internal/cc/
 
 # Benchmark pass: run the collector/WAL benchmarks and write the results
 # as a machine-readable artifact. BENCH_collector.json is the baseline the
