@@ -42,8 +42,9 @@ check-steps: build
 # collector's ingest and replay run per record, and the sketch blobs that
 # checkpoints and cluster state carry. Also fuzz the TCP sender's SACK
 # scoreboard against its full-rescan reference, with the fuzz bytes
-# choosing the loss, reordering and recovery script. Native Go fuzzing; each
-# target runs for FUZZTIME.
+# choosing the loss, reordering and recovery script, and the packet engine's
+# firing order, with the fuzz bytes choosing the sends, forwards, probes,
+# trains and timer re-arms. Native Go fuzzing; each target runs for FUZZTIME.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayDir -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/tle/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/tsdb/
 	$(GO) test -run=^$$ -fuzz=FuzzScoreboardMatchesScan -fuzztime=$(FUZZTIME) ./internal/cc/
+	$(GO) test -run=^$$ -fuzz=FuzzDeliveriesFollowAtSeqOrder -fuzztime=$(FUZZTIME) ./internal/netsim/
 
 # Benchmark pass: run the collector/WAL benchmarks and write the results
 # as a machine-readable artifact. BENCH_collector.json is the baseline the

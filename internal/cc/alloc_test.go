@@ -15,8 +15,11 @@ import (
 // fresh-packet engine it replaced made about 9). The clean link loses only
 // the few packets that overflow its queue, so a second run drops 1 % of
 // packets: that flow spends its time in loss recovery, with SACK blocks in
-// every ack and the sender taking over each ack's block buffer. Run without
-// the race detector; `make check` runs it explicitly.
+// every ack and the sender taking over each ack's block buffer. A third run
+// crosses two forwarding nodes (client → pop → ix → server, the shape of
+// ispnet's short Starlink path), so every segment and ack also takes a route
+// lookup at each of them. Run without the race detector; `make check` runs
+// it explicitly.
 func TestIperfAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -26,12 +29,14 @@ func TestIperfAllocBudget(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
+		nodes   []string
 		loss    float64
 		until   time.Duration
 		minSent int
 	}{
-		{"clean", 0, 20 * time.Second, 100_000},
-		{"loss1pct", 0.01, 60 * time.Second, 20_000},
+		{"clean", []string{"c", "s"}, 0, 20 * time.Second, 100_000},
+		{"loss1pct", []string{"c", "s"}, 0.01, 60 * time.Second, 20_000},
+		{"forwarding", []string{"client", "pop", "ix", "server"}, 0, 20 * time.Second, 100_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := netsim.NewSim(1)
@@ -39,9 +44,15 @@ func TestIperfAllocBudget(t *testing.T) {
 			if tc.loss > 0 {
 				spec.LossFn = func(netsim.Time, *netsim.Packet) bool { return sim.Rand().Float64() < tc.loss }
 			}
-			path, err := netsim.NewPath(
-				[]*netsim.Node{netsim.NewNode("c", ""), netsim.NewNode("s", "")},
-				[]netsim.LinkSpec{spec}, nil)
+			nodes := make([]*netsim.Node, len(tc.nodes))
+			specs := make([]netsim.LinkSpec, len(tc.nodes)-1)
+			for i, name := range tc.nodes {
+				nodes[i] = netsim.NewNode(name, "")
+			}
+			for i := range specs {
+				specs[i] = spec
+			}
+			path, err := netsim.NewPath(nodes, specs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

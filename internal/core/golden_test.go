@@ -21,6 +21,12 @@ const packetExhibitsDigest = "0eca7a7e6b1ec8e2b50bae3117e81086eafc747e810338f574
 // stopped scheduling one closure per probe.
 const probeExhibitsDigest = "f8c985e2e06d78ce05e8e85052bfe3c57465e50dcf54e49689deb965a5db0167"
 
+// browsingExhibitsDigest pins Table 1, Figure 3 and Figure 4 of the shared
+// quick study: the exhibits built from the browsing campaign rather than the
+// packet simulator. It was computed before the event queue re-keyed its root
+// in place, though nothing on the browsing path runs netsim.
+const browsingExhibitsDigest = "2b3037fb82b4b7843131a66a441b352de4f5728775d380ed33d62ff61fbdec41"
+
 // exhibitDigest hashes a rendered report followed by the raw results it was
 // rendered from, printed with %v at full float precision. fmt prints maps in
 // key order, so the raw dump is deterministic.
@@ -84,5 +90,33 @@ func TestProbeExhibitsGoldenDigest(t *testing.T) {
 	}
 	if got := exhibitDigest(buf.Bytes(), isl, handover); got != probeExhibitsDigest {
 		t.Errorf("probe exhibits digest = %s, want %s\n%s", got, probeExhibitsDigest, buf.String())
+	}
+}
+
+// TestBrowsingExhibitsGoldenDigest is TestPacketExhibitsGoldenDigest for the
+// browsing exhibits.
+func TestBrowsingExhibitsGoldenDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest pinned on amd64")
+	}
+	s := quickStudy(t)
+	var buf bytes.Buffer
+	table1, err := s.Table1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ReportTable1(&buf, table1)
+	fig3, err := s.Figure3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ReportFigure3(&buf, fig3)
+	fig4, err := s.Figure4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ReportFigure4(&buf, fig4)
+	if got := exhibitDigest(buf.Bytes(), table1, fig3, fig4); got != browsingExhibitsDigest {
+		t.Errorf("browsing exhibits digest = %s, want %s\n%s", got, browsingExhibitsDigest, buf.String())
 	}
 }

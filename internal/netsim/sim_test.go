@@ -253,6 +253,25 @@ func TestNodeLocalDelivery(t *testing.T) {
 	}
 }
 
+// TestAddRouteReplaces: a second AddRoute to a destination replaces its
+// link, and a destination with no route takes the default one.
+func TestAddRouteReplaces(t *testing.T) {
+	n := NewNode("r", "")
+	a, b, def := &Link{Name: "a"}, &Link{Name: "b"}, &Link{Name: "def"}
+	if got := n.route("x"); got != nil {
+		t.Fatalf("route with no table = %v, want nil", got)
+	}
+	n.AddRoute("x", a)
+	n.AddRoute("y", a)
+	n.AddRoute("x", b)
+	n.SetDefaultRoute(def)
+	for dst, want := range map[string]*Link{"x": b, "y": a, "z": def} {
+		if got := n.route(dst); got != want {
+			t.Errorf("route(%q) = %p, want link %s (%p)", dst, got, want.Name, want)
+		}
+	}
+}
+
 func newTestPath(t *testing.T, hops int) (*Sim, *Path) {
 	t.Helper()
 	s := NewSim(7)
