@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"starlinkview/internal/trace"
 )
@@ -88,6 +89,7 @@ func NewPath(nodes []*Node, fwd, rev []LinkSpec) (*Path, error) {
 	// Install routes: from node i, everything to the right goes out Fwd[i],
 	// everything to the left goes out Rev[i-1].
 	for i, n := range nodes {
+		n.routes = slices.Grow(n.routes, len(nodes)-1)
 		for j, m := range nodes {
 			switch {
 			case j > i:
