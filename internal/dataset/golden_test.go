@@ -3,6 +3,7 @@ package dataset
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,5 +73,73 @@ func TestBatchGoldenWireDigest(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("n=%d: wire digest %s, want %s", tc.n, got, tc.want)
 		}
+	}
+}
+
+// goldenEncodeRowsDigest was computed while EncodeRows still built each
+// output dictionary by hashing the row's strings, so it pins the split's
+// bytes against that encoder rather than against the code under test.
+const goldenEncodeRowsDigest = "f40970ca42531bbc652787e0f364121b7c4b70718a0f7a73bc84b4f57f97457f"
+
+// TestEncodeRowsGoldenDigest hashes EncodeRows over seeded frames with
+// repeated and empty strings: every row, each owner's rows under seeded
+// k-owner splits, the rows in a seeded permutation, and seeded draws that
+// name some rows twice. One encoder serves every frame, largest first, so
+// scratch a bigger frame left behind would change a smaller frame's bytes.
+func TestEncodeRowsGoldenDigest(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	var enc BatchEncoder
+	var pool ViewPool
+	h := sha256.New()
+	for _, n := range []int{2000, 7, 513, 0, 1} {
+		recs := make([]extension.Record, n)
+		for i := range recs {
+			recs[i] = randBatchRecord(r)
+			if r.Intn(5) == 0 {
+				recs[i].UserID = ""
+			}
+			if r.Intn(7) == 0 {
+				recs[i].Domain = ""
+			}
+		}
+		v, err := pool.Parse(MarshalBatch(recs))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		all := make([]int32, n)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		fmt.Fprintf(h, "n=%d all\n", n)
+		h.Write(enc.EncodeRows(v, all))
+		for _, k := range []int{2, 3, 5} {
+			owned := make([][]int32, k)
+			for i := 0; i < n; i++ {
+				o := r.Intn(k)
+				owned[o] = append(owned[o], int32(i))
+			}
+			for o, rows := range owned {
+				fmt.Fprintf(h, "n=%d k=%d owner %d: %d rows\n", n, k, o, len(rows))
+				h.Write(enc.EncodeRows(v, rows))
+			}
+		}
+		perm := make([]int32, n)
+		for i, p := range r.Perm(n) {
+			perm[i] = int32(p)
+		}
+		fmt.Fprintf(h, "n=%d perm\n", n)
+		h.Write(enc.EncodeRows(v, perm))
+		if n > 0 {
+			picks := make([]int32, n/2+3)
+			for i := range picks {
+				picks[i] = int32(r.Intn(n))
+			}
+			fmt.Fprintf(h, "n=%d picks\n", n)
+			h.Write(enc.EncodeRows(v, picks))
+		}
+		pool.Put(v)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenEncodeRowsDigest {
+		t.Errorf("EncodeRows digest %s, want %s", got, goldenEncodeRowsDigest)
 	}
 }
