@@ -9,7 +9,10 @@ package dataset
 // It has two front doors over one body: Encode reads a record slice, and
 // EncodeRows re-encodes a subset of an already-decoded view column-wise, so
 // splitting a frame (by ring owner, or to fit the WAL's payload bound) never
-// builds an extension.Record. MarshalBatch is Encode on a fresh encoder.
+// builds an extension.Record. The two differ only in how a dictionary column
+// is built: Encode indexes each row's string in a map, EncodeRows remaps the
+// view's entry indices and copies entry bytes, hashing no string.
+// MarshalBatch is Encode on a fresh encoder.
 //
 // Not safe for concurrent use, and the returned frame is only valid until
 // the next Encode/EncodeRows call — both match the single-goroutine flush
@@ -25,8 +28,10 @@ import (
 
 type BatchEncoder struct {
 	buf     []byte            // frame under construction; returned and reused
-	index   map[string]uint64 // dictionary build index, cleared per column
+	index   map[string]uint64 // Encode: dictionary build index, cleared per column
 	entries []string
+	remap   []uint32 // EncodeRows: view entry → output index+1 (0: unused), cleared per column
+	order   []uint32 // EncodeRows: view entries in output order
 	idxBuf  []byte
 	payload []byte
 	millis  []int64
@@ -34,15 +39,20 @@ type BatchEncoder struct {
 }
 
 // batchColumns is where the encoder reads its n rows from: one getter per
-// wire column, indexed by position in the frame being written.
+// wire column, indexed by position in the frame being written. The
+// dictionary columns come either from strings (Encode) or, when view is
+// set, from the view's dictionaries at rows (EncodeRows).
 type batchColumns struct {
 	n int
 
 	userID, city, country, isp, domain func(i int) string
-	asn, unix, rank                    func(i int) int64
-	ptt, plt                           func(i int) float64
-	weather                            func(i int) byte
-	popular, hasWx, benchmark, google  func(i int) bool
+	view                               *BatchView
+	rows                               []int32
+
+	asn, unix, rank                   func(i int) int64
+	ptt, plt                          func(i int) float64
+	weather                           func(i int) byte
+	popular, hasWx, benchmark, google func(i int) bool
 }
 
 // Encode renders records as one columnar frame. The returned slice is owned
@@ -75,13 +85,10 @@ func (e *BatchEncoder) Encode(records []extension.Record) []byte {
 func (e *BatchEncoder) EncodeRows(v *BatchView, rows []int32) []byte {
 	return e.encode(&batchColumns{
 		n:         len(rows),
-		userID:    func(i int) string { return v.userID.at(int(rows[i])) },
-		city:      func(i int) string { return v.city.at(int(rows[i])) },
-		country:   func(i int) string { return v.country.at(int(rows[i])) },
-		isp:       func(i int) string { return v.isp.at(int(rows[i])) },
+		view:      v,
+		rows:      rows,
 		asn:       func(i int) int64 { return v.asn[rows[i]] },
 		unix:      func(i int) int64 { return v.ts[rows[i]] },
-		domain:    func(i int) string { return v.domain.at(int(rows[i])) },
 		rank:      func(i int) int64 { return v.rank[rows[i]] },
 		popular:   func(i int) bool { return bitAt(v.popular, int(rows[i])) },
 		ptt:       func(i int) float64 { return v.ptt[rows[i]] },
@@ -94,12 +101,15 @@ func (e *BatchEncoder) EncodeRows(v *BatchView, rows []int32) []byte {
 }
 
 // Footprint is about how many bytes the encoder's scratch keeps between
-// frames: its buffers at capacity, and per dictionary entry slot a string
+// frames: its buffers at capacity, per dictionary entry slot a string
 // header plus roughly 48 B of index map, which keeps its buckets when
-// cleared. A pool of encoders can use it to drop one a giant frame has grown.
+// cleared, and the index remap, which grows with the largest dictionary a
+// view handed to EncodeRows has had. A pool of encoders can use it to drop
+// one a giant frame has grown.
 func (e *BatchEncoder) Footprint() int {
 	return cap(e.buf) + cap(e.idxBuf) + cap(e.payload) +
-		8*cap(e.millis) + 8*cap(e.quant) + 64*cap(e.entries)
+		8*cap(e.millis) + 8*cap(e.quant) + 64*cap(e.entries) +
+		4*cap(e.remap) + 4*cap(e.order)
 }
 
 // encode writes the frame: header, the fifteen columns in schema order, CRC.
@@ -113,13 +123,13 @@ func (e *BatchEncoder) encode(c *batchColumns) []byte {
 	dst = binary.AppendUvarint(dst, uint64(c.n))
 	dst = append(dst, numBatchCols)
 
-	dst = e.dictCol(dst, colUserID, c.n, c.userID)
-	dst = e.dictCol(dst, colCity, c.n, c.city)
-	dst = e.dictCol(dst, colCountry, c.n, c.country)
-	dst = e.dictCol(dst, colISP, c.n, c.isp)
+	dst = e.dictCol(dst, colUserID, c, c.userID)
+	dst = e.dictCol(dst, colCity, c, c.city)
+	dst = e.dictCol(dst, colCountry, c, c.country)
+	dst = e.dictCol(dst, colISP, c, c.isp)
 	dst = e.deltaCol(dst, colASN, c.n, c.asn)
 	dst = e.deltaCol(dst, colTimestamp, c.n, c.unix)
-	dst = e.dictCol(dst, colDomain, c.n, c.domain)
+	dst = e.dictCol(dst, colDomain, c, c.domain)
 	dst = e.deltaCol(dst, colRank, c.n, c.rank)
 	dst = e.bitsCol(dst, colPopular, c.n, c.popular)
 	dst = e.floatCol(dst, colPTT, c.n, c.ptt)
@@ -139,7 +149,21 @@ func (e *BatchEncoder) encode(c *batchColumns) []byte {
 	return dst
 }
 
-func (e *BatchEncoder) dictCol(dst []byte, id byte, n int, get func(int) string) []byte {
+// dictCol writes dictionary column id from c's view when it has one, and
+// from get otherwise.
+func (e *BatchEncoder) dictCol(dst []byte, id byte, c *batchColumns, get func(int) string) []byte {
+	if c.view != nil {
+		e.viewDict(c.view.dict(id), c.rows)
+	} else {
+		e.stringDict(c.n, get)
+	}
+	dst = appendColHeader(dst, id, encDict, len(e.payload))
+	return append(dst, e.payload...)
+}
+
+// stringDict stages in e.payload the dictionary of the n strings get
+// returns, entries in order of first use.
+func (e *BatchEncoder) stringDict(n int, get func(int) string) {
 	if e.index == nil {
 		e.index = make(map[string]uint64, 64)
 	}
@@ -156,15 +180,41 @@ func (e *BatchEncoder) dictCol(dst []byte, id byte, n int, get func(int) string)
 		}
 		e.idxBuf = binary.AppendUvarint(e.idxBuf, ix)
 	}
-	e.payload = e.payload[:0]
-	e.payload = binary.AppendUvarint(e.payload, uint64(len(e.entries)))
+	e.payload = binary.AppendUvarint(e.payload[:0], uint64(len(e.entries)))
 	for _, s := range e.entries {
 		e.payload = binary.AppendUvarint(e.payload, uint64(len(s)))
 		e.payload = append(e.payload, s...)
 	}
 	e.payload = append(e.payload, e.idxBuf...)
-	dst = appendColHeader(dst, id, encDict, len(e.payload))
-	return append(dst, e.payload...)
+}
+
+// viewDict stages in e.payload the dictionary of d's entries at rows, by
+// index: the first row naming a view entry gives it the next output index,
+// which is the order stringDict gives the same rows' strings. That takes
+// distinct entries having distinct bytes, which the parse's canonicalise
+// guarantees.
+func (e *BatchEncoder) viewDict(d *dictCol, rows []int32) {
+	e.remap = grow(e.remap, len(d.spans))
+	clear(e.remap)
+	e.order = e.order[:0]
+	e.idxBuf = e.idxBuf[:0]
+	for _, r := range rows {
+		k := d.idx[r]
+		o := e.remap[k]
+		if o == 0 {
+			e.order = append(e.order, k)
+			o = uint32(len(e.order))
+			e.remap[k] = o
+		}
+		e.idxBuf = binary.AppendUvarint(e.idxBuf, uint64(o-1))
+	}
+	e.payload = binary.AppendUvarint(e.payload[:0], uint64(len(e.order)))
+	for _, k := range e.order {
+		b := d.entry(k)
+		e.payload = binary.AppendUvarint(e.payload, uint64(len(b)))
+		e.payload = append(e.payload, b...)
+	}
+	e.payload = append(e.payload, e.idxBuf...)
 }
 
 func (e *BatchEncoder) deltaCol(dst []byte, id byte, n int, get func(int) int64) []byte {

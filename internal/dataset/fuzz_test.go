@@ -2,8 +2,11 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
+	"hash/crc32"
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,5 +107,76 @@ func FuzzReadNodeJSON(f *testing.F) {
 	f.Add("")
 	f.Fuzz(func(t *testing.T, in string) {
 		_, _ = ReadNodeJSON(strings.NewReader(in))
+	})
+}
+
+// FuzzEncodeRowsSplit splits a frame among owners, both chosen by fuzz
+// bytes, the way the forwarder splits a misrouted frame. The target
+// re-patches the CRC, so a mutated body reaches the column checks, and
+// canonicalisation sees repeated and unused dictionary entries, instead of
+// stopping at the checksum. EncodeRows over all rows must equal Encode over
+// AppendRecords, and each owner's sub-frame must parse to exactly its rows
+// of that re-encoded frame, in order. (Re-encoding re-quantises the floats,
+// so a foreign frame's unquantised raw float reads back quantised.)
+func FuzzEncodeRowsSplit(f *testing.F) {
+	r := rand.New(rand.NewSource(34))
+	for _, n := range []int{0, 1, 9, 60} {
+		recs := make([]extension.Record, n)
+		for i := range recs {
+			recs[i] = randBatchRecord(r)
+		}
+		f.Add(MarshalBatch(recs), []byte{byte(n), 3, 1, 4, 1, 5})
+	}
+	frame, _ := repeatedEntriesFrame()
+	f.Add(frame, []byte{2, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, frame, owners []byte) {
+		frame = append([]byte(nil), frame...)
+		if len(frame) >= 12 {
+			binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32.Checksum(frame[8:len(frame)-4], batchCRC))
+		}
+		v, err := ParseBatchView(frame)
+		if err != nil {
+			return
+		}
+		n := v.Len()
+		all := make([]int32, n)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		var enc BatchEncoder
+		whole := append([]byte(nil), enc.EncodeRows(v, all)...)
+		if !bytes.Equal(whole, new(BatchEncoder).Encode(v.AppendRecords(nil))) {
+			t.Fatal("EncodeRows over all rows differs from Encode over AppendRecords")
+		}
+		want, err := UnmarshalBatch(whole)
+		if err != nil {
+			t.Fatalf("re-encoded frame does not parse: %v", err)
+		}
+		k := 1
+		if len(owners) > 0 {
+			k = 1 + int(owners[0])%4
+		}
+		owned := make([][]int32, k)
+		for i := 0; i < n; i++ {
+			o := 0
+			if len(owners) > 1 {
+				o = int(owners[1+i%(len(owners)-1)]) % k
+			}
+			owned[o] = append(owned[o], int32(i))
+		}
+		for o, rows := range owned {
+			sub, err := UnmarshalBatch(enc.EncodeRows(v, rows))
+			if err != nil {
+				t.Fatalf("owner %d: sub-frame does not parse: %v", o, err)
+			}
+			if len(sub) != len(rows) {
+				t.Fatalf("owner %d: %d rows, want %d", o, len(sub), len(rows))
+			}
+			for j, got := range sub {
+				if !recordsEqual(got, want[rows[j]]) {
+					t.Fatalf("owner %d: row %d is not original row %d", o, j, rows[j])
+				}
+			}
+		}
 	})
 }
