@@ -44,7 +44,9 @@ check-steps: build
 # scoreboard against its full-rescan reference, with the fuzz bytes
 # choosing the loss, reordering and recovery script, and the packet engine's
 # firing order, with the fuzz bytes choosing the sends, forwards, probes,
-# trains and timer re-arms. Native Go fuzzing; each target runs for FUZZTIME.
+# trains and timer re-arms, and the forwarder's frame split, with the fuzz
+# bytes choosing the frame and each row's owner. Native Go fuzzing; each
+# target runs for FUZZTIME.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayDir -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadExtensionCSV -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzReadNodeJSON -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalBatch -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run=^$$ -fuzz=FuzzEncodeRowsSplit -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayBatchFrame -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run=^$$ -fuzz=FuzzSketchUnmarshal -fuzztime=$(FUZZTIME) ./internal/stats/
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/tle/
