@@ -59,18 +59,28 @@ func batchTestRecords(seed int64, n int) []extension.Record {
 // foldSnapshot is the reference the ingest paths are held to: recs folded
 // in order straight into one extAgg per (city, ISP) group — no wire, frame,
 // queue or shard in between — and rendered as a snapshot. Records must hold
-// what ingest applies, PTTs at the wires' milli precision.
+// what ingest applies, PTTs at the wires' milli precision. Each group keeps
+// its domains in a plain string set of its own, so the reference does not
+// move with the shards' domain sets.
 func foldSnapshot(recs []extension.Record) *Snapshot {
-	groups := make(map[extKey]*extAgg)
+	type group struct {
+		seen    map[string]struct{}
+		domains []string
+		ptt     *stats.QuantileSketch
+	}
+	groups := make(map[extKey]*group)
 	for _, r := range recs {
 		k := extKey{r.City, r.ISP}
 		g := groups[k]
 		if g == nil {
 			ptt, _ := stats.NewQuantileSketch(stats.DefaultSketchRelErr)
-			g = newExtAgg(ptt)
+			g = &group{seen: make(map[string]struct{}), ptt: ptt}
 			groups[k] = g
 		}
-		g.addDomain(r.Domain)
+		if _, ok := g.seen[r.Domain]; !ok {
+			g.seen[r.Domain] = struct{}{}
+			g.domains = append(g.domains, r.Domain)
+		}
 		g.ptt.Add(r.PTTMs)
 	}
 	n := uint64(len(recs))
