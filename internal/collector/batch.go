@@ -211,6 +211,9 @@ func (a *Aggregator) OfferBatchView(v *dataset.BatchView, sc trace.SpanContext) 
 		a.views.Put(v)
 		return 0, 0
 	}
+	// The shards key domains by a.views' ids, which a view parsed elsewhere
+	// does not carry.
+	a.views.Adopt(v)
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	if a.closed {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"starlinkview/internal/dataset"
 	"starlinkview/internal/extension"
 	"starlinkview/internal/stats"
 )
@@ -255,10 +256,11 @@ func sortedDomains(domains []string) []string {
 
 // mergeGroupState decodes one group's wire state into m: a key m lacks gets
 // a fresh aggregate around the decoded sketch, a key it holds merges the
-// sketch in, and either way the domains are added. It returns how many
-// records the state carried. Checkpoint restore and MergeStates both fold
-// states through it.
-func mergeGroupState(m map[extKey]*extAgg, gs GroupState) (uint64, error) {
+// sketch in, and either way the domains are added, keyed by in — the
+// interner every other domain of m's groups was keyed by. It returns how
+// many records the state carried. Checkpoint restore and MergeStates both
+// fold states through it.
+func mergeGroupState(m map[extKey]*extAgg, gs GroupState, in *dataset.Interner) (uint64, error) {
 	ptt := &stats.QuantileSketch{}
 	if err := ptt.UnmarshalBinary(gs.PTT); err != nil {
 		return 0, fmt.Errorf("group %s/%s: %w", gs.City, gs.ISP, err)
@@ -272,7 +274,7 @@ func mergeGroupState(m map[extKey]*extAgg, gs GroupState) (uint64, error) {
 		return 0, fmt.Errorf("group %s/%s: %w", gs.City, gs.ISP, err)
 	}
 	for _, d := range gs.Domains {
-		g.addDomain(d)
+		g.addDomain(in.Intern(d))
 	}
 	return ptt.Count(), nil
 }
@@ -317,6 +319,7 @@ func MergeStates(states ...MergeState) (*Snapshot, error) {
 	s := &Snapshot{relErr: relErr}
 	ext := make(map[extKey]*extAgg)
 	nodes := make(map[nodeKey]*nodeAgg)
+	var in dataset.Interner
 	for _, st := range states {
 		if st.RelErr != relErr {
 			return nil, fmt.Errorf("collector: cannot merge states with sketch error %v and %v", st.RelErr, relErr)
@@ -325,7 +328,7 @@ func MergeStates(states ...MergeState) (*Snapshot, error) {
 		s.Dropped += st.Dropped
 		s.Processed += st.Processed
 		for _, gs := range st.Groups {
-			if _, err := mergeGroupState(ext, gs); err != nil {
+			if _, err := mergeGroupState(ext, gs, &in); err != nil {
 				return nil, fmt.Errorf("collector: merge %w", err)
 			}
 		}

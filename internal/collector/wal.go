@@ -192,7 +192,7 @@ func (a *Aggregator) restoreCheckpoint(payload []byte) (uint64, error) {
 	var restored uint64
 	for _, gs := range cf.Ext {
 		sh := a.shardFor(gs.City, gs.ISP)
-		n, err := mergeGroupState(sh.ext, gs)
+		n, err := mergeGroupState(sh.ext, gs, a.views.Interner())
 		if err != nil {
 			return 0, fmt.Errorf("collector: checkpoint %w", err)
 		}
