@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"slices"
@@ -470,4 +472,129 @@ func withUnusedUserIDs(t *testing.T, frame []byte, extra int) []byte {
 	out := binary.LittleEndian.AppendUint32([]byte(dataset.BatchMagic), uint32(len(nb)))
 	out = append(out, nb...)
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(nb, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// withRawPTT rewrites frame's PTT column as raw float bits of ptts, the
+// encoding a foreign encoder may use for values that are not on the milli
+// grid; this package's encoders only ever write raw bits of quantised
+// values.
+func withRawPTT(t *testing.T, frame []byte, ptts []float64) []byte {
+	t.Helper()
+	const colPTT, encF64Raw = 9, 5
+	body := frame[8 : len(frame)-4]
+	_, k := binary.Uvarint(body[1:])
+	off := 1 + k + 1 // version, record count, column count
+	nb := append([]byte(nil), body[:off]...)
+	for off < len(body) {
+		id, enc := body[off], body[off+1]
+		plen, k := binary.Uvarint(body[off+2:])
+		payload := body[off+2+k : off+2+k+int(plen)]
+		off += 2 + k + int(plen)
+		if id == colPTT {
+			enc, payload = encF64Raw, nil
+			for _, v := range ptts {
+				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
+			}
+		}
+		nb = append(nb, id, enc)
+		nb = binary.AppendUvarint(nb, uint64(len(payload)))
+		nb = append(nb, payload...)
+	}
+	out := binary.LittleEndian.AppendUint32([]byte(dataset.BatchMagic), uint32(len(nb)))
+	out = append(out, nb...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(nb, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// peerServer is a two-instance ring: keys hash over this instance and one
+// peer server, which gets its rows as a forwarded /ingest/batch request.
+type peerServer struct{ peer *Server }
+
+func (f *peerServer) OwnerExtension(city, isp string) string {
+	if shardHash(city, isp)%2 == 0 {
+		return ""
+	}
+	return "peer"
+}
+
+func (f *peerServer) OwnerNode(dataset.NodeSample) string { return "" }
+
+func (f *peerServer) ForwardFrame(_ string, frames []byte, records int, _ trace.SpanContext) (int, error) {
+	req, err := http.NewRequest(http.MethodPost, f.peer.URL()+PathIngestBatch, bytes.NewReader(frames))
+	if err != nil {
+		return 0, err
+	}
+	req.Header.Set("Content-Type", BatchContentType)
+	req.Header.Set(HeaderForwarded, "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("peer answered %s", resp.Status)
+	}
+	return records, nil
+}
+
+func (f *peerServer) ForwardNode(string, []dataset.NodeSample, trace.SpanContext) (int, error) {
+	return 0, nil
+}
+
+// TestRawFloatFrameAppliesAlikeWholeOrSplit ingests one frame whose PTT
+// column holds raw, unquantised floats whole on one instance and split
+// across two. The split re-encodes the rows it forwards and keeps, which
+// quantises them; the parse quantises raw floats too, so every group's
+// count and mean PTT must come out the same either way.
+func TestRawFloatFrameAppliesAlikeWholeOrSplit(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	recs := batchTestRecords(36, 600)
+	ptts := make([]float64, len(recs))
+	for i := range ptts {
+		ptts[i] = 20 + 500*r.Float64() // far off the milli grid
+	}
+	frame := withRawPTT(t, dataset.MarshalBatch(recs), ptts)
+	start := func() *Server {
+		srv := NewServer(Config{Shards: 2, Registry: obs.NewRegistry()})
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	whole, local, peer := start(), start(), start()
+	local.SetForwarder(&peerServer{peer: peer})
+	if reply := postFrames(t, whole, frame); reply.Accepted != len(recs) {
+		t.Fatalf("whole: reply %+v", reply)
+	}
+	if reply := postFrames(t, local, frame); reply.Accepted == 0 || reply.Forwarded == 0 || reply.Accepted+reply.Forwarded != len(recs) {
+		t.Fatalf("split: reply %+v, want rows both kept and forwarded", reply)
+	}
+	var states []MergeState
+	for _, srv := range []*Server{whole, local, peer} {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		st, err := srv.Aggregator().Snapshot().ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, st)
+	}
+	want, err := MergeStates(states[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MergeStates(states[1:]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Groups) != len(want.Groups) {
+		t.Fatalf("split: %d groups, whole: %d", len(got.Groups), len(want.Groups))
+	}
+	for i, g := range got.Groups {
+		w := want.Groups[i]
+		if g.City != w.City || g.ISP != w.ISP || g.Count != w.Count || g.MeanPTTMs != w.MeanPTTMs {
+			t.Fatalf("group %s/%s: split count %d mean %v, whole %s/%s count %d mean %v",
+				g.City, g.ISP, g.Count, g.MeanPTTMs, w.City, w.ISP, w.Count, w.MeanPTTMs)
+		}
+	}
 }

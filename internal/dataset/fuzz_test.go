@@ -116,8 +116,8 @@ func FuzzReadNodeJSON(f *testing.F) {
 // canonicalisation sees repeated and unused dictionary entries, instead of
 // stopping at the checksum. EncodeRows over all rows must equal Encode over
 // AppendRecords, and each owner's sub-frame must parse to exactly its rows
-// of that re-encoded frame, in order. (Re-encoding re-quantises the floats,
-// so a foreign frame's unquantised raw float reads back quantised.)
+// of that re-encoded frame, in order. (The parse quantises a foreign
+// frame's raw floats, so re-encoding them changes no value.)
 func FuzzEncodeRowsSplit(f *testing.F) {
 	r := rand.New(rand.NewSource(34))
 	for _, n := range []int{0, 1, 9, 60} {
