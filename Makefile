@@ -45,8 +45,11 @@ check-steps: build
 # choosing the loss, reordering and recovery script, and the packet engine's
 # firing order, with the fuzz bytes choosing the sends, forwards, probes,
 # trains and timer re-arms, and the forwarder's frame split, with the fuzz
-# bytes choosing the frame and each row's owner. Native Go fuzzing; each
-# target runs for FUZZTIME.
+# bytes choosing the frame and each row's owner. Also fuzz the shards'
+# domain sets against a plain string set, with the fuzz bytes choosing the
+# domains, how many of them the intern table numbers or refuses, and the
+# checkpoints and restarts. Native Go fuzzing; each target runs for
+# FUZZTIME.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayDir -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -56,6 +59,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalBatch -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeRowsSplit -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayBatchFrame -fuzztime=$(FUZZTIME) ./internal/collector/
+	$(GO) test -run=^$$ -fuzz=FuzzDomainSet -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run=^$$ -fuzz=FuzzSketchUnmarshal -fuzztime=$(FUZZTIME) ./internal/stats/
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/tle/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/tsdb/
