@@ -61,19 +61,19 @@ func (a *Aggregator) OfferExtensionFrame(frame []byte, recs []extension.Record, 
 
 // batchApply is the shared fan-out header for one zero-copy batch: the view
 // every shard reads rows from, a count of outstanding references, and the
-// row-partition scratch. The offerer takes one reference per touched shard
-// before anything is sent; each shard (or the offerer, for a shed slice)
-// drops one when its slice is finished, and the last reference returns the
-// view and the header to their pools.
+// row partition. The offerer takes one reference per touched shard before
+// anything is sent; each shard (or the offerer, for a shed slice) drops one
+// when its slice is finished, and the last reference returns the view and
+// the header to their pools.
 type batchApply struct {
 	agg  *Aggregator
 	view *dataset.BatchView
 
 	pending atomic.Int32
 
-	rows    []int32 // all row indices, grouped by shard, ascending per shard
+	rows    []int32 // row indices, shard-major, then (city, ISP) group by group, ascending per group
 	offs    []int32 // per-shard [start, end) offsets into rows; len = shards+1
-	shardOf []int32 // scratch: owning shard per row
+	shardOf []int32 // scratch: owning shard per (city, ISP) pair
 	next    []int32 // scratch: per-shard write cursor for the placement pass
 }
 
@@ -92,33 +92,41 @@ func (b *batchApply) done() {
 	}
 }
 
-// partition groups the view's row indices by owning shard with a counting
-// sort: one hash per row and two linear passes, no per-row allocation. Rows
-// stay ascending within each shard, so a shard applies its rows in frame
-// order, and snapshots do not depend on the shard count.
+// partition lays the view's row indices out by owning shard and, within a
+// shard, by (city, ISP) group: a pooled pairIndex numbers the view's
+// groups, each group is hashed to its shard once, and a counting sort over
+// the groups places every row in one more pass, with no per-row
+// allocation. Groups follow each other in the order the view first names
+// them, and each group's rows stay ascending, so every group sees its rows
+// in frame order — its domain order, sketch and float sums do not depend on
+// the shard count — and a shard applies one group's rows back to back,
+// with one group lookup each.
 func (b *batchApply) partition() {
 	a, v := b.agg, b.view
 	n, nsh := v.Len(), len(a.shards)
+	pairs := a.numberPairs(v)
+	defer a.pairPool.Put(pairs)
 	b.rows = growI32(b.rows, n)
-	b.shardOf = growI32(b.shardOf, n)
+	b.shardOf = growI32(b.shardOf, len(pairs.first))
 	b.offs = growI32(b.offs, nsh+1)
 	b.next = growI32(b.next, nsh)
-	for i := range b.offs {
-		b.offs[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		s := int32(shardHash(v.City(i), v.ISP(i)) % uint32(nsh))
-		b.shardOf[i] = s
-		b.offs[s+1]++
+	clear(b.offs)
+	for p, i := range pairs.first {
+		s := int32(shardHash(v.City(int(i)), v.ISP(int(i))) % uint32(nsh))
+		b.shardOf[p] = s
+		b.offs[s+1] += pairs.count[p]
 	}
 	for s := 0; s < nsh; s++ {
 		b.offs[s+1] += b.offs[s]
 	}
 	copy(b.next, b.offs[:nsh])
-	for i := 0; i < n; i++ {
-		s := b.shardOf[i]
-		b.rows[b.next[s]] = int32(i)
-		b.next[s]++
+	at := pairs.count // each pair's count becomes its write cursor
+	for p, s := range b.shardOf {
+		at[p], b.next[s] = b.next[s], b.next[s]+at[p]
+	}
+	for i, p := range pairs.of {
+		b.rows[at[p]] = int32(i)
+		at[p]++
 	}
 }
 
@@ -143,6 +151,17 @@ func (a *Aggregator) partitionView(v *dataset.BatchView) (*batchApply, int32) {
 	}
 	ba.pending.Store(touched)
 	return ba, touched
+}
+
+// numberPairs numbers v's (city, ISP) pairs in a pairIndex from the pool;
+// the caller puts it back when done.
+func (a *Aggregator) numberPairs(v *dataset.BatchView) *pairIndex {
+	pairs, _ := a.pairPool.Get().(*pairIndex)
+	if pairs == nil {
+		pairs = new(pairIndex)
+	}
+	pairs.number(v)
+	return pairs
 }
 
 func growI32(s []int32, n int) []int32 {
@@ -275,12 +294,15 @@ func (a *Aggregator) enqueueView(v *dataset.BatchView, sc trace.SpanContext) (ac
 }
 
 // rejectView counts every row of a refused view as dropped on its shard,
-// releases the view, and returns the row count.
+// one hash per (city, ISP) group, releases the view, and returns the row
+// count.
 func (a *Aggregator) rejectView(v *dataset.BatchView) int {
-	n := v.Len()
-	for i := 0; i < n; i++ {
-		a.shardFor(v.City(i), v.ISP(i)).met.dropped[itemExtension].Inc()
+	pairs := a.numberPairs(v)
+	for p, i := range pairs.first {
+		a.shardFor(v.City(int(i)), v.ISP(int(i))).met.dropped[itemExtension].Add(uint64(pairs.count[p]))
 	}
+	a.pairPool.Put(pairs)
+	n := v.Len()
 	a.views.Put(v)
 	return n
 }
@@ -338,33 +360,48 @@ type peerFrames struct {
 // pool it across requests (Server.splitter, Server.releaseSplitter), so its
 // encoder, scratch and peer bodies stop regrowing from zero every request.
 type frameSplitter struct {
-	fwd   Forwarder
-	enc   dataset.BatchEncoder
-	local []int32
-	known []*peerFrames // every peer this splitter has served, buffers kept
-	peers []*peerFrames // this request's peers, in first-seen order
+	fwd    Forwarder
+	enc    dataset.BatchEncoder
+	pairs  pairIndex
+	owners []*peerFrames // per (city, ISP) pair: its owner, nil for here
+	local  []int32
+	known  []*peerFrames // every peer this splitter has served, buffers kept
+	peers  []*peerFrames // this request's peers, in first-seen order
 }
 
-// split looks up every row's owner and returns the view this instance should
-// apply. An all-local frame — the common case — comes back untouched.
-// Otherwise each peer's rows are re-encoded onto its body, v is released, and
-// the local rows come back as a frame of their own (what this instance logs
-// must be what it keeps), or nil when every row belonged elsewhere.
+// split asks the forwarder for the owner of each (city, ISP) group the view
+// names, once per group, and returns the view this instance should apply.
+// An all-local frame — the common case — comes back untouched. Otherwise
+// each peer's rows are re-encoded onto its body, v is released, and the
+// local rows come back as a frame of their own (what this instance logs
+// must be what it keeps), or nil when every row belonged elsewhere. A peer
+// joins the request's peers when a row first names it, so the peers and
+// every sub-frame's rows keep row order.
 func (sp *frameSplitter) split(views *dataset.ViewPool, v *dataset.BatchView) (*dataset.BatchView, error) {
-	n := v.Len()
-	sp.local = growI32(sp.local, n)[:0]
-	for i := 0; i < n; i++ {
-		pf := sp.owner(v, i)
+	sp.pairs.number(v)
+	sp.owners = sp.owners[:0]
+	remote := false
+	for _, i := range sp.pairs.first {
+		pf := sp.owner(v.City(int(i)), v.ISP(int(i)))
+		sp.owners = append(sp.owners, pf)
+		remote = remote || pf != nil
+	}
+	if !remote {
+		return v, nil
+	}
+	defer views.Put(v)
+	sp.local = growI32(sp.local, v.Len())[:0]
+	for i, p := range sp.pairs.of {
+		pf := sp.owners[p]
 		if pf == nil {
 			sp.local = append(sp.local, int32(i))
 			continue
 		}
+		if len(pf.rows) == 0 && pf.records == 0 {
+			sp.peers = append(sp.peers, pf)
+		}
 		pf.rows = append(pf.rows, int32(i))
 	}
-	if len(sp.local) == n {
-		return v, nil
-	}
-	defer views.Put(v)
 	for _, pf := range sp.peers {
 		if len(pf.rows) == 0 {
 			continue
@@ -379,11 +416,10 @@ func (sp *frameSplitter) split(views *dataset.ViewPool, v *dataset.BatchView) (*
 	return views.Parse(sp.enc.EncodeRows(v, sp.local))
 }
 
-// owner asks the forwarder for row i's owner and returns its peerFrames, or
-// nil when the row stays here. A peer with neither rows nor records is new
-// to this request and joins peers, in first-seen order.
-func (sp *frameSplitter) owner(v *dataset.BatchView, i int) *peerFrames {
-	peer := sp.fwd.OwnerExtension(v.City(i), v.ISP(i))
+// owner asks the forwarder who owns (city, isp) and returns that peer's
+// peerFrames, or nil when the group stays here.
+func (sp *frameSplitter) owner(city, isp string) *peerFrames {
+	peer := sp.fwd.OwnerExtension(city, isp)
 	if peer == "" {
 		return nil
 	}
@@ -394,17 +430,13 @@ func (sp *frameSplitter) owner(v *dataset.BatchView, i int) *peerFrames {
 	if k == len(sp.known) {
 		sp.known = append(sp.known, &peerFrames{peer: peer})
 	}
-	pf := sp.known[k]
-	if len(pf.rows) == 0 && pf.records == 0 {
-		sp.peers = append(sp.peers, pf)
-	}
-	return pf
+	return sp.known[k]
 }
 
-// size is the bytes sp holds at capacity: row scratch, peer bodies and the
-// encoder's scratch.
+// size is the bytes sp holds at capacity: row and pair scratch, peer bodies
+// and the encoder's scratch.
 func (sp *frameSplitter) size() int {
-	n := 4*cap(sp.local) + sp.enc.Footprint()
+	n := 4*cap(sp.local) + sp.pairs.size() + 8*cap(sp.owners) + sp.enc.Footprint()
 	for _, pf := range sp.known {
 		n += 4*cap(pf.rows) + cap(pf.body)
 	}

@@ -209,12 +209,14 @@ func (s *shard) apply(it item) {
 }
 
 // applyBatch applies one partition of a shared batch view: every row keyed
-// to this shard, in ascending row order — the order the view holds them in,
-// so a shard's aggregates do not depend on how many shards share the view —
-// then releases this shard's reference on the view. One latency
-// observation and at most one span cover the whole slice; consecutive rows
-// of one (city, ISP) reuse the group lookup, so a sorted batch pays roughly
-// one map probe per group rather than one per record.
+// to this shard, laid out (city, ISP) group by group with each group's rows
+// in ascending row order — the order the view holds them in, so a group's
+// aggregate does not depend on how many shards share the view — then
+// releases this shard's reference on the view. One latency observation and
+// at most one span cover the whole slice. A group's rows arrive back to
+// back, so the group is looked up once per view and its sketch and domain
+// set stay in cache while its rows are applied; a row starts a new group
+// when its city or ISP dictionary entry differs from the row before.
 func (s *shard) applyBatch(it item) {
 	v := it.batch.view
 	var sp *trace.Span
@@ -226,16 +228,16 @@ func (s *shard) applyBatch(it item) {
 	} else {
 		s.met.applyLatency.Observe(time.Since(it.enqueued).Seconds())
 	}
-	var lastCity, lastISP string
+	var lastCity, lastISP uint32
 	var g *extAgg
 	for _, ri := range it.rows {
 		if s.applyDelay > 0 {
 			time.Sleep(s.applyDelay)
 		}
 		i := int(ri)
-		city, isp := v.City(i), v.ISP(i)
-		if g == nil || city != lastCity || isp != lastISP {
-			lastCity, lastISP = city, isp
+		if c, p := v.CityEntry(i), v.ISPEntry(i); g == nil || c != lastCity || p != lastISP {
+			lastCity, lastISP = c, p
+			city, isp := v.City(i), v.ISP(i)
 			g = s.ext[extKey{city, isp}]
 			if g == nil {
 				ptt, _ := stats.NewQuantileSketch(s.relErr)

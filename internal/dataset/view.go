@@ -587,6 +587,15 @@ func (v *BatchView) Country(i int) string { return v.country.copyAt(i) }
 func (v *BatchView) ISP(i int) string     { return v.isp.at(i) }
 func (v *BatchView) Domain(i int) string  { return v.domain.at(i) }
 
+// CityEntry and ISPEntry are row i's canonical entry indices in the city
+// and ISP dictionaries, below CityEntries and ISPEntries. The parse points
+// equal bytes at one entry, so two rows of a view name the same (city, ISP)
+// exactly when their entry pairs are equal, with or without an interner.
+func (v *BatchView) CityEntry(i int) uint32 { return v.city.idx[i] }
+func (v *BatchView) ISPEntry(i int) uint32  { return v.isp.idx[i] }
+func (v *BatchView) CityEntries() int       { return len(v.city.spans) }
+func (v *BatchView) ISPEntries() int        { return len(v.isp.spans) }
+
 // DomainID is row i's domain id in the interner that parsed the view, or
 // NoID when that interner did not keep the string or there was none. Ids
 // from two interners do not compare: see ViewPool.Adopt.
