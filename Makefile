@@ -48,7 +48,9 @@ check-steps: build
 # bytes choosing the frame and each row's owner. Also fuzz the shards'
 # domain sets against a plain string set, with the fuzz bytes choosing the
 # domains, how many of them the intern table numbers or refuses, and the
-# checkpoints and restarts. Native Go fuzzing; each target runs for
+# checkpoints and restarts, and the shard partition, with the fuzz bytes
+# choosing the rows, the city and ISP dictionaries (repeated entries
+# included) and the shard count. Native Go fuzzing; each target runs for
 # FUZZTIME.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -60,6 +62,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeRowsSplit -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayBatchFrame -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run=^$$ -fuzz=FuzzDomainSet -fuzztime=$(FUZZTIME) ./internal/collector/
+	$(GO) test -run=^$$ -fuzz=FuzzPartition -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run=^$$ -fuzz=FuzzSketchUnmarshal -fuzztime=$(FUZZTIME) ./internal/stats/
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/tle/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/tsdb/

@@ -139,6 +139,9 @@ func OpenServer(cfg Config) (*Server, error) {
 	}
 	s.mux = mux
 	s.hs = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	if cfg.headerTimeout > 0 {
+		s.hs.ReadHeaderTimeout = cfg.headerTimeout
+	}
 	return s, nil
 }
 
