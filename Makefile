@@ -50,8 +50,9 @@ check-steps: build
 # domains, how many of them the intern table numbers or refuses, and the
 # checkpoints and restarts, and the shard partition, with the fuzz bytes
 # choosing the rows, the city and ISP dictionaries (repeated entries
-# included) and the shard count. Native Go fuzzing; each target runs for
-# FUZZTIME.
+# included) and the shard count. Also fuzz the batch parse against its
+# one-value-at-a-time reference, with the fuzz bytes sealed as a frame body
+# under a fresh CRC. Native Go fuzzing; each target runs for FUZZTIME.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayDir -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadNodeJSON -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalBatch -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeRowsSplit -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run=^$$ -fuzz=FuzzParseBody -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayBatchFrame -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run=^$$ -fuzz=FuzzDomainSet -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run=^$$ -fuzz=FuzzPartition -fuzztime=$(FUZZTIME) ./internal/collector/
