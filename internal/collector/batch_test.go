@@ -3,6 +3,7 @@ package collector
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -505,4 +507,39 @@ func FuzzReplayBatchFrame(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestBatchHeaderClaimAllocatesLittle posts /ingest/batch requests whose
+// one frame header claims a 64 MiB body with nothing, or 100 KiB, behind
+// it. Each is refused as a torn frame having allocated under 1 MiB, client
+// included: the read grows its buffer as body bytes arrive, not to the
+// claim.
+func TestBatchHeaderClaimAllocatesLittle(t *testing.T) {
+	srv, err := OpenServer(Config{Shards: 1, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(contextWithTimeout(t))
+	hdr := binary.LittleEndian.AppendUint32([]byte(dataset.BatchMagic), 64<<20)
+	for _, sent := range []int{0, 100 << 10} {
+		body := append(hdr[:len(hdr):len(hdr)], make([]byte, sent)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(srv.URL()+PathIngestBatch, BatchContentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("header and %d body bytes: status %d, want 400", sent, resp.StatusCode)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+			t.Errorf("header and %d body bytes: the request allocated %d B", sent, b)
+		}
+	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/csv"
+	"errors"
 	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -220,6 +222,78 @@ func TestBatchStreamFraming(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// totalAlloc is the bytes f allocates, from the runtime's running total.
+func totalAlloc(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// countingReader counts the Read calls that reach r.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReadFrameAllocatesAsBytesArrive sends headers that claim the largest
+// body the format allows with little or nothing behind them. Reading one
+// must fail as a torn frame having allocated for what arrived, not for the
+// claim. A frame that fits the buffer it is read into still costs one body
+// read and no allocation.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32([]byte(BatchMagic), MaxBatchBody)
+	var pool ViewPool
+	for _, sent := range []int{0, 1, 100 << 10} {
+		req := append(hdr[:len(hdr):len(hdr)], make([]byte, sent)...)
+		for name, read := range map[string]func() error{
+			"ReadBatch": func() error {
+				_, err := ReadBatch(bytes.NewReader(req))
+				return err
+			},
+			"ViewPool.Read": func() error {
+				_, err := pool.Read(bytes.NewReader(req))
+				return err
+			},
+		} {
+			var err error
+			if b := totalAlloc(func() { err = read() }); b >= 1<<20 {
+				t.Errorf("%s, header and %d body bytes: allocated %d B", name, sent, b)
+			}
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s, header and %d body bytes: %v, want a torn frame", name, sent, err)
+			}
+		}
+	}
+
+	recs := make([]extension.Record, 512)
+	r := rand.New(rand.NewSource(39))
+	for i := range recs {
+		recs[i] = randBatchRecord(r)
+	}
+	frame := MarshalBatch(recs)
+	buf := make([]byte, 0, len(frame))
+	rd := bytes.NewReader(frame)
+	cr := &countingReader{r: rd}
+	allocs := testing.AllocsPerRun(10, func() {
+		rd.Reset(frame)
+		cr.reads = 0
+		got, err := readBatchFrame(cr, buf)
+		if err != nil || !bytes.Equal(got, frame) {
+			t.Fatalf("frame read back as %d bytes, %v", len(got), err)
+		}
+	})
+	if allocs != 0 || cr.reads != 2 {
+		t.Fatalf("a frame that fits its buffer: %.1f allocations, %d reads; want none and header plus body", allocs, cr.reads)
 	}
 }
 

@@ -17,10 +17,16 @@ package dataset
 // Only the dictionaries the collector keys on — city, ISP and domain — are
 // turned into strings at parse time. User ID and country stay spans: UserID
 // and Country copy their entry on each call, AppendRecords copies each entry
-// once per view, and EncodeRows copies entry bytes by index. The parse also
-// points every row that names a repeated dictionary entry at the entry's
-// first occurrence, so equal bytes always have one index and an index-based
-// re-encode is byte-identical to Encode over the same records.
+// once per view, and EncodeRows copies entry bytes by index. The parse
+// points every row that names a repeated keyed entry at the entry's first
+// occurrence, so in a keyed column equal bytes always have one index; user
+// ID and country keep the indices the frame gives them, and EncodeRows
+// merges their repeats by bytes, so an index-based re-encode is
+// byte-identical to Encode over the same records.
+//
+// Every integer column is decoded by one call of varint.Uvarints into the
+// view's scratch, then bound-checked or prefix-summed in a loop of its own,
+// so no column pays a function call per value.
 //
 // A ViewPool recycles views (and their frame buffers and column slices)
 // and interns the keyed strings across frames, which is what drives the
@@ -31,7 +37,6 @@ package dataset
 // state by a dense integer instead of hashing the string per row.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
@@ -43,6 +48,7 @@ import (
 	"time"
 
 	"starlinkview/internal/extension"
+	"starlinkview/internal/varint"
 	"starlinkview/internal/weather"
 )
 
@@ -217,8 +223,9 @@ type BatchView struct {
 	google    []byte
 	weather   []byte // one condition byte per record, aliasing frame
 
-	slots []uint64 // canonicalise scratch: open-addressed entry table
-	first []uint32 // canonicalise scratch: entry → its first occurrence
+	vals  []uint64  // one column's decoded varints
+	slots slotTable // canonicalise scratch
+	first []uint32  // canonicalise scratch: entry → its first occurrence
 }
 
 // ParseBatchView validates frame and decodes it into a fresh view with no
@@ -242,17 +249,17 @@ func (v *BatchView) parse(frame []byte, in *Interner) error {
 	}
 	v.frame = frame
 	v.in = in
-	c := &batchCursor{buf: body}
-	ver, err := c.u8()
+	c := &varint.Cursor{Buf: body}
+	ver, err := c.U8()
 	if err != nil {
 		return fmt.Errorf("dataset: batch version: %w", err)
 	}
 	if ver != BatchVersion {
 		return fmt.Errorf("dataset: unsupported batch version %d", ver)
 	}
-	nRec64, err := c.uvarint()
+	nRec64, err := c.Uvarint()
 	if err != nil {
-		return err
+		return fmt.Errorf("dataset: record count: %w", err)
 	}
 	// A valid frame spends at least one byte per record in every dictionary
 	// column's index stream, so the record count can never exceed the body
@@ -262,7 +269,7 @@ func (v *BatchView) parse(frame []byte, in *Interner) error {
 		return fmt.Errorf("dataset: record count %d exceeds body size %d", nRec64, len(body))
 	}
 	v.n = int(nRec64)
-	nCols, err := c.u8()
+	nCols, err := c.U8()
 	if err != nil {
 		return fmt.Errorf("dataset: batch column count: %w", err)
 	}
@@ -271,22 +278,22 @@ func (v *BatchView) parse(frame []byte, in *Interner) error {
 	}
 	seen := [numBatchCols]bool{}
 	for ci := 0; ci < int(nCols); ci++ {
-		id, err := c.u8()
+		id, err := c.U8()
 		if err != nil {
 			return fmt.Errorf("dataset: column header: %w", err)
 		}
-		enc, err := c.u8()
+		enc, err := c.U8()
 		if err != nil {
 			return fmt.Errorf("dataset: column header: %w", err)
 		}
-		plen64, err := c.uvarint()
+		plen64, err := c.Uvarint()
 		if err != nil {
-			return err
+			return fmt.Errorf("dataset: column header: %w", err)
 		}
 		if plen64 > uint64(len(body)) {
 			return fmt.Errorf("dataset: column %d payload %d exceeds body", id, plen64)
 		}
-		payload, err := c.bytes(int(plen64))
+		payload, err := c.Bytes(int(plen64))
 		if err != nil {
 			return fmt.Errorf("dataset: column %d payload: %w", id, err)
 		}
@@ -301,8 +308,8 @@ func (v *BatchView) parse(frame []byte, in *Interner) error {
 			return fmt.Errorf("dataset: column %s: %w", extensionHeader[id], err)
 		}
 	}
-	if c.off != len(body) {
-		return fmt.Errorf("dataset: %d trailing bytes after columns", len(body)-c.off)
+	if c.Off != len(body) {
+		return fmt.Errorf("dataset: %d trailing bytes after columns", len(body)-c.Off)
 	}
 	for i := range seen {
 		if !seen[i] {
@@ -318,7 +325,7 @@ func (v *BatchView) parseColumn(id, enc byte, payload []byte, in *Interner) erro
 		if enc != encDict {
 			return fmt.Errorf("encoding %d, want dict", enc)
 		}
-		return v.parseDict(v.dict(id), payload, in, id != colUserID && id != colCountry)
+		return v.parseDict(v.dict(id), payload, in, keyedCol(id))
 	case colASN, colTimestamp, colRank:
 		if enc != encDelta {
 			return fmt.Errorf("encoding %d, want delta", enc)
@@ -333,7 +340,7 @@ func (v *BatchView) parseColumn(id, enc byte, payload []byte, in *Interner) erro
 			dst = &v.rank
 		}
 		var err error
-		*dst, err = parseDelta(*dst, v.n, payload)
+		*dst, err = v.parseDelta(*dst, payload)
 		return err
 	case colPopular, colHasWeather, colBenchmark, colGoogle:
 		if enc != encBits {
@@ -359,7 +366,7 @@ func (v *BatchView) parseColumn(id, enc byte, payload []byte, in *Interner) erro
 			dst = &v.plt
 		}
 		var err error
-		*dst, err = parseFloat(*dst, v.n, enc, payload)
+		*dst, err = v.parseFloat(*dst, enc, payload)
 		return err
 	case colWeather:
 		if enc != encU8 {
@@ -397,11 +404,16 @@ func (v *BatchView) dict(id byte) *dictCol {
 	}
 }
 
+// keyedCol reports whether dictionary column id is one the collector keys
+// on: its entries are interned and canonicalised at parse.
+func keyedCol(id byte) bool { return id == colCity || id == colISP || id == colDomain }
+
 // parseDict validates a dictionary column into d. Only a keyed column's
-// entries become strings, interned through in when it is non-nil.
+// entries become strings, interned through in when it is non-nil, and only
+// a keyed column is canonicalised.
 func (v *BatchView) parseDict(d *dictCol, payload []byte, in *Interner, keyed bool) error {
-	c := &batchCursor{buf: payload}
-	nEntries, err := c.uvarint()
+	c := &varint.Cursor{Buf: payload}
+	nEntries, err := c.Uvarint()
 	if err != nil {
 		return err
 	}
@@ -411,34 +423,30 @@ func (v *BatchView) parseDict(d *dictCol, payload []byte, in *Interner, keyed bo
 	d.payload = payload
 	d.spans = grow(d.spans, int(nEntries))
 	for i := range d.spans {
-		elen, err := c.uvarint()
+		elen, err := c.Uvarint()
 		if err != nil {
 			return err
 		}
 		if elen > uint64(len(payload)) {
 			return fmt.Errorf("dictionary entry length %d exceeds payload", elen)
 		}
-		lo := c.off
-		if _, err := c.bytes(int(elen)); err != nil {
+		lo := c.Off
+		if _, err := c.Bytes(int(elen)); err != nil {
 			return err
 		}
-		d.spans[i] = dictSpan{uint32(lo), uint32(c.off)}
+		d.spans[i] = dictSpan{uint32(lo), uint32(c.Off)}
+	}
+	idx, err := v.uvarints(payload[c.Off:])
+	if err != nil {
+		return err
 	}
 	d.idx = grow(d.idx, v.n)
-	for i := 0; i < v.n; i++ {
-		ix, err := c.uvarint()
-		if err != nil {
-			return err
-		}
+	for i, ix := range idx {
 		if ix >= nEntries {
 			return fmt.Errorf("record %d: dictionary index %d out of range (%d entries)", i, ix, nEntries)
 		}
 		d.idx[i] = uint32(ix)
 	}
-	if c.off != len(payload) {
-		return fmt.Errorf("%d trailing bytes", len(payload)-c.off)
-	}
-	v.canonicalise(d)
 	if !keyed {
 		d.entries, d.ids = d.entries[:0], d.ids[:0]
 		return nil
@@ -447,47 +455,80 @@ func (v *BatchView) parseDict(d *dictCol, payload []byte, in *Interner, keyed bo
 	d.ids = grow(d.ids, int(nEntries))
 	if in != nil {
 		in.intern(d.entries, d.ids, payload, d.spans)
-		return nil
+	} else {
+		for i, sp := range d.spans {
+			d.entries[i], d.ids[i] = string(payload[sp.lo:sp.hi]), NoID
+		}
 	}
-	for i, sp := range d.spans {
-		d.entries[i], d.ids[i] = string(payload[sp.lo:sp.hi]), NoID
-	}
+	v.canonicalise(d)
 	return nil
 }
 
-// dictSeed keys canonicalise's entry hash; any seed gives the same result.
+// uvarints decodes the v.n varints that fill p into the view's scratch.
+func (v *BatchView) uvarints(p []byte) ([]uint64, error) {
+	v.vals = grow(v.vals, v.n)
+	return v.vals, varint.Uvarints(v.vals, p)
+}
+
+// dictSeed keys the byte hash of canonicalise and of the encoder's
+// dictionaries; any seed gives the same result.
 var dictSeed = maphash.MakeSeed()
 
-// canonicalise points every row that names a repeated entry of d at that
-// entry's first occurrence, so within a column equal bytes have one index.
-// The encoder never writes a repeat, but the parser has always accepted
-// one, and EncodeRows copies entries by index: without this, re-encoding a
-// frame with a repeat would keep it and differ from Encode over the same
-// records. Rows decode to the same values either way. The table is open
-// addressing at most half full, each slot the entry's hash tag (high 32
-// bits) and index plus one (low 32; 0 is empty), so it stays in cache and a
-// probe compares bytes only on a tag match.
+// slotTable is open addressing over dictionary entries, at most half full.
+// A slot holds an entry's hash tag (high 32 bits) and its index plus one
+// (low 32; 0 is empty), so the table stays in cache and a probe compares
+// keys only on a tag match. The caller probes from home(h), stepping by one
+// under mask, and compares keys itself.
+type slotTable struct {
+	slots []uint64
+	shift uint
+	mask  uint64
+}
+
+// reset sizes t for n keys and empties it.
+func (t *slotTable) reset(n int) {
+	b := bits.Len(uint(max(2*n-1, 1)))
+	t.slots = grow(t.slots, 1<<b)
+	clear(t.slots)
+	t.shift, t.mask = uint(64-b), 1<<b-1
+}
+
+// home is the first slot h probes, from its high bits; tag takes the low 32.
+func (t *slotTable) home(h uint64) uint64 { return h >> t.shift }
+func slotTag(h uint64) uint64             { return h << 32 }
+
+// idHash spreads an interner id over 64 bits for the slot table.
+func idHash(id uint32) uint64 { return uint64(id) * 0x9e3779b97f4a7c15 }
+
+// canonicalise points every row that names a repeated entry of keyed
+// column d at that entry's first occurrence, so within the column equal
+// bytes have one index. The encoder never writes a repeat, but the parser
+// has always accepted one, and EncodeRows copies entries by index. An
+// entry is hashed once: by its interner id, which within one interner
+// equal bytes share (numbered at first sight or refused for good), or by
+// its bytes when it has NoID, which equal bytes then also have.
 func (v *BatchView) canonicalise(d *dictCol) {
 	n := len(d.spans)
 	if n < 2 {
 		return
 	}
-	size := 1 << bits.Len(uint(2*n-1))
-	mask := uint64(size - 1)
-	v.slots = grow(v.slots, size)
-	clear(v.slots)
+	t := &v.slots
+	t.reset(n)
 	first := v.first[:0]
-	for k, sp := range d.spans {
-		b := d.payload[sp.lo:sp.hi]
-		h := maphash.Bytes(dictSeed, b)
-		tag := h &^ (1<<32 - 1)
-		for j := h & mask; ; j = (j + 1) & mask {
-			s := v.slots[j]
+	for k, id := range d.ids {
+		h := idHash(id)
+		if id == NoID {
+			h = maphash.String(dictSeed, d.entries[k])
+		}
+		tag := slotTag(h)
+		for j := t.home(h); ; j = (j + 1) & t.mask {
+			s := t.slots[j]
 			if s == 0 {
-				v.slots[j] = tag | uint64(k+1)
+				t.slots[j] = tag | uint64(k+1)
 				break
 			}
-			if s&^(1<<32-1) != tag || !bytes.Equal(d.entry(uint32(s)-1), b) {
+			o := uint32(s) - 1
+			if s&^(1<<32-1) != tag || d.ids[o] != id || id == NoID && d.entries[o] != d.entries[k] {
 				continue
 			}
 			if len(first) == 0 {
@@ -496,7 +537,7 @@ func (v *BatchView) canonicalise(d *dictCol) {
 					first[i] = uint32(i)
 				}
 			}
-			first[k] = uint32(s) - 1
+			first[k] = o
 			break
 		}
 	}
@@ -509,50 +550,43 @@ func (v *BatchView) canonicalise(d *dictCol) {
 	}
 }
 
-func parseDelta(dst []int64, n int, payload []byte) ([]int64, error) {
-	dst = grow(dst, n)
-	off, prev := 0, int64(0)
-	for i := 0; i < n; i++ {
-		u, k := binary.Uvarint(payload[off:])
-		if k <= 0 {
-			return dst, fmt.Errorf("dataset: bad varint at offset %d", off)
-		}
-		off += k
-		prev += unzigzag(u)
-		dst[i] = prev
+func (v *BatchView) parseDelta(dst []int64, payload []byte) ([]int64, error) {
+	u, err := v.uvarints(payload)
+	if err != nil {
+		return dst, err
 	}
-	if off != len(payload) {
-		return dst, fmt.Errorf("%d trailing bytes", len(payload)-off)
+	dst = grow(dst, v.n)
+	prev := int64(0)
+	for i, x := range u {
+		prev += varint.Unzigzag(x)
+		dst[i] = prev
 	}
 	return dst, nil
 }
 
-func parseFloat(dst []float64, n int, enc byte, payload []byte) ([]float64, error) {
-	dst = grow(dst, n)
+func (v *BatchView) parseFloat(dst []float64, enc byte, payload []byte) ([]float64, error) {
 	switch enc {
 	case encF64Milli:
-		off, prev := 0, int64(0)
-		for i := 0; i < n; i++ {
-			u, k := binary.Uvarint(payload[off:])
-			if k <= 0 {
-				return dst, fmt.Errorf("dataset: bad varint at offset %d", off)
-			}
-			off += k
-			prev += unzigzag(u)
-			dst[i] = float64(prev) / 1000
+		u, err := v.uvarints(payload)
+		if err != nil {
+			return dst, err
 		}
-		if off != len(payload) {
-			return dst, fmt.Errorf("%d trailing bytes", len(payload)-off)
+		dst = grow(dst, v.n)
+		prev := int64(0)
+		for i, x := range u {
+			prev += varint.Unzigzag(x)
+			dst[i] = float64(prev) / 1000
 		}
 		return dst, nil
 	case encF64Raw:
-		if len(payload) != 8*n {
-			return dst, fmt.Errorf("raw float payload %d bytes, want %d", len(payload), 8*n)
+		if len(payload) != 8*v.n {
+			return dst, fmt.Errorf("raw float payload %d bytes, want %d", len(payload), 8*v.n)
 		}
 		// The encoders here write raw bits of quantised values only; a
 		// foreign encoder may not. Quantising at parse makes a row apply the
 		// same value whether or not a split re-encodes it.
-		for i := 0; i < n; i++ {
+		dst = grow(dst, v.n)
+		for i := range dst {
 			_, dst[i], _ = quantizeMilli(math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:])))
 		}
 		return dst, nil

@@ -18,6 +18,7 @@ import (
 	"unsafe"
 
 	"starlinkview/internal/extension"
+	"starlinkview/internal/varint"
 )
 
 // viewRecords materialises every row of v through the per-row accessors.
@@ -359,16 +360,16 @@ func TestEncodeRowsSplitProperties(t *testing.T) {
 // length and CRC recomputed.
 func withColumn(frame []byte, id byte, payload []byte) []byte {
 	body := frame[8 : len(frame)-4]
-	c := &batchCursor{buf: body}
-	c.u8()
-	c.uvarint()
-	c.u8()
-	out := append([]byte(nil), body[:c.off]...)
-	for c.off < len(body) {
-		cid, _ := c.u8()
-		enc, _ := c.u8()
-		plen, _ := c.uvarint()
-		p, _ := c.bytes(int(plen))
+	c := &varint.Cursor{Buf: body}
+	c.U8()
+	c.Uvarint()
+	c.U8()
+	out := append([]byte(nil), body[:c.Off]...)
+	for c.Off < len(body) {
+		cid, _ := c.U8()
+		enc, _ := c.U8()
+		plen, _ := c.Uvarint()
+		p, _ := c.Bytes(int(plen))
 		if cid == id {
 			p = payload
 		}

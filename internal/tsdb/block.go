@@ -20,6 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"starlinkview/internal/varint"
 )
 
 // Block wire layout (version 1):
@@ -70,9 +72,6 @@ var (
 	errBlockCount   = errors.New("tsdb: implausible sample count")
 )
 
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
 // integral reports whether v survives an int64 round trip exactly and is
 // small enough that first and second differences cannot overflow.
 func integral(v float64) bool {
@@ -108,7 +107,7 @@ func (w *tokenWriter) flush() {
 
 // tokenReader is the inverse, reading from a bounds-checked cursor.
 type tokenReader struct {
-	c       blockCursor
+	c       varint.Cursor
 	zeroRun uint64
 }
 
@@ -117,14 +116,14 @@ func (r *tokenReader) next() (uint64, error) {
 		r.zeroRun--
 		return 0, nil
 	}
-	tok, err := r.c.uvarint()
+	tok, err := r.c.Uvarint()
 	if err != nil {
 		return 0, err
 	}
 	if tok != 0 {
 		return tok, nil
 	}
-	run, err := r.c.uvarint()
+	run, err := r.c.Uvarint()
 	if err != nil {
 		return 0, err
 	}
@@ -132,7 +131,7 @@ func (r *tokenReader) next() (uint64, error) {
 	return 0, nil
 }
 
-func (r *tokenReader) done() bool { return r.zeroRun == 0 && r.c.off == len(r.c.buf) }
+func (r *tokenReader) done() bool { return r.zeroRun == 0 && r.c.Off == len(r.c.Buf) }
 
 // encodeBlock seals one series window into the block wire format. The
 // slices must be the same nonzero length and timestamps must be
@@ -150,14 +149,14 @@ func encodeBlock(tsMs []int64, vals []float64) []byte {
 	// Timestamps: t0, d1, then a dod token stream.
 	var tw tokenWriter
 	tw.buf = make([]byte, 0, 16)
-	tw.buf = binary.AppendUvarint(tw.buf, zigzag(tsMs[0]))
+	tw.buf = binary.AppendUvarint(tw.buf, varint.Zigzag(tsMs[0]))
 	if n > 1 {
 		d := tsMs[1] - tsMs[0]
-		tw.buf = binary.AppendUvarint(tw.buf, zigzag(d))
+		tw.buf = binary.AppendUvarint(tw.buf, varint.Zigzag(d))
 		prevDelta := d
 		for i := 2; i < n; i++ {
 			d = tsMs[i] - tsMs[i-1]
-			tw.put(zigzag(d - prevDelta))
+			tw.put(varint.Zigzag(d - prevDelta))
 			prevDelta = d
 		}
 	}
@@ -168,14 +167,14 @@ func encodeBlock(tsMs []int64, vals []float64) []byte {
 	vw.buf = make([]byte, 0, 16)
 	switch enc {
 	case encInt:
-		vw.buf = binary.AppendUvarint(vw.buf, zigzag(int64(vals[0])))
+		vw.buf = binary.AppendUvarint(vw.buf, varint.Zigzag(int64(vals[0])))
 		if n > 1 {
 			d := int64(vals[1]) - int64(vals[0])
-			vw.buf = binary.AppendUvarint(vw.buf, zigzag(d))
+			vw.buf = binary.AppendUvarint(vw.buf, varint.Zigzag(d))
 			prevDelta := d
 			for i := 2; i < n; i++ {
 				d = int64(vals[i]) - int64(vals[i-1])
-				vw.put(zigzag(d - prevDelta))
+				vw.put(varint.Zigzag(d - prevDelta))
 				prevDelta = d
 			}
 		}
@@ -201,56 +200,21 @@ func encodeBlock(tsMs []int64, vals []float64) []byte {
 	return out
 }
 
-// blockCursor is a bounds-checked reader over an encoded block; every read
-// either succeeds or returns an error, never panics, so the decoder is
-// safe to fuzz with arbitrary bytes.
-type blockCursor struct {
-	buf []byte
-	off int
-}
-
-func (c *blockCursor) u8() (byte, error) {
-	if c.off >= len(c.buf) {
-		return 0, errBlockShort
-	}
-	b := c.buf[c.off]
-	c.off++
-	return b, nil
-}
-
-func (c *blockCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.buf[c.off:])
-	if n <= 0 {
-		return 0, errBlockShort
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *blockCursor) bytes(n int) ([]byte, error) {
-	if n < 0 || c.off+n > len(c.buf) {
-		return nil, errBlockShort
-	}
-	b := c.buf[c.off : c.off+n]
-	c.off += n
-	return b, nil
-}
-
 // decodeBlock is the strict inverse of encodeBlock: it rejects unknown
 // versions/encodings, implausible counts (cross-checked against the
 // payload lengths before allocating), truncated payloads, and trailing
 // bytes. Appends the decoded samples to the destination slices and
 // returns them.
 func decodeBlock(buf []byte, tsMs []int64, vals []float64) ([]int64, []float64, error) {
-	c := blockCursor{buf: buf}
-	ver, err := c.u8()
+	c := varint.Cursor{Buf: buf}
+	ver, err := c.U8()
 	if err != nil {
 		return nil, nil, err
 	}
 	if ver != blockVersion {
 		return nil, nil, fmt.Errorf("%w: %d", errBlockVersion, ver)
 	}
-	count64, err := c.uvarint()
+	count64, err := c.Uvarint()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -258,36 +222,36 @@ func decodeBlock(buf []byte, tsMs []int64, vals []float64) ([]int64, []float64, 
 		return nil, nil, fmt.Errorf("%w: %d", errBlockCount, count64)
 	}
 	n := int(count64)
-	enc, err := c.u8()
+	enc, err := c.U8()
 	if err != nil {
 		return nil, nil, err
 	}
 	if enc != encInt && enc != encXOR {
 		return nil, nil, fmt.Errorf("%w: %d", errBlockEnc, enc)
 	}
-	tsLen, err := c.uvarint()
+	tsLen, err := c.Uvarint()
 	if err != nil {
 		return nil, nil, err
 	}
 	if tsLen > uint64(len(buf)) {
 		return nil, nil, errBlockShort
 	}
-	tsBuf, err := c.bytes(int(tsLen))
+	tsBuf, err := c.Bytes(int(tsLen))
 	if err != nil {
 		return nil, nil, err
 	}
-	valLen, err := c.uvarint()
+	valLen, err := c.Uvarint()
 	if err != nil {
 		return nil, nil, err
 	}
 	if valLen > uint64(len(buf)) {
 		return nil, nil, errBlockShort
 	}
-	valBuf, err := c.bytes(int(valLen))
+	valBuf, err := c.Bytes(int(valLen))
 	if err != nil {
 		return nil, nil, err
 	}
-	if c.off != len(buf) {
+	if c.Off != len(buf) {
 		return nil, nil, errBlockTrail
 	}
 
@@ -303,19 +267,19 @@ func decodeBlock(buf []byte, tsMs []int64, vals []float64) ([]int64, []float64, 
 }
 
 func decodeTimestamps(buf []byte, n int, out []int64) ([]int64, error) {
-	r := tokenReader{c: blockCursor{buf: buf}}
-	u, err := r.c.uvarint()
+	r := tokenReader{c: varint.Cursor{Buf: buf}}
+	u, err := r.c.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	t := unzigzag(u)
+	t := varint.Unzigzag(u)
 	out = append(out, t)
 	if n > 1 {
-		u, err = r.c.uvarint()
+		u, err = r.c.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		delta := unzigzag(u)
+		delta := varint.Unzigzag(u)
 		t += delta
 		out = append(out, t)
 		for i := 2; i < n; i++ {
@@ -323,7 +287,7 @@ func decodeTimestamps(buf []byte, n int, out []int64) ([]int64, error) {
 			if err != nil {
 				return nil, err
 			}
-			delta += unzigzag(tok)
+			delta += varint.Unzigzag(tok)
 			t += delta
 			out = append(out, t)
 		}
@@ -335,21 +299,21 @@ func decodeTimestamps(buf []byte, n int, out []int64) ([]int64, error) {
 }
 
 func decodeValues(buf []byte, n int, enc byte, out []float64) ([]float64, error) {
-	r := tokenReader{c: blockCursor{buf: buf}}
+	r := tokenReader{c: varint.Cursor{Buf: buf}}
 	switch enc {
 	case encInt:
-		u, err := r.c.uvarint()
+		u, err := r.c.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		v := unzigzag(u)
+		v := varint.Unzigzag(u)
 		out = append(out, float64(v))
 		if n > 1 {
-			u, err = r.c.uvarint()
+			u, err = r.c.Uvarint()
 			if err != nil {
 				return nil, err
 			}
-			delta := unzigzag(u)
+			delta := varint.Unzigzag(u)
 			v += delta
 			out = append(out, float64(v))
 			for i := 2; i < n; i++ {
@@ -357,7 +321,7 @@ func decodeValues(buf []byte, n int, enc byte, out []float64) ([]float64, error)
 				if err != nil {
 					return nil, err
 				}
-				delta += unzigzag(tok)
+				delta += varint.Unzigzag(tok)
 				v += delta
 				out = append(out, float64(v))
 			}
