@@ -333,6 +333,131 @@ func TestSketchMatchesMapReference(t *testing.T) {
 	}
 }
 
+// indexScriptValue draws from a narrow log-normal around exp(mu). At the
+// scripts' relative errors its keys span a few hundred buckets, so a run of
+// a few thousand adds finds its keys again and again.
+func indexScriptValue(r *rand.Rand, mu float64) float64 {
+	return math.Exp(mu + r.NormFloat64()*0.5)
+}
+
+// indexScriptBurst draws the far edges: denormals, values near 1e300 and the
+// largest finite float, whose keys lie tens of thousands of buckets away
+// from a latency's.
+func indexScriptBurst(r *rand.Rand) float64 {
+	switch r.Intn(3) {
+	case 0:
+		return math.SmallestNonzeroFloat64 * float64(1+r.Intn(1000))
+	case 1:
+		return 1e300 * (1 + r.Float64())
+	}
+	return math.MaxFloat64
+}
+
+// TestSketchIndexScriptsMatchMapReference runs scripts made of long runs of
+// adds from a narrow log-normal, thousands per run over a few hundred keys,
+// so most adds land in a bucket that already exists. Between the runs come a
+// clone after which both copies keep adding new and old keys, a merge into a
+// sketch that has seen such runs, an UnmarshalBinary over such a sketch,
+// runs at caps of 1 to 8 buckets, and bursts of denormals, 1e300 and
+// MaxFloat64. After every step the bytes and the quantile bits must equal
+// the map-backed reference's.
+func TestSketchIndexScriptsMatchMapReference(t *testing.T) {
+	const scripts, slots, steps = 30, 3, 30
+	for script := 0; script < scripts; script++ {
+		r := rand.New(rand.NewSource(int64(1000 + script)))
+		alpha := []float64{0.005, 0.01, 0.02}[r.Intn(3)]
+		var got [slots]*QuantileSketch
+		var ref [slots]*refSketch
+		for i := range got {
+			var err error
+			if got[i], err = NewQuantileSketch(alpha); err != nil {
+				t.Fatal(err)
+			}
+			ref[i] = newRefSketch(alpha)
+		}
+		mu := 2 + 3*r.Float64()
+		run := func(i, n int) {
+			m := mu + r.NormFloat64()*0.2 // drift, so a run brings new keys too
+			for ; n > 0; n-- {
+				v := indexScriptValue(r, m)
+				got[i].Add(v)
+				ref[i].Add(v)
+			}
+		}
+		check := func(step int, op string, i int) {
+			t.Helper()
+			if err := sameAsRef(got[i], ref[i]); err != nil {
+				t.Fatalf("script %d step %d (%s), slot %d: %v", script, step, op, i, err)
+			}
+		}
+		for step := 0; step < steps; step++ {
+			i := r.Intn(slots)
+			j := (i + 1 + r.Intn(slots-1)) % slots
+			switch p := r.Intn(10); {
+			case p < 4:
+				run(i, 1000+r.Intn(3000))
+				check(step, "add run", i)
+			case p < 5:
+				got[j], ref[j] = got[i].Clone(), ref[i].Clone()
+				run(i, 500+r.Intn(2000))
+				run(j, 500+r.Intn(2000))
+				check(step, "clone, then add to both", i)
+				check(step, "clone, then add to both", j)
+			case p < 6:
+				if err := got[i].Merge(got[j]); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref[i].Merge(ref[j]); err != nil {
+					t.Fatal(err)
+				}
+				check(step, fmt.Sprintf("merge %d", j), i)
+				run(i, 500+r.Intn(2000))
+				check(step, "add after merge", i)
+			case p < 7:
+				blob, err := got[j].MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := got[i].UnmarshalBinary(blob); err != nil {
+					t.Fatal(err)
+				}
+				ref[i] = unmarshalRef(blob)
+				check(step, fmt.Sprintf("unmarshal %d over", j), i)
+				run(i, 500+r.Intn(2000))
+				check(step, "add after unmarshal", i)
+			case p < 8:
+				c := 1 + r.Intn(8)
+				got[i].maxBuckets, ref[i].maxBuckets = c, c
+				run(i, 200+r.Intn(800))
+				check(step, fmt.Sprintf("add run at cap %d", c), i)
+				if r.Intn(2) == 0 {
+					got[i].maxBuckets, ref[i].maxBuckets = 1024, 1024
+				}
+			case p < 9 && r.Intn(3) == 0:
+				for n := 1 + r.Intn(50); n > 0; n-- {
+					v := indexScriptBurst(r)
+					got[i].Add(v)
+					ref[i].Add(v)
+				}
+				check(step, "burst", i)
+			default:
+				// A fresh sketch, so that not every slot ends up spanning
+				// the bursts' range.
+				var err error
+				if got[i], err = NewQuantileSketch(alpha); err != nil {
+					t.Fatal(err)
+				}
+				ref[i] = newRefSketch(alpha)
+				run(i, 1000+r.Intn(3000))
+				check(step, "fresh add run", i)
+			}
+		}
+		for k := range got {
+			check(steps, "end", k)
+		}
+	}
+}
+
 // canonicalTable reports whether a blob UnmarshalBinary accepted lists its
 // buckets by strictly increasing key, as MarshalBinary writes them.
 func canonicalTable(data []byte) bool {
