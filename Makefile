@@ -52,7 +52,10 @@ check-steps: build
 # choosing the rows, the city and ISP dictionaries (repeated entries
 # included) and the shard count. Also fuzz the batch parse against its
 # one-value-at-a-time reference, with the fuzz bytes sealed as a frame body
-# under a fresh CRC. Native Go fuzzing; each target runs for FUZZTIME.
+# under a fresh CRC. Also fuzz the quantile sketch against its map-backed
+# reference, with the fuzz bytes choosing the values and the runs of adds,
+# merges, clones, round trips and cap changes between which its key index
+# is built and emptied. Native Go fuzzing; each target runs for FUZZTIME.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayDir -fuzztime=$(FUZZTIME) ./internal/wal/
@@ -66,6 +69,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDomainSet -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run=^$$ -fuzz=FuzzPartition -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run=^$$ -fuzz=FuzzSketchUnmarshal -fuzztime=$(FUZZTIME) ./internal/stats/
+	$(GO) test -run=^$$ -fuzz=FuzzSketchOps -fuzztime=$(FUZZTIME) ./internal/stats/
 	$(GO) test -run=^$$ -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/tle/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBlock -fuzztime=$(FUZZTIME) ./internal/tsdb/
 	$(GO) test -run=^$$ -fuzz=FuzzScoreboardMatchesScan -fuzztime=$(FUZZTIME) ./internal/cc/

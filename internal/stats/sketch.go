@@ -19,11 +19,15 @@ import (
 // batch pipeline's answers. Count, Sum, Min and Max are tracked exactly.
 //
 // The buckets are two parallel arrays sorted by key, holding only nonzero
-// buckets: Add is a binary search and an increment, Quantile an
-// allocation-free scan, Merge a linear two-way merge. A dense window indexed
-// by key offset would make Add an index, but the keys come from client
-// values: at 1% error they span about ±35k, and two hostile samples would
-// make the window that wide (DESIGN §19).
+// buckets; they are the only store. Quantile is an allocation-free scan and
+// Merge a linear two-way merge. In front of the arrays sits an index from
+// key offset to position, so that Add, once a group's keys have settled, is
+// an index and an increment. The index is built lazily: any change to the
+// keys empties it, and Add rebuilds it only after as many adds have found
+// an existing key by binary search as there are keys, so each rebuild is
+// paid for by that many lookups. It is built only while the keys span at
+// most 4n+64 for n keys, which bounds it at 8 bytes per bucket plus 128
+// bytes however far apart hostile keys lie (DESIGN §19).
 //
 // A QuantileSketch is not safe for concurrent use; the collector gives each
 // shard its own and merges snapshots.
@@ -40,6 +44,13 @@ type QuantileSketch struct {
 	sum    float64
 	min    float64
 	max    float64
+
+	// idx[k-idxLo] is 1 + the position of key k in keys, or 0 when k has
+	// no bucket; an empty idx means there is no index. searchHits counts
+	// the searches that found their key since keys last changed.
+	idx        []uint16
+	idxLo      int32
+	searchHits int
 }
 
 // DefaultSketchRelErr is the collector's default quantile accuracy: estimates
@@ -94,11 +105,15 @@ func (s *QuantileSketch) Add(v float64) {
 		return
 	}
 	k := s.key(v)
-	if i, found := s.search(k); found {
+	if d := uint32(k) - uint32(s.idxLo); d < uint32(len(s.idx)) && s.idx[d] != 0 {
+		s.counts[s.idx[d]-1]++
+	} else if i, found := s.search(k); found {
 		s.counts[i]++
+		if s.searchHits++; s.searchHits >= len(s.keys) {
+			s.buildIndex()
+		}
 	} else {
-		s.keys = slices.Insert(s.keys, i, k)
-		s.counts = slices.Insert(s.counts, i, 1)
+		s.setBuckets(slices.Insert(s.keys, i, k), slices.Insert(s.counts, i, 1))
 	}
 	if len(s.keys) > s.maxBuckets {
 		s.collapse(1)
@@ -137,6 +152,49 @@ func (s *QuantileSketch) search(k int32) (int, bool) {
 	return base, base < len(keys) && keys[base] == k
 }
 
+// The index spans at most idxSpanPerKey*len(keys)+idxSpanSlack keys, and
+// positions up to idxMaxKeys-1 fit its uint16 entries; past that many keys
+// the search is the only path.
+const (
+	idxSpanPerKey = 4
+	idxSpanSlack  = 64
+	idxMaxKeys    = math.MaxUint16
+)
+
+// setBuckets installs new bucket arrays. Every change to keys goes through
+// it, because it empties the index, whose positions would otherwise point
+// at the wrong buckets.
+func (s *QuantileSketch) setBuckets(keys []int32, counts []uint64) {
+	s.keys, s.counts = keys, counts
+	s.idx = s.idx[:0]
+	s.searchHits = 0
+}
+
+// buildIndex maps every key to its position, if the keys span few enough
+// buckets. An index array larger than the bound is dropped, not reused.
+func (s *QuantileSketch) buildIndex() {
+	s.searchHits = 0
+	n := len(s.keys)
+	if n == 0 || n >= idxMaxKeys {
+		return
+	}
+	limit := idxSpanPerKey*n + idxSpanSlack
+	span := int(int64(s.keys[n-1]) - int64(s.keys[0]) + 1)
+	if span > limit {
+		return
+	}
+	if cap(s.idx) < span || cap(s.idx) > limit {
+		s.idx = make([]uint16, span)
+	} else {
+		s.idx = s.idx[:span]
+		clear(s.idx)
+	}
+	s.idxLo = s.keys[0]
+	for i, k := range s.keys {
+		s.idx[k-s.idxLo] = uint16(i + 1)
+	}
+}
+
 // value is the representative of bucket k — the midpoint 2*gamma^k/(gamma+1),
 // within alpha of every value the bucket covers.
 func (s *QuantileSketch) value(k int32) float64 {
@@ -150,8 +208,7 @@ func (s *QuantileSketch) collapse(n int) {
 	for i := 0; i < n; i++ {
 		s.counts[n] += s.counts[i]
 	}
-	s.keys = slices.Delete(s.keys, 0, n)
-	s.counts = slices.Delete(s.counts, 0, n)
+	s.setBuckets(slices.Delete(s.keys, 0, n), slices.Delete(s.counts, 0, n))
 }
 
 // Count returns the exact number of samples added.
@@ -277,22 +334,23 @@ func (s *QuantileSketch) mergeBuckets(keys []int32, counts []uint64) {
 		}
 	}
 	i, j := len(s.keys)-1, len(keys)-1
-	s.keys = slices.Grow(s.keys, n-len(s.keys))[:n]
-	s.counts = slices.Grow(s.counts, n-len(s.counts))[:n]
+	sk := slices.Grow(s.keys, n-len(s.keys))[:n]
+	sc := slices.Grow(s.counts, n-len(s.counts))[:n]
 	for w := n - 1; j >= 0; w-- {
 		switch {
-		case i >= 0 && s.keys[i] > keys[j]:
-			s.keys[w], s.counts[w] = s.keys[i], s.counts[i]
+		case i >= 0 && sk[i] > keys[j]:
+			sk[w], sc[w] = sk[i], sc[i]
 			i--
-		case i >= 0 && s.keys[i] == keys[j]:
-			s.keys[w], s.counts[w] = s.keys[i], s.counts[i]+counts[j]
+		case i >= 0 && sk[i] == keys[j]:
+			sk[w], sc[w] = sk[i], sc[i]+counts[j]
 			i--
 			j--
 		default:
-			s.keys[w], s.counts[w] = keys[j], counts[j]
+			sk[w], sc[w] = keys[j], counts[j]
 			j--
 		}
 	}
+	s.setBuckets(sk, sc)
 }
 
 // sketchWireVersion guards the MarshalBinary layout; bump on any change.
@@ -362,9 +420,10 @@ func (s *QuantileSketch) UnmarshalBinary(data []byte) error {
 	fresh.sum = math.Float64frombits(binary.LittleEndian.Uint64(data[29:]))
 	fresh.min = math.Float64frombits(binary.LittleEndian.Uint64(data[37:]))
 	fresh.max = math.Float64frombits(binary.LittleEndian.Uint64(data[45:]))
+	var keys []int32
+	var counts []uint64
 	if n > 0 {
-		fresh.keys = make([]int32, n)
-		fresh.counts = make([]uint64, n)
+		keys, counts = make([]int32, n), make([]uint64, n)
 	}
 	total, sorted := fresh.zero, true
 	for i := 0; i < n; i++ {
@@ -377,12 +436,13 @@ func (s *QuantileSketch) UnmarshalBinary(data []byte) error {
 		if total+c < total {
 			return fmt.Errorf("stats: corrupt sketch: bucket counts overflow")
 		}
-		if i > 0 && k <= fresh.keys[i-1] {
+		if i > 0 && k <= keys[i-1] {
 			sorted = false
 		}
-		fresh.keys[i], fresh.counts[i] = k, c
+		keys[i], counts[i] = k, c
 		total += c
 	}
+	fresh.setBuckets(keys, counts)
 	if total != fresh.count {
 		return fmt.Errorf("stats: corrupt sketch: buckets hold %d samples, count says %d", total, fresh.count)
 	}
@@ -405,21 +465,24 @@ func (s *QuantileSketch) canonicalise() {
 		table[i] = bucket{s.keys[i], s.counts[i]}
 	}
 	slices.SortFunc(table, func(a, b bucket) int { return cmp.Compare(a.key, b.key) })
-	s.keys, s.counts = s.keys[:0], s.counts[:0]
+	keys, counts := s.keys[:0], s.counts[:0]
 	for _, b := range table {
-		if n := len(s.keys); n > 0 && s.keys[n-1] == b.key {
-			s.counts[n-1] += b.count
+		if n := len(keys); n > 0 && keys[n-1] == b.key {
+			counts[n-1] += b.count
 			continue
 		}
-		s.keys = append(s.keys, b.key)
-		s.counts = append(s.counts, b.count)
+		keys = append(keys, b.key)
+		counts = append(counts, b.count)
 	}
+	s.setBuckets(keys, counts)
 }
 
-// Clone returns an independent copy of the sketch.
+// Clone returns an independent copy of the sketch. The copy starts with no
+// index: sharing idx's backing array would let the copy's next build
+// overwrite the original's index.
 func (s *QuantileSketch) Clone() *QuantileSketch {
 	c := *s
-	c.keys = slices.Clone(s.keys)
-	c.counts = slices.Clone(s.counts)
+	c.idx = nil
+	c.setBuckets(slices.Clone(s.keys), slices.Clone(s.counts))
 	return &c
 }

@@ -360,9 +360,10 @@ func indexScriptBurst(r *rand.Rand) float64 {
 // sketch that has seen such runs, an UnmarshalBinary over such a sketch,
 // runs at caps of 1 to 8 buckets, and bursts of denormals, 1e300 and
 // MaxFloat64. After every step the bytes and the quantile bits must equal
-// the map-backed reference's.
+// the map-backed reference's, and checkIndex must hold.
 func TestSketchIndexScriptsMatchMapReference(t *testing.T) {
 	const scripts, slots, steps = 30, 3, 30
+	checks, indexed := 0, 0
 	for script := 0; script < scripts; script++ {
 		r := rand.New(rand.NewSource(int64(1000 + script)))
 		alpha := []float64{0.005, 0.01, 0.02}[r.Intn(3)]
@@ -388,6 +389,13 @@ func TestSketchIndexScriptsMatchMapReference(t *testing.T) {
 			t.Helper()
 			if err := sameAsRef(got[i], ref[i]); err != nil {
 				t.Fatalf("script %d step %d (%s), slot %d: %v", script, step, op, i, err)
+			}
+			if err := checkIndex(got[i]); err != nil {
+				t.Fatalf("script %d step %d (%s), slot %d: %v", script, step, op, i, err)
+			}
+			checks++
+			if len(got[i].idx) > 0 {
+				indexed++
 			}
 		}
 		for step := 0; step < steps; step++ {
@@ -455,6 +463,10 @@ func TestSketchIndexScriptsMatchMapReference(t *testing.T) {
 		for k := range got {
 			check(steps, "end", k)
 		}
+	}
+	// The scripts are only worth their time if the index serves them.
+	if indexed < checks/4 {
+		t.Fatalf("an index was in place at %d of %d checks", indexed, checks)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the study uses to
 // turn raw measurement samples into the paper's tables and figures:
 // empirical CDFs and CCDFs, quantiles, five-number summaries for box plots,
-// histograms, and time-series binning.
+// and a mergeable streaming quantile sketch.
 //
 // All functions are deterministic and operate on copies; callers' slices are
 // never reordered.
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // ErrNoSamples is returned by constructors that require at least one sample.
@@ -197,102 +196,3 @@ func (c *CDF) Points(n int) []Point {
 
 // Point is a plottable (x, y) pair.
 type Point struct{ X, Y float64 }
-
-// Histogram counts samples into uniform-width bins over [lo, hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-}
-
-// NewHistogram creates a histogram with bins uniform-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: bins must be positive, got %d", bins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: invalid histogram range [%v, %v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records one sample. Samples outside [lo, hi) are tallied separately and
-// reported by Outliers.
-func (h *Histogram) Add(v float64) {
-	switch {
-	case v < h.Lo:
-		h.under++
-	case v >= h.Hi:
-		h.over++
-	default:
-		i := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // guard against floating-point edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// N returns the number of in-range samples.
-func (h *Histogram) N() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Outliers returns the number of samples below and above the range.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// TimeBin aggregates (time, value) observations into fixed-width time bins,
-// used for the diurnal throughput series in Figure 6(b).
-type TimeBin struct {
-	Start time.Time
-	Width time.Duration
-	vals  map[int][]float64
-}
-
-// NewTimeBin creates a binner anchored at start with the given bin width.
-func NewTimeBin(start time.Time, width time.Duration) (*TimeBin, error) {
-	if width <= 0 {
-		return nil, fmt.Errorf("stats: bin width must be positive, got %v", width)
-	}
-	return &TimeBin{Start: start, Width: width, vals: make(map[int][]float64)}, nil
-}
-
-// Add records an observation. Observations before the anchor are dropped.
-func (b *TimeBin) Add(at time.Time, v float64) {
-	if at.Before(b.Start) {
-		return
-	}
-	i := int(at.Sub(b.Start) / b.Width)
-	b.vals[i] = append(b.vals[i], v)
-}
-
-// Series returns the per-bin means in time order, with the bin start time.
-type SeriesPoint struct {
-	At    time.Time
-	Value float64
-	N     int
-}
-
-// Series returns per-bin mean values ordered by time. Empty bins are skipped.
-func (b *TimeBin) Series() []SeriesPoint {
-	idx := make([]int, 0, len(b.vals))
-	for i := range b.vals {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	out := make([]SeriesPoint, 0, len(idx))
-	for _, i := range idx {
-		v := b.vals[i]
-		out = append(out, SeriesPoint{
-			At:    b.Start.Add(time.Duration(i) * b.Width),
-			Value: Mean(v),
-			N:     len(v),
-		})
-	}
-	return out
-}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestQuantileBasics(t *testing.T) {
@@ -198,71 +197,5 @@ func TestCDFInverseMatchesQuantile(t *testing.T) {
 		if got, want := c.InverseAt(q), Quantile(vals, q); got != want {
 			t.Errorf("InverseAt(%v) = %v, want %v", q, got, want)
 		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.999, 10, 11} {
-		h.Add(v)
-	}
-	if h.N() != 4 {
-		t.Errorf("N = %d, want 4", h.N())
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Errorf("Outliers = %d,%d want 1,2", under, over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin1 = %d, want 1", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.999
-		t.Errorf("bin4 = %d, want 1", h.Counts[4])
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("want error for zero bins")
-	}
-	if _, err := NewHistogram(10, 10, 5); err == nil {
-		t.Error("want error for empty range")
-	}
-	if _, err := NewHistogram(10, 0, 5); err == nil {
-		t.Error("want error for inverted range")
-	}
-}
-
-func TestTimeBin(t *testing.T) {
-	start := time.Date(2022, 4, 11, 0, 0, 0, 0, time.UTC)
-	b, err := NewTimeBin(start, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Add(start.Add(-time.Minute), 999) // before anchor: dropped
-	b.Add(start, 10)
-	b.Add(start.Add(30*time.Minute), 20)
-	b.Add(start.Add(90*time.Minute), 30)
-	s := b.Series()
-	if len(s) != 2 {
-		t.Fatalf("series len = %d, want 2", len(s))
-	}
-	if s[0].Value != 15 || s[0].N != 2 || !s[0].At.Equal(start) {
-		t.Errorf("bin0 = %+v", s[0])
-	}
-	if s[1].Value != 30 || s[1].N != 1 || !s[1].At.Equal(start.Add(time.Hour)) {
-		t.Errorf("bin1 = %+v", s[1])
-	}
-}
-
-func TestTimeBinErrors(t *testing.T) {
-	if _, err := NewTimeBin(time.Now(), 0); err == nil {
-		t.Error("want error for zero width")
 	}
 }
