@@ -172,10 +172,11 @@ func (s *QuantileSketch) setBuckets(keys []int32, counts []uint64) {
 
 // buildIndex maps every key to its position, if the keys span few enough
 // buckets. An index array larger than the bound is dropped, not reused.
+// Add calls it only after a search found a key, so keys is not empty.
 func (s *QuantileSketch) buildIndex() {
 	s.searchHits = 0
 	n := len(s.keys)
-	if n == 0 || n >= idxMaxKeys {
+	if n >= idxMaxKeys {
 		return
 	}
 	limit := idxSpanPerKey*n + idxSpanSlack
