@@ -44,13 +44,31 @@ type QuantileSketch struct {
 	sum    float64
 	min    float64
 	max    float64
+	ix     *keyIndex // nil until a search first finds its key
+}
 
-	// idx[k-idxLo] is 1 + the position of key k in keys, or 0 when k has
-	// no bucket; an empty idx means there is no index. searchHits counts
-	// the searches that found their key since keys last changed.
-	idx        []uint16
-	idxLo      int32
-	searchHits int
+// keyIndex is the sketch's key index. It sits behind a pointer so that a
+// sketch, which Clone copies for every snapshot read, stays 128 bytes.
+type keyIndex struct {
+	// pos[k-lo] is 1 + the position of key k in keys, or 0 when k has no
+	// bucket; an empty pos means there is no index.
+	pos []uint16
+	lo  int32
+	// hits counts the searches that found their key since keys last
+	// changed.
+	hits int
+}
+
+// lookup returns 1 + the position of key k, or 0 when the index does not
+// know k.
+func (ix *keyIndex) lookup(k int32) uint16 {
+	if ix == nil {
+		return 0
+	}
+	if d := uint32(k) - uint32(ix.lo); d < uint32(len(ix.pos)) {
+		return ix.pos[d]
+	}
+	return 0
 }
 
 // DefaultSketchRelErr is the collector's default quantile accuracy: estimates
@@ -105,11 +123,14 @@ func (s *QuantileSketch) Add(v float64) {
 		return
 	}
 	k := s.key(v)
-	if d := uint32(k) - uint32(s.idxLo); d < uint32(len(s.idx)) && s.idx[d] != 0 {
-		s.counts[s.idx[d]-1]++
+	if p := s.ix.lookup(k); p != 0 {
+		s.counts[p-1]++
 	} else if i, found := s.search(k); found {
 		s.counts[i]++
-		if s.searchHits++; s.searchHits >= len(s.keys) {
+		if s.ix == nil {
+			s.ix = new(keyIndex)
+		}
+		if s.ix.hits++; s.ix.hits >= len(s.keys) {
 			s.buildIndex()
 		}
 	} else {
@@ -166,15 +187,18 @@ const (
 // at the wrong buckets.
 func (s *QuantileSketch) setBuckets(keys []int32, counts []uint64) {
 	s.keys, s.counts = keys, counts
-	s.idx = s.idx[:0]
-	s.searchHits = 0
+	if s.ix != nil {
+		s.ix.pos = s.ix.pos[:0]
+		s.ix.hits = 0
+	}
 }
 
 // buildIndex maps every key to its position, if the keys span few enough
 // buckets. An index array larger than the bound is dropped, not reused.
 // Add calls it only after a search found a key, so keys is not empty.
 func (s *QuantileSketch) buildIndex() {
-	s.searchHits = 0
+	ix := s.ix
+	ix.hits = 0
 	n := len(s.keys)
 	if n >= idxMaxKeys {
 		return
@@ -184,15 +208,15 @@ func (s *QuantileSketch) buildIndex() {
 	if span > limit {
 		return
 	}
-	if cap(s.idx) < span || cap(s.idx) > limit {
-		s.idx = make([]uint16, span)
+	if cap(ix.pos) < span || cap(ix.pos) > limit {
+		ix.pos = make([]uint16, span)
 	} else {
-		s.idx = s.idx[:span]
-		clear(s.idx)
+		ix.pos = ix.pos[:span]
+		clear(ix.pos)
 	}
-	s.idxLo = s.keys[0]
+	ix.lo = s.keys[0]
 	for i, k := range s.keys {
-		s.idx[k-s.idxLo] = uint16(i + 1)
+		ix.pos[k-ix.lo] = uint16(i + 1)
 	}
 }
 
@@ -479,11 +503,11 @@ func (s *QuantileSketch) canonicalise() {
 }
 
 // Clone returns an independent copy of the sketch. The copy starts with no
-// index: sharing idx's backing array would let the copy's next build
-// overwrite the original's index.
+// index: sharing it would let the copy's next build overwrite the
+// original's positions.
 func (s *QuantileSketch) Clone() *QuantileSketch {
 	c := *s
-	c.idx = nil
+	c.ix = nil
 	c.setBuckets(slices.Clone(s.keys), slices.Clone(s.counts))
 	return &c
 }

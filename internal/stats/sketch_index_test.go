@@ -13,26 +13,35 @@ import (
 // without its entry, or an index array larger than 4·len(keys)+64 entries,
 // 8 bytes per bucket plus 128 bytes.
 func checkIndex(s *QuantileSketch) error {
-	if len(s.idx) == 0 {
+	if indexLen(s) == 0 {
 		return nil
 	}
-	if limit := idxSpanPerKey*len(s.keys) + idxSpanSlack; cap(s.idx) > limit {
-		return fmt.Errorf("index capacity %d over %d for %d keys", cap(s.idx), limit, len(s.keys))
+	ix := s.ix
+	if limit := idxSpanPerKey*len(s.keys) + idxSpanSlack; cap(ix.pos) > limit {
+		return fmt.Errorf("index capacity %d over %d for %d keys", cap(ix.pos), limit, len(s.keys))
 	}
-	for d, p := range s.idx {
+	for d, p := range ix.pos {
 		if p == 0 {
 			continue
 		}
-		if k := s.idxLo + int32(d); int(p) > len(s.keys) || s.keys[p-1] != k {
+		if k := ix.lo + int32(d); int(p) > len(s.keys) || s.keys[p-1] != k {
 			return fmt.Errorf("index entry for key %d is position %d, which holds another key", k, int(p)-1)
 		}
 	}
 	for i, k := range s.keys {
-		if d := int64(k) - int64(s.idxLo); d >= 0 && d < int64(len(s.idx)) && int(s.idx[d]) != i+1 {
-			return fmt.Errorf("key %d at position %d has index entry %d", k, i, s.idx[d])
+		if d := int64(k) - int64(ix.lo); d >= 0 && d < int64(len(ix.pos)) && int(ix.pos[d]) != i+1 {
+			return fmt.Errorf("key %d at position %d has index entry %d", k, i, ix.pos[d])
 		}
 	}
 	return nil
+}
+
+// indexLen is the number of keys s's index spans, 0 when it has none.
+func indexLen(s *QuantileSketch) int {
+	if s.ix == nil {
+		return 0
+	}
+	return len(s.ix.pos)
 }
 
 // addKey adds the midpoint of bucket k, whose key is k on both stores.
@@ -54,7 +63,7 @@ func TestSketchCloneHasOwnIndex(t *testing.T) {
 			addKey(s, ref, k)
 		}
 	}
-	if len(s.idx) == 0 {
+	if indexLen(s) == 0 {
 		t.Fatal("no index after three passes over the same keys")
 	}
 	// The clone's keys stay inside the original's span, so its rebuild
@@ -65,7 +74,7 @@ func TestSketchCloneHasOwnIndex(t *testing.T) {
 			addKey(c, cref, k)
 		}
 	}
-	if len(c.idx) == 0 {
+	if indexLen(c) == 0 {
 		t.Fatal("the clone built no index")
 	}
 	for k := int32(100); k < 300; k += 2 {
@@ -82,6 +91,36 @@ func TestSketchCloneHasOwnIndex(t *testing.T) {
 		if err := checkIndex(x.s); err != nil {
 			t.Fatalf("%s: %v", x.name, err)
 		}
+	}
+}
+
+// TestSketchIndexShrinksWithKeys indexes 300 keys, then lowers the cap to 8
+// and adds the top key until the sketch has collapsed to 8 keys and built
+// its index again. The 300-key index array is over the bound for 8 keys, so
+// the rebuild must drop it rather than reuse it.
+func TestSketchIndexShrinksWithKeys(t *testing.T) {
+	s, _ := NewQuantileSketch(DefaultSketchRelErr)
+	ref := newRefSketch(DefaultSketchRelErr)
+	for pass := 0; pass < 2; pass++ {
+		for k := int32(0); k < 300; k++ {
+			addKey(s, ref, k)
+		}
+	}
+	if indexLen(s) == 0 {
+		t.Fatal("no index after two passes over the same keys")
+	}
+	s.maxBuckets, ref.maxBuckets = 8, 8
+	for i := 0; i < 300; i++ {
+		addKey(s, ref, 299)
+	}
+	if indexLen(s) == 0 {
+		t.Fatal("no index after the collapse")
+	}
+	if err := sameAsRef(s, ref); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkIndex(s); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -394,7 +394,7 @@ func TestSketchIndexScriptsMatchMapReference(t *testing.T) {
 				t.Fatalf("script %d step %d (%s), slot %d: %v", script, step, op, i, err)
 			}
 			checks++
-			if len(got[i].idx) > 0 {
+			if indexLen(got[i]) > 0 {
 				indexed++
 			}
 		}
