@@ -49,11 +49,10 @@ func newTestNode(t *testing.T, srv *collector.Server, self string, peers []strin
 }
 
 // comparable is the portion of a snapshot the byte-identity contract
-// covers: rendered groups, node groups, the city table, and the ingest
-// totals. (Per-shard stats are topology-dependent by design.)
+// covers: rendered groups, the city table, and the ingest totals. (Per-shard
+// stats are topology-dependent by design.)
 type comparableSnapshot struct {
 	Groups    json.RawMessage `json:"groups"`
-	Nodes     json.RawMessage `json:"nodes"`
 	CityTable json.RawMessage `json:"city_table"`
 	Accepted  uint64          `json:"accepted"`
 	Processed uint64          `json:"processed"`
@@ -65,16 +64,12 @@ func marshalComparable(t *testing.T, snap *collector.Snapshot) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := json.Marshal(snap.Nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
 	table, err := json.Marshal(snap.CityTableJSON())
 	if err != nil {
 		t.Fatal(err)
 	}
 	out, err := json.Marshal(comparableSnapshot{
-		Groups: groups, Nodes: nodes, CityTable: table,
+		Groups: groups, CityTable: table,
 		Accepted: snap.Accepted, Processed: snap.Processed,
 	})
 	if err != nil {
@@ -89,7 +84,6 @@ type mergedWire struct {
 	Peers    []string `json:"peers"`
 	Snapshot struct {
 		Groups    json.RawMessage `json:"groups"`
-		Nodes     json.RawMessage `json:"nodes"`
 		Accepted  uint64          `json:"accepted"`
 		Processed uint64          `json:"processed"`
 	} `json:"snapshot"`
@@ -118,9 +112,8 @@ func mergedComparable(t *testing.T, coordinator string, total uint64) ([]byte, m
 		}
 		if wire.Snapshot.Processed == total {
 			out, err := json.Marshal(comparableSnapshot{
-				Groups: wire.Snapshot.Groups, Nodes: wire.Snapshot.Nodes,
-				CityTable: wire.CityTable,
-				Accepted:  wire.Snapshot.Accepted, Processed: wire.Snapshot.Processed,
+				Groups: wire.Snapshot.Groups, CityTable: wire.CityTable,
+				Accepted: wire.Snapshot.Accepted, Processed: wire.Snapshot.Processed,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -140,11 +133,10 @@ func mergedComparable(t *testing.T, coordinator string, total uint64) ([]byte, m
 // snapshot byte-identical to a single instance that ingested everything.
 func TestClusterE2E(t *testing.T) {
 	records := testRecords(3000)
-	samples := testSamples(600)
-	total := uint64(len(records) + len(samples))
+	total := uint64(len(records))
 
 	// Reference: one aggregator, every record in arrival order.
-	ref := ingestAll(t, 0, 1, records, samples)
+	ref := ingestAll(t, 0, 1, records)
 	refBytes := marshalComparable(t, ref)
 
 	// Three instances. Servers start first so advertise addresses exist,
@@ -187,11 +179,6 @@ func TestClusterE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, s := range samples[:len(samples)/2] {
-		if err := client.AddNodeSample(s); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := client.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +206,6 @@ func TestClusterE2E(t *testing.T) {
 	// Second half.
 	for _, r := range records[half:] {
 		if err := client.AddRecord(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, s := range samples[len(samples)/2:] {
-		if err := client.AddNodeSample(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,9 +260,8 @@ func TestForwardOnMisroute(t *testing.T) {
 
 func testForwardOnMisroute(t *testing.T, wire collector.Wire) {
 	records := testRecords(1200)
-	samples := testSamples(300)
-	total := uint64(len(records) + len(samples))
-	ref := ingestAll(t, 0, 1, records, samples)
+	total := uint64(len(records))
+	ref := ingestAll(t, 0, 1, records)
 
 	regs := make([]*obs.Registry, 3)
 	srvs := make([]*collector.Server, 3)
@@ -314,11 +295,6 @@ func testForwardOnMisroute(t *testing.T, wire collector.Wire) {
 	}
 	for _, r := range records {
 		if err := client.AddRecord(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, s := range samples {
-		if err := client.AddNodeSample(s); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,16 +28,16 @@ type CompactResult struct {
 	// rewritten (the rest already had outputs — the pass is idempotent).
 	ColdSegments int `json:"cold_segments"`
 	Compacted    int `json:"compacted"`
-	// ExtensionRecords and NodeSamples count rows written this pass.
+	// ExtensionRecords counts rows written this pass.
 	ExtensionRecords int `json:"extension_records"`
-	NodeSamples      int `json:"node_samples"`
 	// Outputs are the dataset files written this pass.
 	Outputs []string `json:"outputs,omitempty"`
 }
 
 // CompactColdSegments rewrites cold WAL segments as release-format
 // datasets: extension records become a sorted dataset CSV (the schema the
-// paper's released dataset uses), node samples become JSON lines. A segment
+// paper's released dataset uses). Node samples an earlier build logged are
+// left out. A segment
 // is cold once it is sealed — every segment but the highest-based one. The
 // writer fsyncs a segment before sealing it and never appends to it again,
 // so a sealed segment's contents are durable and immutable, and the rewrite
@@ -76,8 +76,8 @@ func CompactColdSegments(cfg CompactConfig) (CompactResult, error) {
 	return res, nil
 }
 
-// outputStem maps wal-<base>.seg to the <stem> its datasets are named by:
-// <stem>.csv and <stem>.nodes.json.
+// outputStem maps wal-<base>.seg to the <stem> its dataset is named by:
+// <stem>.csv.
 func outputStem(seg wal.SegmentInfo) string {
 	return strings.TrimSuffix(seg.Name, ".seg")
 }
@@ -85,10 +85,8 @@ func outputStem(seg wal.SegmentInfo) string {
 func compactSegment(fsys wal.FS, cfg CompactConfig, seg wal.SegmentInfo, res *CompactResult) error {
 	stem := outputStem(seg)
 	csvPath := filepath.Join(cfg.OutDir, stem+".csv")
-	nodePath := filepath.Join(cfg.OutDir, stem+".nodes.json")
 
 	var recs []extension.Record
-	var samples []dataset.NodeSample
 	f, err := fsys.Open(filepath.Join(cfg.WALDir, seg.Name))
 	if err != nil {
 		return fmt.Errorf("cluster: compact: open %s: %w", seg.Name, err)
@@ -107,12 +105,6 @@ func compactSegment(fsys wal.FS, cfg CompactConfig, seg wal.SegmentInfo, res *Co
 				return err
 			}
 			recs = append(recs, batch...)
-		case collector.WALKindNode:
-			s, err := collector.DecodeWALNode(r.Payload)
-			if err != nil {
-				return err
-			}
-			samples = append(samples, s)
 		}
 		return nil
 	})
@@ -137,46 +129,20 @@ func compactSegment(fsys wal.FS, cfg CompactConfig, seg wal.SegmentInfo, res *Co
 		}
 		return a.Domain < b.Domain
 	})
-	sort.SliceStable(samples, func(i, j int) bool {
-		a, b := samples[i], samples[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.At.Before(b.At)
-	})
 
-	wrote := false
-	if len(recs) > 0 {
-		w, err := writeAtomic(fsys, cfg.OutDir, csvPath, func(f wal.File) error {
-			return dataset.WriteExtensionCSV(f, recs)
-		})
-		if err != nil {
-			return fmt.Errorf("cluster: compact: %s: %w", csvPath, err)
-		}
-		if w {
-			wrote = true
-			res.ExtensionRecords += len(recs)
-			res.Outputs = append(res.Outputs, csvPath)
-		}
+	if len(recs) == 0 {
+		return nil
 	}
-	if len(samples) > 0 {
-		w, err := writeAtomic(fsys, cfg.OutDir, nodePath, func(f wal.File) error {
-			return dataset.WriteNodeJSON(f, samples)
-		})
-		if err != nil {
-			return fmt.Errorf("cluster: compact: %s: %w", nodePath, err)
-		}
-		if w {
-			wrote = true
-			res.NodeSamples += len(samples)
-			res.Outputs = append(res.Outputs, nodePath)
-		}
+	wrote, err := writeAtomic(fsys, cfg.OutDir, csvPath, func(f wal.File) error {
+		return dataset.WriteExtensionCSV(f, recs)
+	})
+	if err != nil {
+		return fmt.Errorf("cluster: compact: %s: %w", csvPath, err)
 	}
 	if wrote {
 		res.Compacted++
+		res.ExtensionRecords += len(recs)
+		res.Outputs = append(res.Outputs, csvPath)
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -31,12 +33,23 @@ func legacyRow(t *testing.T, r record) []byte {
 	return buf.Bytes()
 }
 
+// walKindNode is the kind of the volunteer-node samples, one JSON line each,
+// that logs written by earlier builds hold between browsing records.
+const walKindNode = 2
+
+// compactCSVDigest hashes the names and bytes of every CSV dataset
+// TestCompactColdSegments's first pass writes. It was pinned while
+// compaction still wrote the log's node samples out beside the CSV, so it
+// must not move.
+const compactCSVDigest = "38d0699b77b2a7af179d2d01a09fad185df20ce02be55faee35e869de9af970b"
+
 // TestCompactColdSegments drives a WAL through several rotations, with
 // browsing records logged both as kind-1 CSV rows (as older logs hold them)
-// and as batch frames between node samples, compacts beside the live
-// writer, and checks the outputs are exactly the sealed segments' records in
-// release order — then that a second pass is a no-op and a second output
-// directory is byte-identical.
+// and as batch frames between node samples (as earlier builds logged them),
+// compacts beside the live writer, and checks the outputs are exactly the
+// sealed segments' records in release order, with no node-sample dataset —
+// then that a second pass is a no-op and a second output directory is
+// byte-identical.
 func TestCompactColdSegments(t *testing.T) {
 	walDir := t.TempDir()
 	outDir := filepath.Join(t.TempDir(), "out")
@@ -67,7 +80,7 @@ func TestCompactColdSegments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			appendRec(collector.WALKindNode, append(payload, '\n'))
+			appendRec(walKindNode, append(payload, '\n'))
 		}
 	}
 	if err := w.Sync(); err != nil {
@@ -83,7 +96,7 @@ func TestCompactColdSegments(t *testing.T) {
 	}
 
 	// Count what the sealed segments actually hold, straight off the log.
-	wantExt, wantNodes, rows := 0, 0, 0
+	wantExt, nodes, rows := 0, 0, 0
 	for _, seg := range segs[:len(segs)-1] {
 		f, err := os.Open(filepath.Join(walDir, seg.Name))
 		if err != nil {
@@ -100,8 +113,8 @@ func TestCompactColdSegments(t *testing.T) {
 					return err
 				}
 				wantExt += len(recs)
-			case collector.WALKindNode:
-				wantNodes++
+			case walKindNode:
+				nodes++
 			}
 			return nil
 		})
@@ -111,8 +124,8 @@ func TestCompactColdSegments(t *testing.T) {
 		}
 	}
 
-	if rows == 0 || rows == wantExt {
-		t.Fatalf("sealed segments hold %d CSV rows of %d records; want both kinds", rows, wantExt)
+	if rows == 0 || rows == wantExt || nodes == 0 {
+		t.Fatalf("sealed segments hold %d CSV rows of %d records and %d node samples; want all three", rows, wantExt, nodes)
 	}
 
 	// Compact while the writer is still live: sealed segments are
@@ -124,27 +137,25 @@ func TestCompactColdSegments(t *testing.T) {
 	if res.ColdSegments != len(segs)-1 {
 		t.Errorf("cold segments = %d, want %d", res.ColdSegments, len(segs)-1)
 	}
-	if res.ExtensionRecords != wantExt || res.NodeSamples != wantNodes {
-		t.Errorf("compacted %d records / %d samples, want %d / %d",
-			res.ExtensionRecords, res.NodeSamples, wantExt, wantNodes)
+	if res.ExtensionRecords != wantExt {
+		t.Errorf("compacted %d records, want %d", res.ExtensionRecords, wantExt)
 	}
 
-	// Outputs must parse as release datasets and be sorted in release order.
-	gotExt, gotNodes := 0, 0
+	// Outputs must all be CSV, parse as release datasets and be sorted in
+	// release order.
+	gotExt := 0
+	h := sha256.New()
 	for _, out := range res.Outputs {
-		if strings.HasSuffix(out, ".nodes.json") {
-			f, err := os.Open(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ss, err := dataset.ReadNodeJSON(f)
-			f.Close()
-			if err != nil {
-				t.Fatalf("%s: %v", out, err)
-			}
-			gotNodes += len(ss)
+		if !strings.HasSuffix(out, ".csv") {
+			t.Errorf("compaction wrote %s; want CSV datasets only", out)
 			continue
 		}
+		body, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(filepath.Base(out) + "\n"))
+		h.Write(body)
 		f, err := os.Open(out)
 		if err != nil {
 			t.Fatal(err)
@@ -167,9 +178,14 @@ func TestCompactColdSegments(t *testing.T) {
 			t.Errorf("%s is not in release order", out)
 		}
 	}
-	if gotExt != wantExt || gotNodes != wantNodes {
-		t.Errorf("outputs hold %d records / %d samples, want %d / %d",
-			gotExt, gotNodes, wantExt, wantNodes)
+	if gotExt != wantExt {
+		t.Errorf("outputs hold %d records, want %d", gotExt, wantExt)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != compactCSVDigest {
+		t.Errorf("CSV outputs digest %s, want %s", got, compactCSVDigest)
+	}
+	if nodeOuts, err := filepath.Glob(filepath.Join(outDir, "*.nodes.json")); err != nil || len(nodeOuts) != 0 {
+		t.Errorf("node-sample datasets in the output: %v (%v)", nodeOuts, err)
 	}
 
 	// Idempotency: a second pass writes nothing.

@@ -207,11 +207,6 @@ func (n *Node) OwnerExtension(city, isp string) string {
 	return n.owner(n.mem.Ring().Owner(city, isp))
 }
 
-// OwnerNode partitions node samples by (node, kind).
-func (n *Node) OwnerNode(s dataset.NodeSample) string {
-	return n.owner(n.mem.Ring().Owner(s.Node, s.Kind))
-}
-
 // forwardFrameRecords caps the records per frame ForwardExtension encodes,
 // so a large record slice travels as several concatenated frames, each
 // inside the frame-body and WAL-payload bounds, rather than one the owner
@@ -242,19 +237,6 @@ func (n *Node) ForwardExtension(peer string, recs []extension.Record, parent tra
 func (n *Node) ForwardFrame(peer string, frames []byte, records int, parent trace.SpanContext) (int, error) {
 	return n.forward(peer, collector.PathIngestBatch, collector.BatchContentType,
 		frames, records, parent)
-}
-
-// ForwardNode relays misrouted node samples to their owner.
-func (n *Node) ForwardNode(peer string, samples []dataset.NodeSample, parent trace.SpanContext) (int, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, s := range samples {
-		if err := enc.Encode(s); err != nil {
-			return 0, err
-		}
-	}
-	return n.forward(peer, collector.PathIngestNode, collector.NodeContentType,
-		buf.Bytes(), len(samples), parent)
 }
 
 func (n *Node) forward(peer, path, contentType string, payload []byte, records int, parent trace.SpanContext) (accepted int, err error) {

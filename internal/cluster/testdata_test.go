@@ -10,11 +10,8 @@ import (
 	"starlinkview/internal/trace"
 )
 
-// Shorthands for the two streamed record types.
-type (
-	record = extension.Record
-	sample = dataset.NodeSample
-)
+// record is a shorthand for the streamed record type.
+type record = extension.Record
 
 // offerRecords feeds records to an aggregator as one batch frame, the one
 // way browsing records reach its shards, and returns how many it accepted.
@@ -49,7 +46,7 @@ func testRecords(n int) []extension.Record {
 }
 
 // testSamples builds n deterministic node samples over several (node, kind)
-// groups.
+// groups, as the logs of earlier builds hold them.
 func testSamples(n int) []dataset.NodeSample {
 	nodes := []string{"rpi-anchorage", "rpi-fairbanks", "rpi-utqiagvik"}
 	kinds := []string{"iperf", "udp", "speedtest"}

@@ -52,7 +52,7 @@ func (a *Aggregator) OfferExtensionFrame(frame []byte, recs []extension.Record, 
 	v, err := a.views.Parse(frame)
 	if err != nil {
 		for i := range recs {
-			a.shardFor(recs[i].City, recs[i].ISP).met.dropped[itemExtension].Inc()
+			a.shardFor(recs[i].City, recs[i].ISP).met.dropped.Inc()
 		}
 		return 0, len(recs)
 	}
@@ -276,16 +276,16 @@ func (a *Aggregator) enqueueView(v *dataset.BatchView, sc trace.SpanContext) (ac
 		}
 		if a.cfg.Policy == Block {
 			sh.ch <- it
-			sh.met.accepted[itemExtension].Add(uint64(hi - lo))
+			sh.met.accepted.Add(uint64(hi - lo))
 			accepted += int(hi - lo)
 			continue
 		}
 		select {
 		case sh.ch <- it:
-			sh.met.accepted[itemExtension].Add(uint64(hi - lo))
+			sh.met.accepted.Add(uint64(hi - lo))
 			accepted += int(hi - lo)
 		default:
-			sh.met.dropped[itemExtension].Add(uint64(hi - lo))
+			sh.met.dropped.Add(uint64(hi - lo))
 			dropped += int(hi - lo)
 			ba.done() // the shed slice's reference is ours to release
 		}
@@ -299,7 +299,7 @@ func (a *Aggregator) enqueueView(v *dataset.BatchView, sc trace.SpanContext) (ac
 func (a *Aggregator) rejectView(v *dataset.BatchView) int {
 	pairs := a.numberPairs(v)
 	for p, i := range pairs.first {
-		a.shardFor(v.City(int(i)), v.ISP(int(i))).met.dropped[itemExtension].Add(uint64(pairs.count[p]))
+		a.shardFor(v.City(int(i)), v.ISP(int(i))).met.dropped.Add(uint64(pairs.count[p]))
 	}
 	a.pairPool.Put(pairs)
 	n := v.Len()

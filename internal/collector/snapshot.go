@@ -37,23 +37,9 @@ type GroupRow struct {
 	P95PTTMs  float64 `json:"p95_ptt_ms"`
 }
 
-// NodeRow is the streamed aggregate for one (node, kind) sample group.
-type NodeRow struct {
-	Node        string  `json:"node"`
-	Kind        string  `json:"kind"`
-	Count       uint64  `json:"count"`
-	MeanDown    float64 `json:"mean_down_mbps"`
-	P50Down     float64 `json:"p50_down_mbps"`
-	P95Down     float64 `json:"p95_down_mbps"`
-	MeanUp      float64 `json:"mean_up_mbps"`
-	MeanPingMs  float64 `json:"mean_ping_ms"`
-	MeanLossPct float64 `json:"mean_loss_pct"`
-}
-
 // Snapshot is a merged view of every shard's aggregate state.
 type Snapshot struct {
 	Groups []GroupRow   `json:"groups"`
-	Nodes  []NodeRow    `json:"nodes"`
 	Shards []ShardStats `json:"shards"`
 
 	Accepted  uint64 `json:"accepted"`
@@ -63,16 +49,11 @@ type Snapshot struct {
 	// merged per-group state retained for CityTable's class-level unions
 	// and for ExportState's mergeable wire form, sorted by key.
 	ext    []extSnap
-	nodes  []nodeSnap
 	relErr float64
 }
 
 func (k extKey) compare(o extKey) int {
 	return cmp.Or(strings.Compare(k.City, o.City), strings.Compare(k.ISP, o.ISP))
-}
-
-func (k nodeKey) compare(o nodeKey) int {
-	return cmp.Or(strings.Compare(k.Node, o.Node), strings.Compare(k.Kind, o.Kind))
 }
 
 // nanZero keeps JSON encodable: empty-sketch quantiles answer NaN, which
@@ -86,9 +67,8 @@ func nanZero(v float64) float64 {
 
 // encodableMean keeps a rendered mean inside what JSON can carry. A running
 // sum can still overflow in state restored from a checkpoint (or a peer)
-// that predates ingest's PTT bound, and in node groups, whose samples may
-// carry any finite value: an infinite mean renders as the largest float of
-// its sign, and an undefined one as 0.
+// that predates ingest's PTT bound: an infinite mean renders as the largest
+// float of its sign, and an undefined one as 0.
 func encodableMean(v float64) float64 {
 	if math.IsInf(v, 0) {
 		return math.Copysign(math.MaxFloat64, v)
@@ -98,13 +78,11 @@ func encodableMean(v float64) float64 {
 
 func mergeSnapshot(parts []shardSnap, relErr float64) *Snapshot {
 	s := &Snapshot{relErr: relErr}
-	var groups, nodes int
+	var groups int
 	for _, p := range parts {
 		groups += len(p.ext)
-		nodes += len(p.nodes)
 	}
 	s.ext = make([]extSnap, 0, groups)
-	s.nodes = make([]nodeSnap, 0, nodes)
 	for _, p := range parts {
 		st := p.stats
 		st.IngestP50Us = nanZero(st.IngestP50Us)
@@ -116,7 +94,6 @@ func mergeSnapshot(parts []shardSnap, relErr float64) *Snapshot {
 		s.Processed += st.Processed
 		// A group key lives on exactly one shard, so these never collide.
 		s.ext = append(s.ext, p.ext...)
-		s.nodes = append(s.nodes, p.nodes...)
 	}
 	s.render()
 	return s
@@ -128,7 +105,6 @@ func mergeSnapshot(parts []shardSnap, relErr float64) *Snapshot {
 // local one.
 func (s *Snapshot) render() {
 	slices.SortFunc(s.ext, func(a, b extSnap) int { return a.extKey.compare(b.extKey) })
-	slices.SortFunc(s.nodes, func(a, b nodeSnap) int { return a.nodeKey.compare(b.nodeKey) })
 	// Grow leaves an empty view nil, which the JSON renders as null.
 	s.Groups = slices.Grow(s.Groups[:0], len(s.ext))
 	for _, g := range s.ext {
@@ -140,21 +116,6 @@ func (s *Snapshot) render() {
 			MeanPTTMs: encodableMean(g.ptt.Mean()),
 			P50PTTMs:  g.ptt.Quantile(0.5),
 			P95PTTMs:  g.ptt.Quantile(0.95),
-		})
-	}
-	s.Nodes = slices.Grow(s.Nodes[:0], len(s.nodes))
-	for _, g := range s.nodes {
-		n := float64(g.count)
-		s.Nodes = append(s.Nodes, NodeRow{
-			Node:        g.Node,
-			Kind:        g.Kind,
-			Count:       g.count,
-			MeanDown:    encodableMean(g.down.Mean()),
-			P50Down:     g.down.Quantile(0.5),
-			P95Down:     g.down.Quantile(0.95),
-			MeanUp:      encodableMean(g.upSum / n),
-			MeanPingMs:  encodableMean(g.pingSum / n),
-			MeanLossPct: encodableMean(g.lossSum / n),
 		})
 	}
 }
@@ -181,17 +142,6 @@ type GroupState struct {
 	PTT     []byte   `json:"ptt"`
 }
 
-// NodeState is the mergeable wire form of one (node, kind) aggregate.
-type NodeState struct {
-	Node    string  `json:"node"`
-	Kind    string  `json:"kind"`
-	Count   uint64  `json:"count"`
-	Down    []byte  `json:"down"`
-	UpSum   float64 `json:"up_sum"`
-	PingSum float64 `json:"ping_sum"`
-	LossSum float64 `json:"loss_sum"`
-}
-
 // MergeState is a snapshot's complete mergeable state — what one cluster
 // instance ships to the peer coordinating a merged query. Unlike the
 // rendered Snapshot rows it loses nothing: sketches travel whole, domain
@@ -203,7 +153,6 @@ type MergeState struct {
 	Dropped   uint64       `json:"dropped"`
 	Processed uint64       `json:"processed"`
 	Groups    []GroupState `json:"groups"`
-	Nodes     []NodeState  `json:"nodes"`
 }
 
 // ExportState renders the snapshot's aggregate state in mergeable wire
@@ -214,36 +163,26 @@ func (s *Snapshot) ExportState() (MergeState, error) {
 		Accepted: s.Accepted, Dropped: s.Dropped, Processed: s.Processed,
 	}
 	var err error
-	out.Groups, out.Nodes, err = appendStates(make([]GroupState, 0, len(s.ext)), make([]NodeState, 0, len(s.nodes)), s.ext, s.nodes)
+	out.Groups, err = appendStates(make([]GroupState, 0, len(s.ext)), s.ext)
 	if err != nil {
 		return MergeState{}, err
 	}
 	return out, nil
 }
 
-// appendStates appends ext and nodes to groups and ns in wire form, in the
-// order given, with each group's domains sorted. ExportState hands it a
-// snapshot's key-sorted groups; a checkpoint hands it each shard's groups in
-// whatever order the shard held them, since restore does not care.
-func appendStates(groups []GroupState, ns []NodeState, ext []extSnap, nodes []nodeSnap) ([]GroupState, []NodeState, error) {
+// appendStates appends ext to groups in wire form, in the order given, with
+// each group's domains sorted. ExportState hands it a snapshot's key-sorted
+// groups; a checkpoint hands it each shard's groups in whatever order the
+// shard held them, since restore does not care.
+func appendStates(groups []GroupState, ext []extSnap) ([]GroupState, error) {
 	for _, g := range ext {
 		blob, err := g.ptt.MarshalBinary()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		groups = append(groups, GroupState{City: g.City, ISP: g.ISP, Domains: sortedDomains(g.domains), PTT: blob})
 	}
-	for _, g := range nodes {
-		blob, err := g.down.MarshalBinary()
-		if err != nil {
-			return nil, nil, err
-		}
-		ns = append(ns, NodeState{
-			Node: g.Node, Kind: g.Kind, Count: g.count, Down: blob,
-			UpSum: g.upSum, PingSum: g.pingSum, LossSum: g.lossSum,
-		})
-	}
-	return groups, ns, nil
+	return groups, nil
 }
 
 // sortedDomains returns a sorted copy of a group's domain list, which may be
@@ -279,29 +218,6 @@ func mergeGroupState(m map[extKey]*extAgg, gs GroupState, in *dataset.Interner) 
 	return ptt.Count(), nil
 }
 
-// mergeNodeState is mergeGroupState for one (node, kind) state: counts and
-// sums add, sketches merge.
-func mergeNodeState(m map[nodeKey]*nodeAgg, ns NodeState) error {
-	down := &stats.QuantileSketch{}
-	if err := down.UnmarshalBinary(ns.Down); err != nil {
-		return fmt.Errorf("node %s/%s: %w", ns.Node, ns.Kind, err)
-	}
-	k := nodeKey{ns.Node, ns.Kind}
-	g := m[k]
-	if g == nil {
-		m[k] = &nodeAgg{count: ns.Count, down: down, upSum: ns.UpSum, pingSum: ns.PingSum, lossSum: ns.LossSum}
-		return nil
-	}
-	g.count += ns.Count
-	g.upSum += ns.UpSum
-	g.pingSum += ns.PingSum
-	g.lossSum += ns.LossSum
-	if err := g.down.Merge(down); err != nil {
-		return fmt.Errorf("node %s/%s: %w", ns.Node, ns.Kind, err)
-	}
-	return nil
-}
-
 // MergeStates folds K exported instance states into one Snapshot, as if a
 // single instance had ingested every record behind them. Sketch merges are
 // exact bucket additions, domain sets union, counters sum — so tables and
@@ -318,7 +234,6 @@ func MergeStates(states ...MergeState) (*Snapshot, error) {
 	}
 	s := &Snapshot{relErr: relErr}
 	ext := make(map[extKey]*extAgg)
-	nodes := make(map[nodeKey]*nodeAgg)
 	var in dataset.Interner
 	for _, st := range states {
 		if st.RelErr != relErr {
@@ -332,19 +247,10 @@ func MergeStates(states ...MergeState) (*Snapshot, error) {
 				return nil, fmt.Errorf("collector: merge %w", err)
 			}
 		}
-		for _, ns := range st.Nodes {
-			if err := mergeNodeState(nodes, ns); err != nil {
-				return nil, fmt.Errorf("collector: merge %w", err)
-			}
-		}
 	}
 	s.ext = make([]extSnap, 0, len(ext))
 	for k, g := range ext {
 		s.ext = append(s.ext, extSnap{extKey: k, domains: g.domains, ptt: g.ptt})
-	}
-	s.nodes = make([]nodeSnap, 0, len(nodes))
-	for k, g := range nodes {
-		s.nodes = append(s.nodes, nodeSnap{k, *g})
 	}
 	s.render()
 	return s, nil

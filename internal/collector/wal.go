@@ -15,24 +15,23 @@ import (
 )
 
 // WAL record kinds: the payloads reuse the dataset release encodings, so a
-// WAL segment is itself a replayable dataset — browsing records as batch
-// frames (walKindExtensionBatch, batch.go), node samples as the JSON lines of
-// dataset.WriteNodeJSON. Kind 1, one browsing record as the CSV row
-// dataset.MarshalExtensionRow emits, is what the CSV wire logged before it
-// became a front end to frames: nothing writes it now, but recovery,
-// compaction and -wal-dump still read it in older logs.
+// WAL segment is itself a replayable dataset of browsing records, logged as
+// batch frames (walKindExtensionBatch, batch.go). Kind 1, one browsing
+// record as the CSV row dataset.MarshalExtensionRow emits, is what the CSV
+// wire logged before it became a front end to frames: nothing writes it now,
+// but recovery, compaction and -wal-dump still read it in older logs. Kind
+// 2 is reserved: it held one volunteer-node sample as a JSON line, which
+// earlier builds took on a second ingest path. Recovery counts the kind-2
+// records of an older log as skipped node samples and applies none.
 const (
 	walKindExtension byte = 1
 	walKindNode      byte = 2
 )
 
-// WALKindExtension and WALKindNode are the record kinds exported for
-// offline log consumers — cluster compaction rereads sealed segments with
-// them to turn cold WAL data back into release-format datasets.
-const (
-	WALKindExtension = walKindExtension
-	WALKindNode      = walKindNode
-)
+// WALKindExtension is the kind-1 record kind, exported for offline log
+// consumers — cluster compaction rereads sealed segments with it to turn
+// cold WAL data back into release-format datasets.
+const WALKindExtension = walKindExtension
 
 // DecodeWALExtension parses a walKindExtension payload (one dataset CSV
 // row) back into the record it logged.
@@ -44,16 +43,6 @@ func DecodeWALExtension(payload []byte) (extension.Record, error) {
 		return extension.Record{}, fmt.Errorf("collector: wal row: %w", err)
 	}
 	return dataset.UnmarshalExtensionRow(row)
-}
-
-// DecodeWALNode parses a walKindNode payload (one JSON line) back into the
-// sample it logged.
-func DecodeWALNode(payload []byte) (dataset.NodeSample, error) {
-	var s dataset.NodeSample
-	if err := json.Unmarshal(bytes.TrimSpace(payload), &s); err != nil {
-		return dataset.NodeSample{}, fmt.Errorf("collector: wal node sample: %w", err)
-	}
-	return s, nil
 }
 
 // WALConfig enables durable ingest. With a Dir set, every accepted record
@@ -92,6 +81,10 @@ type WALRecovery struct {
 	// and records whose PTT ingest would refuse (which a log written before
 	// it did may hold); replay skips and counts them, it never gives up.
 	SkippedCorrupt uint64 `json:"skipped_corrupt"`
+	// SkippedNodeRecords counts the volunteer-node samples an earlier build
+	// logged or checkpointed: the count of each node group in the
+	// checkpoint plus each kind-2 record in the tail. None is applied.
+	SkippedNodeRecords uint64 `json:"skipped_node_records,omitempty"`
 	// Log carries the segment-level recovery detail.
 	Log wal.RecoveryStats `json:"log"`
 }
@@ -112,15 +105,6 @@ type WALStats struct {
 // ErrNoWAL reports a durability operation on an aggregator running without
 // a write-ahead log.
 var ErrNoWAL = errors.New("collector: aggregator has no WAL")
-
-// appendNodeWAL logs one node sample as its JSON line, returning its LSN.
-func (a *Aggregator) appendNodeWAL(s dataset.NodeSample) (uint64, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return 0, err
-	}
-	return a.wal.Append(walKindNode, append(payload, '\n'))
-}
 
 // SyncWAL blocks until every record appended so far is durable — the
 // server's acknowledgement barrier. Without a WAL it is a no-op.
@@ -163,14 +147,13 @@ func (a *Aggregator) WALRecovery() WALRecovery { return a.walRecovery }
 type ckptFile struct {
 	RelErr float64      `json:"rel_err"`
 	Ext    []GroupState `json:"ext"`
-	Nodes  []NodeState  `json:"nodes"`
 }
 
 func encodeCheckpoint(parts []shardSnap, relErr float64) ([]byte, error) {
 	out := ckptFile{RelErr: relErr}
 	for _, p := range parts {
 		var err error
-		if out.Ext, out.Nodes, err = appendStates(out.Ext, out.Nodes, p.ext, p.nodes); err != nil {
+		if out.Ext, err = appendStates(out.Ext, p.ext); err != nil {
 			return nil, err
 		}
 	}
@@ -178,40 +161,40 @@ func encodeCheckpoint(parts []shardSnap, relErr float64) ([]byte, error) {
 }
 
 // restoreCheckpoint rebuilds shard state from a checkpoint payload. Runs
-// before the shard goroutines start, so direct map access is safe. Returns
-// the number of records the restored aggregates represent.
-func (a *Aggregator) restoreCheckpoint(payload []byte) (uint64, error) {
-	var cf ckptFile
+// before the shard goroutines start, so direct map access is safe. It sets
+// the recovery summary's restored records and skipped node samples: a
+// checkpoint an earlier build wrote may hold node groups, whose counts it
+// adds up and whose state it drops.
+func (a *Aggregator) restoreCheckpoint(payload []byte) error {
+	var cf struct {
+		ckptFile
+		Nodes []struct {
+			Count uint64 `json:"count"`
+		} `json:"nodes"`
+	}
 	if err := json.Unmarshal(payload, &cf); err != nil {
-		return 0, fmt.Errorf("collector: checkpoint decode: %w", err)
+		return fmt.Errorf("collector: checkpoint decode: %w", err)
 	}
 	if cf.RelErr != a.cfg.SketchRelErr {
-		return 0, fmt.Errorf("collector: checkpoint sketch error %v does not match configured %v",
+		return fmt.Errorf("collector: checkpoint sketch error %v does not match configured %v",
 			cf.RelErr, a.cfg.SketchRelErr)
 	}
-	var restored uint64
+	rec := &a.walRecovery
 	for _, gs := range cf.Ext {
 		sh := a.shardFor(gs.City, gs.ISP)
 		n, err := mergeGroupState(sh.ext, gs, a.views.Interner())
 		if err != nil {
-			return 0, fmt.Errorf("collector: checkpoint %w", err)
+			return fmt.Errorf("collector: checkpoint %w", err)
 		}
-		sh.met.groups.Set(float64(len(sh.ext) + len(sh.nodes)))
-		sh.met.accepted[itemExtension].Add(n)
+		sh.met.groups.Set(float64(len(sh.ext)))
+		sh.met.accepted.Add(n)
 		sh.met.processed.Add(n)
-		restored += n
+		rec.RestoredRecords += n
 	}
 	for _, ns := range cf.Nodes {
-		sh := a.shardFor(ns.Node, ns.Kind)
-		if err := mergeNodeState(sh.nodes, ns); err != nil {
-			return 0, fmt.Errorf("collector: checkpoint %w", err)
-		}
-		sh.met.groups.Set(float64(len(sh.ext) + len(sh.nodes)))
-		sh.met.accepted[itemNode].Add(ns.Count)
-		sh.met.processed.Add(ns.Count)
-		restored += ns.Count
+		rec.SkippedNodeRecords += ns.Count
 	}
-	return restored, nil
+	return nil
 }
 
 // restoreWAL starts the recovery summary and loads the last checkpoint, if
@@ -221,12 +204,10 @@ func (a *Aggregator) restoreWAL() error {
 	lsn, payload, err := wal.LoadCheckpoint(a.cfg.WAL.FS, a.cfg.WAL.Dir)
 	switch {
 	case err == nil:
-		restored, err := a.restoreCheckpoint(payload)
-		if err != nil {
+		if err := a.restoreCheckpoint(payload); err != nil {
 			return err
 		}
 		a.walRecovery.CheckpointLSN = lsn
-		a.walRecovery.RestoredRecords = restored
 		a.ckptLSN.Store(lsn)
 	case errors.Is(err, wal.ErrNoCheckpoint):
 		// Cold start: full replay from LSN 0.
@@ -264,7 +245,8 @@ func (a *Aggregator) replayWAL() error {
 // a batch frame that fails to parse counts once, a frame's refused rows
 // count one each. A kind-1 row replays as a one-row view, encoded with enc,
 // so every browsing record reaches the shards the way live ingest delivers
-// it.
+// it. A kind-2 record, a node sample an earlier build logged, is counted as
+// a skipped node sample without being decoded.
 func (a *Aggregator) replayRecord(r wal.Rec, enc *dataset.BatchEncoder) {
 	rec := &a.walRecovery
 	switch r.Kind {
@@ -292,13 +274,7 @@ func (a *Aggregator) replayRecord(r wal.Rec, enc *dataset.BatchEncoder) {
 		}
 		a.replayView(v)
 	case walKindNode:
-		s, err := DecodeWALNode(r.Payload)
-		if err != nil {
-			rec.SkippedCorrupt++
-			return
-		}
-		a.enqueueNode(a.shardFor(s.Node, s.Kind), &s, trace.SpanContext{})
-		rec.ReplayedRecords++
+		rec.SkippedNodeRecords++
 	default:
 		rec.SkippedCorrupt++
 	}
