@@ -517,7 +517,16 @@ func FuzzParseBody(f *testing.F) {
 	frame, recs := repeatedEntriesFrame()
 	f.Add(frameBody(frame), []byte{0, 2, 4, 6})
 	one := MarshalBatch(recs[:1])
-	for _, p := range [][]byte{
+	// Sixteen rows whose PLT column is milli-scaled, and one whose PLT is
+	// off the milli grid, so that column travels as raw float bits.
+	many := make([]extension.Record, 16)
+	for i := range many {
+		many[i] = recs[i%len(recs)]
+	}
+	raw := recs[0]
+	raw.PLTMs = math.Inf(1)
+	rawOne := MarshalBatch([]extension.Record{raw})
+	bad := [][]byte{
 		{0x80, 0x00},       // zero, non-minimal
 		{0xff, 0x80, 0x00}, // 127, non-minimal
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // ten bytes, the largest value
@@ -526,9 +535,22 @@ func FuzzParseBody(f *testing.F) {
 		{0x80},       // truncated
 		{0xff, 0xff}, // truncated
 		{0x02, 0x00}, // one trailing byte
-	} {
-		f.Add(frameBody(withColumn(one, colASN, p)), []byte{0})
+	}
+	for _, p := range bad {
+		for _, id := range []byte{colASN, colTimestamp, colRank, colPLT} {
+			f.Add(frameBody(withColumn(one, id, p)), []byte{0})
+			// The same varint among one-byte values of the other rows,
+			// starting at each offset mod 8 of the payload.
+			for off := 0; off < 8; off++ {
+				q := append(bytes.Repeat([]byte{0x02}, off), p...)
+				q = append(q, bytes.Repeat([]byte{0x04}, len(many)-1-off)...)
+				f.Add(frameBody(withColumn(MarshalBatch(many), id, q)), []byte{0, 0, 9, 0})
+			}
+		}
 		f.Add(frameBody(withColumn(one, colDomain, append([]byte{1, 1, 'x'}, p...))), []byte{0})
+	}
+	for _, n := range []int{0, 7, 8, 9, 16} { // raw float bits for one row are 8 bytes
+		f.Add(frameBody(withColumn(rawOne, colPLT, make([]byte, n))), []byte{0})
 	}
 	f.Add(append(frameBody(one), 0), []byte{0})
 	f.Fuzz(func(t *testing.T, body, pick []byte) {

@@ -600,3 +600,177 @@ func TestInternerKeepsOnlyKeyedColumns(t *testing.T) {
 		t.Fatal("the new domain was not interned")
 	}
 }
+
+// TestPooledViewReuseReadsNewFrame parses frame A into a pooled view, reads
+// its integer and PLT columns, releases the view and has the pool parse
+// frame B, of the same size, into the same view. Every reader must then see
+// B: nothing A's reads left in the view may leak into B's.
+func TestPooledViewReuseReadsNewFrame(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	a, b := make([]extension.Record, 50), make([]extension.Record, 50)
+	for i := range a {
+		a[i], b[i] = randBatchRecord(r), randBatchRecord(r)
+	}
+	frameA, frameB := MarshalBatch(a), MarshalBatch(b)
+	ref, err := refParse(frameBody(frameB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int32, len(b))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	var pool ViewPool
+	// A release may drop the view (sync.Pool does so at random under
+	// -race); try until the pool hands the same view back.
+	for try := 0; ; try++ {
+		if try == 100 {
+			t.Fatal("the pool never handed a released view back")
+		}
+		va, err := pool.Parse(frameA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if va.ASN(0) != a[0].ASN || va.Unix(0) != a[0].At.Unix() || va.Rank(0) != a[0].Rank {
+			t.Fatal("frame A reads wrong")
+		}
+		_ = va.PLTMs(0)
+		pool.Put(va)
+		vb, err := pool.Parse(frameB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vb != va {
+			pool.Put(vb)
+			continue
+		}
+		for i := range b {
+			want := ref.record(i)
+			if vb.ASN(i) != want.ASN || !vb.At(i).Equal(want.At) || vb.Unix(i) != ref.ts[i] ||
+				vb.Rank(i) != want.Rank || math.Float64bits(vb.PLTMs(i)) != math.Float64bits(want.PLTMs) {
+				t.Fatalf("row %d of frame B reads ASN %d, %v, rank %d, PLT %v; want %d, %v, %d, %v", i,
+					vb.ASN(i), vb.At(i), vb.Rank(i), vb.PLTMs(i), want.ASN, want.At, want.Rank, want.PLTMs)
+			}
+		}
+		for i, got := range vb.AppendRecords(nil) {
+			if !recordsEqual(got, ref.record(i)) {
+				t.Fatalf("AppendRecords row %d is not frame B's", i)
+			}
+		}
+		if !bytes.Equal(new(BatchEncoder).EncodeRows(vb, all), new(BatchEncoder).Encode(b)) {
+			t.Fatal("EncodeRows of the reused view differs from Encode over frame B's records")
+		}
+		pool.Put(vb)
+		return
+	}
+}
+
+// TestLazyColumnsConcurrentFirstRead has eight goroutines make the first
+// read of a freshly parsed pooled view at once, each through a different
+// reader of its integer and PLT columns. Under -race it is the rule that a
+// view's first read is safe beside any other read; every reader must see
+// the frame's values.
+func TestLazyColumnsConcurrentFirstRead(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	recs := make([]extension.Record, 300)
+	for i := range recs {
+		recs[i] = randBatchRecord(r)
+	}
+	frame := MarshalBatch(recs)
+	want := csvWireRoundTrip(t, recs)
+	all := make([]int32, len(recs))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	readers := []func(v *BatchView) error{
+		func(v *BatchView) error {
+			for i := range want {
+				if v.ASN(i) != want[i].ASN {
+					return fmt.Errorf("ASN row %d", i)
+				}
+			}
+			return nil
+		},
+		func(v *BatchView) error {
+			for i := range want {
+				if !v.At(i).Equal(want[i].At) || v.Unix(i) != want[i].At.Unix() {
+					return fmt.Errorf("At row %d", i)
+				}
+			}
+			return nil
+		},
+		func(v *BatchView) error {
+			for i := range want {
+				if v.Rank(i) != want[i].Rank {
+					return fmt.Errorf("Rank row %d", i)
+				}
+			}
+			return nil
+		},
+		func(v *BatchView) error {
+			for i := range want {
+				if math.Float64bits(v.PLTMs(i)) != math.Float64bits(want[i].PLTMs) {
+					return fmt.Errorf("PLTMs row %d", i)
+				}
+			}
+			return nil
+		},
+		func(v *BatchView) error {
+			for i, got := range viewRecords(v) {
+				if !recordsEqual(got, want[i]) {
+					return fmt.Errorf("RecordAt row %d", i)
+				}
+			}
+			return nil
+		},
+		func(v *BatchView) error {
+			for i, got := range v.AppendRecords(nil) {
+				if !recordsEqual(got, want[i]) {
+					return fmt.Errorf("AppendRecords row %d", i)
+				}
+			}
+			return nil
+		},
+		func(v *BatchView) error {
+			if !bytes.Equal(new(BatchEncoder).EncodeRows(v, all), frame) {
+				return fmt.Errorf("EncodeRows differs from the frame")
+			}
+			return nil
+		},
+		func(v *BatchView) error {
+			for i := range want {
+				if v.ASN(len(want)-1-i) != want[len(want)-1-i].ASN {
+					return fmt.Errorf("ASN row %d, read backwards", i)
+				}
+			}
+			return nil
+		},
+	}
+	var pool ViewPool
+	for round := 0; round < 20; round++ {
+		v, err := pool.Parse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		errs := make(chan error, len(readers))
+		var wg sync.WaitGroup
+		for _, read := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := read(v); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		pool.Put(v)
+	}
+}
