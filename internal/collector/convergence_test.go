@@ -105,6 +105,22 @@ func TestRestartRecoversStreamedCampaign(t *testing.T) {
 	}
 	const relErr = 0.01
 	walDir := t.TempDir()
+	// Servers a failed check leaves running are shut down at cleanup, so
+	// they cannot skew the package's later allocation gates.
+	open := map[*Server]bool{}
+	stop := func(srv *Server) error {
+		delete(open, srv)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		return srv.Shutdown(ctx)
+	}
+	t.Cleanup(func() {
+		for srv := range open {
+			if err := stop(srv); err != nil {
+				t.Error(err)
+			}
+		}
+	})
 	newSrv := func() *Server {
 		srv, err := OpenServer(Config{
 			Shards: 4, QueueLen: 512, SketchRelErr: relErr,
@@ -118,15 +134,14 @@ func TestRestartRecoversStreamedCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		open[srv] = true
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		return srv
 	}
 	shutdown := func(srv *Server) {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
+		if err := stop(srv); err != nil {
 			t.Fatal(err)
 		}
 	}
