@@ -52,7 +52,9 @@ check-steps: build
 # choosing the rows, the city and ISP dictionaries (repeated entries
 # included) and the shard count. Also fuzz the batch parse against its
 # one-value-at-a-time reference, with the fuzz bytes sealed as a frame body
-# under a fresh CRC. Also fuzz the quantile sketch against its map-backed
+# under a fresh CRC, and the varint check the parse runs on the columns it
+# does not decode against the column kernel, with the fuzz bytes choosing
+# the payload and the value count. Also fuzz the quantile sketch against its map-backed
 # reference, with the fuzz bytes choosing the values and the runs of adds,
 # merges, clones, round trips and cap changes between which its key index
 # is built and emptied. Native Go fuzzing; each target runs for FUZZTIME.
@@ -65,6 +67,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalBatch -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzEncodeRowsSplit -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=^$$ -fuzz=FuzzParseBody -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run=^$$ -fuzz=FuzzCheckMatchesUvarints -fuzztime=$(FUZZTIME) ./internal/varint/
 	$(GO) test -run=^$$ -fuzz=FuzzReplayBatchFrame -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run=^$$ -fuzz=FuzzDomainSet -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run=^$$ -fuzz=FuzzPartition -fuzztime=$(FUZZTIME) ./internal/collector/

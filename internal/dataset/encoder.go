@@ -88,6 +88,7 @@ func (e *BatchEncoder) Encode(records []extension.Record) []byte {
 // materialising them. The returned slice is owned by the encoder; v is only
 // read.
 func (e *BatchEncoder) EncodeRows(v *BatchView, rows []int32) []byte {
+	v.decode()
 	return e.encode(&batchColumns{view: v, rows: rows})
 }
 

@@ -1,7 +1,8 @@
 // Package varint reads and writes the little-endian base-128 varints
 // (encoding/binary's Uvarint) that the SLB1 batch frame and the tsdb block
 // formats are built from: a bounds-checked cursor for headers, one value a
-// call, a column kernel that decodes a whole run of values in one call, and
+// call, a column kernel that decodes a whole run of values in one call, a
+// check that accepts exactly what the kernel accepts without decoding, and
 // an append for the small values most columns hold.
 package varint
 
@@ -10,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Uvarints' errors.
@@ -104,6 +106,66 @@ func Uvarints(dst []uint64, p []byte) error {
 		return errTrailing
 	}
 	return nil
+}
+
+// Check reports whether Uvarints would accept p for n values, without
+// decoding any of them.
+//
+// Every varint ends at its one byte below 0x80, its terminator, so p holds
+// n values that fill it exactly when it has n terminators and ends on one,
+// provided each value is one binary.Uvarint accepts. A value of at most
+// nine bytes always is; it can fail only with nine or more continuation
+// bytes before its terminator. Check counts terminators a word at a time
+// (^w & 0x80…80, a popcount) and tracks the run of continuation bytes
+// across words: the run into a word's lowest terminator, the run after its
+// highest. Only when a run reaches nine, or the count is off, does it walk
+// p one value at a time with binary.Uvarint, as Uvarints does, for the
+// exact verdict.
+func Check(p []byte, n int) bool {
+	if len(p) == 0 || p[len(p)-1] >= 0x80 {
+		return len(p) == 0 && n == 0
+	}
+	const hi = 0x8080808080808080
+	terms, run, longest := 0, 0, 0
+	i := 0
+	for ; i+8 <= len(p); i += 8 {
+		t := ^binary.LittleEndian.Uint64(p[i:]) & hi
+		if t == 0 {
+			run += 8
+			longest = max(longest, run)
+			continue
+		}
+		terms += bits.OnesCount64(t)
+		longest = max(longest, run+bits.TrailingZeros64(t)>>3)
+		run = bits.LeadingZeros64(t) >> 3
+	}
+	for ; i < len(p); i++ {
+		if p[i] >= 0x80 {
+			run++
+			continue
+		}
+		terms++
+		longest = max(longest, run)
+		run = 0
+	}
+	if terms != n || longest >= 9 {
+		return walk(p, n)
+	}
+	return true
+}
+
+// walk is Uvarints' verdict on p for n values, reached by binary.Uvarint a
+// value at a time with nothing stored.
+func walk(p []byte, n int) bool {
+	off := 0
+	for ; n > 0; n-- {
+		_, k := binary.Uvarint(p[off:])
+		if k <= 0 {
+			return false
+		}
+		off += k
+	}
+	return off == len(p)
 }
 
 // AppendUvarint is binary.AppendUvarint with a path for values below 2^14

@@ -104,6 +104,81 @@ func TestUvarintsMatchesBinary(t *testing.T) {
 	}
 }
 
+// checkCheck holds Check to Uvarints on p for every value count up to
+// len(p)+1, returning what differs or "".
+func checkCheck(p []byte, dst []uint64) string {
+	for k := 0; k <= len(p)+1; k++ {
+		if got, want := Check(p, k), Uvarints(dst[:k], p) == nil; got != want {
+			return fmt.Sprintf("% x: Check for %d values says %v, Uvarints %v", p, k, got, want)
+		}
+	}
+	return ""
+}
+
+// TestCheckMatchesUvarints holds Check to Uvarints on every string of one
+// to three bytes, and on runs of 8 to 11 continuation bytes, ended by
+// terminators that do and do not overflow or cut off at the end, at every
+// alignment in a 24-byte payload of one-byte values: the runs that cross a
+// word boundary and the ones that reach nine.
+func TestCheckMatchesUvarints(t *testing.T) {
+	dst := make([]uint64, 32)
+	p := make([]byte, 3)
+	for x := 0; x < 1<<24; x++ {
+		p[0], p[1], p[2] = byte(x), byte(x>>8), byte(x>>16)
+		msg := checkCheck(p, dst)
+		if msg == "" && x < 1<<16 {
+			msg = checkCheck(p[:2], dst)
+		}
+		if msg == "" && x < 1<<8 {
+			msg = checkCheck(p[:1], dst)
+		}
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	}
+	if msg := checkCheck(nil, dst); msg != "" {
+		t.Fatal(msg)
+	}
+
+	const size = 24
+	for _, l := range []int{8, 9, 10, 11} {
+		for _, cont := range []byte{0x80, 0xff} {
+			for _, term := range []byte{0x00, 0x01, 0x02, 0x7f, 0x80} { // 0x80: no terminator
+				for at := 0; at+l <= size; at++ {
+					run := bytes.Repeat([]byte{0x01}, size)
+					for i := at; i < at+l; i++ {
+						run[i] = cont
+					}
+					if at+l < size {
+						run[at+l] = term
+					}
+					for _, q := range [][]byte{run, run[:at+l], run[:min(at+l+1, size)]} {
+						if msg := checkCheck(q, dst); msg != "" {
+							t.Fatal(msg)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzCheckMatchesUvarints holds Check to Uvarints on fuzz bytes, for a
+// value count the fuzzer also chooses, up to one more than len(p).
+func FuzzCheckMatchesUvarints(f *testing.F) {
+	f.Add([]byte{0x01, 0x80, 0x01}, uint16(2))
+	f.Add(bytes.Repeat([]byte{0x80}, 9), uint16(1))
+	f.Add(append(bytes.Repeat([]byte{0xff}, 9), 0x01), uint16(1))
+	f.Add(append(bytes.Repeat([]byte{0xff}, 9), 0x02), uint16(1))
+	f.Add(append([]byte{0x05, 0x05, 0x05}, append(bytes.Repeat([]byte{0x80}, 10), 0x00)...), uint16(4))
+	f.Fuzz(func(t *testing.T, p []byte, n uint16) {
+		k := int(n) % (len(p) + 2)
+		if got, want := Check(p, k), Uvarints(make([]uint64, k), p) == nil; got != want {
+			t.Fatalf("% x: Check for %d values says %v, Uvarints %v", p, k, got, want)
+		}
+	})
+}
+
 // TestAppendUvarintMatchesBinary checks AppendUvarint against
 // binary.AppendUvarint on every value below 2^16 and at each length's
 // edges, appending after existing bytes.
