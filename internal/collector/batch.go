@@ -482,11 +482,17 @@ type viewIngest struct {
 	reply  IngestReply
 }
 
-// beginViewIngest opens the request's decode span and, when a forwarder
-// routes the request, takes a pooled splitter.
+// beginViewIngest opens the request's decode span under its root span (nil
+// when untraced, and then every span call is a no-op) and, when a
+// forwarder routes the request, takes a pooled splitter. A batch a peer
+// forwarded is applied where it lands, so a stale ring view costs one
+// extra hop, never a loop.
 func (s *Server) beginViewIngest(r *http.Request) viewIngest {
-	in := viewIngest{s: s, decode: s.startDecode(r)}
-	if fwd := s.ingestForwarder(r); fwd != nil {
+	in := viewIngest{s: s}
+	if root := trace.FromContext(r.Context()); root != nil {
+		in.decode = s.agg.cfg.Tracer.StartChild(root.Context(), "ingest.decode")
+	}
+	if fwd := s.forwarder(); fwd != nil && r.Header.Get(HeaderForwarded) == "" {
 		in.split = s.splitter(fwd)
 	}
 	return in
@@ -506,10 +512,25 @@ func (in *viewIngest) offer(v *dataset.BatchView) error {
 			return err // v == nil: every row belonged elsewhere
 		}
 	}
-	acc, drop := in.s.agg.OfferBatchView(v, representative(in.decode, in.reply))
+	// What the request offers until something is accepted carries the
+	// decode span, the rest a zero context: one shard.apply span per
+	// request, one branch per slice.
+	var sc trace.SpanContext
+	if in.reply.Accepted == 0 {
+		sc = in.decode.Context()
+	}
+	acc, drop := in.s.agg.OfferBatchView(v, sc)
 	in.reply.Accepted += acc
 	in.reply.Dropped += drop
 	return nil
+}
+
+// answer replies with status, the counts so far and an error message.
+func (in *viewIngest) answer(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, struct {
+		IngestReply
+		Error string `json:"error"`
+	}{in.reply, msg})
 }
 
 // fail answers a malformed request with a 400 carrying the counts so far.
@@ -517,26 +538,56 @@ func (in *viewIngest) offer(v *dataset.BatchView) error {
 func (in *viewIngest) fail(w http.ResponseWriter, msg string, err error) {
 	in.decode.SetError(err)
 	in.decode.Finish()
-	ingestError(w, in.reply, fmt.Sprintf("%s: %v", msg, err))
+	in.answer(w, http.StatusBadRequest, fmt.Sprintf("%s: %v", msg, err))
 	in.s.releaseSplitter(in.split)
 }
 
 // finish closes the decode span, forwards each peer its rows, and
 // acknowledges the request once everything is owned and durable.
+//
+// A peer that cannot take its rows gets the request a 502: the rows kept
+// here are already aggregated (and will be made durable), and the sender
+// must treat the batch as unacknowledged and may retry, as it may after
+// any 5xx — ingest is at-least-once. With a WAL, the 200 is sent only once
+// every record is fsynced; group commit shares one fsync across concurrent
+// requests. The wait is spanned as wal.fsync under the request's root, and
+// the ack-latency histogram carries the trace as an exemplar.
 func (in *viewIngest) finish(w http.ResponseWriter, r *http.Request, start time.Time) {
-	finishDecode(in.decode, in.reply)
+	if in.decode != nil {
+		in.decode.SetInt("accepted", int64(in.reply.Accepted))
+		in.decode.SetInt("dropped", int64(in.reply.Dropped))
+		in.decode.Finish()
+	}
+	root := trace.FromContext(r.Context())
 	if split := in.split; split != nil {
 		for _, pf := range split.peers {
-			n, err := split.fwd.ForwardFrame(pf.peer, pf.body, pf.records, rootContext(r))
+			n, err := split.fwd.ForwardFrame(pf.peer, pf.body, pf.records, root.Context())
 			in.reply.Forwarded += n
 			if err != nil {
-				forwardError(w, in.reply, pf.peer, err)
+				in.answer(w, http.StatusBadGateway, fmt.Sprintf("forward to %s: %v", pf.peer, err))
 				return // split is dropped: the failed POST may still read its body
 			}
 		}
 	}
 	in.s.releaseSplitter(in.split)
-	in.s.ackIngest(w, r, in.reply, start)
+	agg := in.s.agg
+	var fsync *trace.Span
+	if root != nil && agg.wal != nil {
+		fsync = agg.cfg.Tracer.StartChild(root.Context(), "wal.fsync")
+	}
+	err := agg.SyncWAL()
+	fsync.SetError(err)
+	fsync.Finish()
+	if err != nil {
+		in.answer(w, http.StatusInternalServerError, fmt.Sprintf("wal commit: %v", err))
+		return
+	}
+	if root != nil {
+		agg.met.ackLatency.ObserveExemplar(time.Since(start).Seconds(), root.Context().Trace.String())
+	} else {
+		agg.met.ackLatency.Observe(time.Since(start).Seconds())
+	}
+	WriteJSON(w, http.StatusOK, in.reply)
 }
 
 // handleIngestBatch runs each frame of the body through the shared steps:

@@ -367,106 +367,6 @@ func shedReject(w http.ResponseWriter, r *http.Request, reason string) {
 	}{IngestReply{}, "overloaded: unsampled request shed (" + reason + ")"})
 }
 
-// ingestForwarder resolves the forwarder an ingest request routes through:
-// nil on a plain single-instance server, and nil for batches already
-// forwarded by a peer — a forwarded record is applied where it lands, so a
-// stale ring view costs one extra hop, never a loop.
-func (s *Server) ingestForwarder(r *http.Request) Forwarder {
-	fwd := s.forwarder()
-	if fwd == nil || r.Header.Get(HeaderForwarded) != "" {
-		return nil
-	}
-	return fwd
-}
-
-// rootContext returns the request's root span context (zero when untraced).
-func rootContext(r *http.Request) trace.SpanContext {
-	if root := trace.FromContext(r.Context()); root != nil {
-		return root.Context()
-	}
-	return trace.SpanContext{}
-}
-
-// forwardError reports a batch whose misrouted records could not all be
-// relayed. Locally-owned records are already aggregated (and will be made
-// durable); the sender must treat the batch as unacknowledged and may
-// retry — ingest is at-least-once.
-func forwardError(w http.ResponseWriter, reply IngestReply, peer string, err error) {
-	WriteJSON(w, http.StatusBadGateway, struct {
-		IngestReply
-		Error string `json:"error"`
-	}{reply, fmt.Sprintf("forward to %s: %v", peer, err)})
-}
-
-// startDecode opens the batch-decode span under the request's root span
-// (nil without a tracer, and then every downstream span call is a no-op).
-func (s *Server) startDecode(r *http.Request) *trace.Span {
-	root := trace.FromContext(r.Context())
-	if root == nil {
-		return nil
-	}
-	return s.agg.cfg.Tracer.StartChild(root.Context(), "ingest.decode")
-}
-
-// representative picks the span context a request threads through the shard
-// queues: what it offers until something is accepted carries the decode span,
-// the rest a zero context — one shard.apply span per request, one branch per
-// record or slice.
-func representative(decode *trace.Span, reply IngestReply) trace.SpanContext {
-	if decode == nil || reply.Accepted > 0 {
-		return trace.SpanContext{}
-	}
-	return decode.Context()
-}
-
-func finishDecode(decode *trace.Span, reply IngestReply) {
-	if decode == nil {
-		return
-	}
-	decode.SetInt("accepted", int64(reply.Accepted))
-	decode.SetInt("dropped", int64(reply.Dropped))
-	decode.Finish()
-}
-
-// ackIngest is the durability barrier: with a WAL, the 200 is sent only
-// once every record in the batch is fsynced (group commit shares one fsync
-// across concurrent batches). A sender that gets a 5xx must assume nothing
-// and may retry — the protocol is at-least-once. The group-commit wait is
-// spanned as wal.fsync under the request's root, and the ack-latency
-// histogram carries the trace as an exemplar.
-func (s *Server) ackIngest(w http.ResponseWriter, r *http.Request, reply IngestReply, start time.Time) {
-	root := trace.FromContext(r.Context())
-	var fsync *trace.Span
-	if root != nil && s.agg.wal != nil {
-		fsync = s.agg.cfg.Tracer.StartChild(root.Context(), "wal.fsync")
-	}
-	err := s.agg.SyncWAL()
-	fsync.SetError(err)
-	fsync.Finish()
-	if err != nil {
-		WriteJSON(w, http.StatusInternalServerError, struct {
-			IngestReply
-			Error string `json:"error"`
-		}{reply, fmt.Sprintf("wal commit: %v", err)})
-		return
-	}
-	if root != nil {
-		s.agg.met.ackLatency.ObserveExemplar(time.Since(start).Seconds(), root.Context().Trace.String())
-	} else {
-		s.agg.met.ackLatency.Observe(time.Since(start).Seconds())
-	}
-	WriteJSON(w, http.StatusOK, reply)
-}
-
-// ingestError reports a malformed batch. Rows ingested before the bad one
-// are already aggregated; the reply carries the partial counts.
-func ingestError(w http.ResponseWriter, reply IngestReply, msg string) {
-	WriteJSON(w, http.StatusBadRequest, struct {
-		IngestReply
-		Error string `json:"error"`
-	}{reply, msg})
-}
-
 // SnapshotReply is the GET /snapshot payload: the merged aggregates plus
 // the same city table the batch pipeline prints, for cross-checking
 // cmd/starlinkbench results against streamed ingestion.
