@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"starlinkview/internal/extension"
 )
 
 // packetExhibitsDigest pins every exhibit the packet simulator (netsim, cc,
@@ -118,5 +120,57 @@ func TestBrowsingExhibitsGoldenDigest(t *testing.T) {
 	ReportFigure4(&buf, fig4)
 	if got := exhibitDigest(buf.Bytes(), table1, fig3, fig4); got != browsingExhibitsDigest {
 		t.Errorf("browsing exhibits digest = %s, want %s\n%s", got, browsingExhibitsDigest, buf.String())
+	}
+}
+
+// browsingRecordsDigest pins the browsing campaign's dataset record by
+// record: every field of every Collector.Records() entry in slice order,
+// and the order OnRecord streamed them in. It was computed while
+// SimulateUsers still re-sorted the whole dataset after each user and
+// tranco.List.Site still built a fresh random source per call, so a change
+// in draw order, tie order or commit order shows up here.
+const browsingRecordsDigest = "4420b64c967b372dd869aa8530cce6a01f91112e5f09cfea32dac08ea6c46f2b"
+
+// recordsDigest hashes a dataset with %+v, one record a line.
+func recordsDigest(records []extension.Record) string {
+	h := sha256.New()
+	for _, r := range records {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBrowsingRecordsGoldenDigest hashes the shared quick study's dataset,
+// then runs a fresh seed-7 campaign at one and two workers, hashing each
+// one's dataset and the stream OnRecord saw, and compares the combined hash
+// with the pinned value.
+func TestBrowsingRecordsGoldenDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest pinned on amd64")
+	}
+	var buf bytes.Buffer
+	shared := quickStudy(t).Collector.Records()
+	fmt.Fprintf(&buf, "shared %d %s\n", len(shared), recordsDigest(shared))
+	for _, workers := range []int{1, 2} {
+		cfg := QuickConfig()
+		cfg.Seed = 7
+		cfg.BrowsingDays = 10
+		cfg.Workers = workers
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stream []extension.Record
+		s.Collector.OnRecord = func(r extension.Record) { stream = append(stream, r) }
+		if err := s.RunBrowsing(); err != nil {
+			t.Fatal(err)
+		}
+		records := s.Collector.Records()
+		fmt.Fprintf(&buf, "seed7 workers=%d records %d %s stream %d %s\n", workers,
+			len(records), recordsDigest(records), len(stream), recordsDigest(stream))
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != browsingRecordsDigest {
+		t.Errorf("browsing records digest = %s, want %s\n%s", got, browsingRecordsDigest, buf.String())
 	}
 }
