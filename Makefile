@@ -14,8 +14,9 @@ test: build
 
 # Tier-2 gate: vet-clean and race-clean across the whole tree, the
 # allocation gates of the frame path (ingest, WAL replay, the misrouted-frame
-# split), of the read path (Snapshot plus the city table) and of the packet
-# path (a cubic iperf flow, a UDP blast) — they
+# split), of the read path (Snapshot plus the city table), of the packet
+# path (a cubic iperf flow, a UDP blast) and of the browsing campaign's page
+# draws (tranco's Site) — they
 # skip under -race, so they run again without it — then the fuzz corpus
 # sweep. The trace
 # package runs first under -race as a fast dedicated gate (concurrent spans
@@ -32,7 +33,7 @@ check-steps: build
 	$(GO) test -race -run 'TestShedOverloadKeepsSampledTraffic' ./internal/collector/
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|Snapshot|Iperf|UDPBlast)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/ ./internal/measure/
+	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|Snapshot|Iperf|UDPBlast|Site)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/ ./internal/measure/ ./internal/tranco/
 	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestCSV|E2EIngestBatch)$$' -benchtime 1x -short .
 	$(GO) run ./cmd/campaign -smoke
 	$(MAKE) fuzz

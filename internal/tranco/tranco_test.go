@@ -2,6 +2,8 @@ package tranco
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -179,5 +181,82 @@ func TestGoogleSite(t *testing.T) {
 		if s.Rank > 40 {
 			t.Errorf("Google service at rank %d", s.Rank)
 		}
+	}
+}
+
+// TestSiteMatchesFreshSource holds Site, which reseeds generators from a
+// shared pool, to the same draws made from a freshly built source, across
+// seeds and ranks from all three benchmark bands. Four goroutines call Site
+// at once so that generators pass between them through the pool.
+func TestSiteMatchesFreshSource(t *testing.T) {
+	pick := rand.New(rand.NewSource(1))
+	var ranks []int
+	for r := 1; r <= 600; r++ {
+		ranks = append(ranks, r)
+	}
+	for i := 0; i < 300; i++ {
+		ranks = append(ranks, 501+pick.Intn(10_000-500))
+		ranks = append(ranks, 10_001+pick.Intn(DefaultSize-10_000))
+	}
+	ranks = append(ranks, 10_000, 10_001, DefaultSize)
+	for _, seed := range []int64{1, 7, 42} {
+		l, err := NewList(seed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Site, len(ranks))
+		for i, r := range ranks {
+			want[i] = drawSite(r, rand.New(rand.NewSource(l.siteSeed(r))))
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Each goroutine walks the ranks from its own offset, so
+				// neighbouring calls reseed generators another rank left.
+				for k := range ranks {
+					i := (k + g*len(ranks)/4) % len(ranks)
+					got, err := l.Site(ranks[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got != want[i] {
+						t.Errorf("seed %d rank %d: Site %+v, fresh source %+v", seed, ranks[i], got, want[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+// TestSiteAllocBudget holds Site to at most 64 B per call: the domain
+// string and the rank boxed for its formatting. A fresh math/rand source
+// per call, as Site once built, costs about 4.9 KB. Run without the race
+// detector; `make check` runs it explicitly.
+func TestSiteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	l := newList(t)
+	const calls = 10_000
+	if _, err := l.Site(1); err != nil { // fill the pool
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := l.Site(1 + i*97%l.Size()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	t.Logf("%.1f B and %.2f allocs per Site call", perCall, float64(after.Mallocs-before.Mallocs)/calls)
+	if perCall > 64 {
+		t.Errorf("Site allocates %.1f B per call, budget 64 B", perCall)
 	}
 }
