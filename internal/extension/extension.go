@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -194,10 +195,29 @@ func (c *Collector) loadOnce(u *User, rng *rand.Rand, at time.Time, site tranco.
 	}
 }
 
+// sortByAt puts records in chronological order (simplifies CDF-over-time
+// analyses); records with equal At keep their order. The sort is stable, so
+// sorting a dataset once after many commits orders it exactly as sorting it
+// after every commit would.
+func sortByAt(records []Record) {
+	slices.SortStableFunc(records, func(a, b Record) int { return a.At.Compare(b.At) })
+}
+
 // SimulateUser replays the user's browsing between start and end: organic
 // Zipf-distributed visits concentrated in waking hours, with occasional
-// details-tab openings that trigger the 5/3/2 benchmark set.
+// details-tab openings that trigger the 5/3/2 benchmark set. The dataset is
+// then sorted by At, ties in commit order. If the simulation fails, the
+// user's partial records are left appended unsorted.
 func (c *Collector) SimulateUser(u *User, start, end time.Time) error {
+	if err := c.simulateUser(u, start, end); err != nil {
+		return err
+	}
+	sortByAt(c.records)
+	return nil
+}
+
+// simulateUser is SimulateUser without the sort.
+func (c *Collector) simulateUser(u *User, start, end time.Time) error {
 	if u.ID == "" {
 		return fmt.Errorf("extension: user %q not enrolled", u.City)
 	}
@@ -205,22 +225,20 @@ func (c *Collector) SimulateUser(u *User, start, end time.Time) error {
 		return fmt.Errorf("extension: empty simulation window")
 	}
 	rng := rand.New(rand.NewSource(int64(u.ID[5]) + c.rng.Int63()))
-	if err := c.simulate(u, rng, start, end, c.commit); err != nil {
-		return err
-	}
-	// Keep the dataset in chronological order regardless of per-day
-	// scattering (simplifies CDF-over-time analyses).
-	sort.Slice(c.records, func(i, j int) bool { return c.records[i].At.Before(c.records[j].At) })
-	return nil
+	return c.simulate(u, rng, start, end, c.commit)
 }
 
 // SimulateUsers replays every user's browsing across workers goroutines.
 // The result is byte-identical to calling SimulateUser for each user in
 // order: the per-user RNG streams are pre-seeded from the collector RNG in
 // enrollment order (exactly the draws the serial loop makes), each worker
-// emits into a private buffer, and buffers are committed — records appended,
-// OnRecord fired, dataset re-sorted — in user order. workers <= 1 falls back
-// to the serial loop.
+// emits into a private buffer, buffers are committed — records appended,
+// OnRecord fired — in user order, and the dataset is sorted once at the
+// end. workers <= 1 runs the users one after another on the calling
+// goroutine, firing OnRecord as each record is collected.
+//
+// If a user fails, the records of the users before it are sorted, its
+// partial records are appended unsorted, and its error is returned.
 //
 // Concurrency contract: the users' Access models are per-user (never
 // shared), and the collector's resolver and WeatherAt hook must be
@@ -231,10 +249,13 @@ func (c *Collector) SimulateUsers(users []*User, start, end time.Time, workers i
 	}
 	if workers <= 1 {
 		for _, u := range users {
-			if err := c.SimulateUser(u, start, end); err != nil {
+			mark := len(c.records)
+			if err := c.simulateUser(u, start, end); err != nil {
+				sortByAt(c.records[:mark])
 				return err
 			}
 		}
+		sortByAt(c.records)
 		return nil
 	}
 	for _, u := range users {
@@ -270,17 +291,22 @@ func (c *Collector) SimulateUsers(users []*User, start, end time.Time, workers i
 		}()
 	}
 	wg.Wait()
+	total := 0
+	for _, buf := range bufs {
+		total += len(buf)
+	}
+	c.records = slices.Grow(c.records, total)
 	for i := range users {
+		mark := len(c.records)
 		for _, r := range bufs[i] {
 			c.commit(r)
 		}
 		if errs[i] != nil {
-			// Mirror the serial loop: a failing user's partial records are
-			// appended but the dataset is left unsorted.
+			sortByAt(c.records[:mark])
 			return errs[i]
 		}
-		sort.Slice(c.records, func(a, b int) bool { return c.records[a].At.Before(c.records[b].At) })
 	}
+	sortByAt(c.records)
 	return nil
 }
 
@@ -300,7 +326,7 @@ func (c *Collector) simulate(u *User, rng *rand.Rand, start, end time.Time, emit
 			benchmarkAt = wakingOffset(rng)
 			times = append(times, benchmarkAt)
 		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+		slices.Sort(times)
 
 		for _, off := range times {
 			at := day.Add(off)
@@ -444,8 +470,9 @@ func (c *Collector) Cities() []string {
 
 // LoadRecords replaces the collector's dataset with externally-loaded
 // records — the path for re-running the study's aggregations over a
-// released dataset instead of a fresh simulation.
+// released dataset instead of a fresh simulation. The dataset is sorted by
+// At, ties in load order.
 func (c *Collector) LoadRecords(records []Record) {
 	c.records = append([]Record(nil), records...)
-	sort.Slice(c.records, func(i, j int) bool { return c.records[i].At.Before(c.records[j].At) })
+	sortByAt(c.records)
 }

@@ -1,6 +1,7 @@
 package extension
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -361,5 +362,70 @@ func TestSimulateUsersValidation(t *testing.T) {
 	}
 	if err := c.SimulateUsers([]*User{u, other}, start, start, 4); err == nil {
 		t.Fatal("expected error for empty window")
+	}
+}
+
+// constSource is a rand.Source that always draws the same value.
+type constSource int64
+
+func (s constSource) Int63() int64 { return int64(s) }
+func (constSource) Seed(int64)     {}
+
+// TestEqualAtKeepsCommitOrder: records with equal At stay in the order they
+// were committed, whichever path runs the users. Two users differ only in
+// their ID; their IDs share the byte the per-user seed reads and the
+// collector's generator is replaced by a constant one, so both draw the same
+// stream and every record of the first user ties with one of the second's.
+func TestEqualAtKeepsCommitOrder(t *testing.T) {
+	start := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
+	end := start.Add(7 * 24 * time.Hour)
+	build := func() (*Collector, []*User) {
+		c := newCollector(t)
+		a, b := slUser("London", "GB"), slUser("London", "GB")
+		for _, u := range []*User{a, b} {
+			if err := c.Enroll(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.favourites, b.DeviceFactor, b.PagesPerDay = a.favourites, a.DeviceFactor, a.PagesPerDay
+		a.ID, b.ID = "anon-0000000a", "anon-0000000b"
+		c.rng = rand.New(constSource(42))
+		return c, []*User{a, b}
+	}
+	check := func(path string, c *Collector, users []*User) {
+		t.Helper()
+		recs := c.Records()
+		if len(recs) < 40 || len(recs)%2 != 0 {
+			t.Fatalf("%s: %d records, want an even number of at least 40", path, len(recs))
+		}
+		for i := 0; i < len(recs); i += 2 {
+			first, second := recs[i], recs[i+1]
+			if first.UserID != users[0].ID || second.UserID != users[1].ID {
+				t.Fatalf("%s: records %d and %d are from %s and %s, want %s then %s",
+					path, i, i+1, first.UserID, second.UserID, users[0].ID, users[1].ID)
+			}
+			second.UserID = first.UserID
+			if first != second {
+				t.Fatalf("%s: records %d and %d differ beyond their user:\n%+v\n%+v", path, i, i+1, first, second)
+			}
+			if i > 0 && recs[i-1].At.After(first.At) {
+				t.Fatalf("%s: record %d is before record %d", path, i, i-1)
+			}
+		}
+	}
+
+	c, users := build()
+	for _, u := range users {
+		if err := c.SimulateUser(u, start, end); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("SimulateUser", c, users)
+	for _, workers := range []int{1, 2} {
+		c, users := build()
+		if err := c.SimulateUsers(users, start, end, workers); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("SimulateUsers workers=%d", workers), c, users)
 	}
 }
