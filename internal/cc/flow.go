@@ -449,24 +449,21 @@ func (f *Flow) scheduleSend(d time.Duration) {
 	f.sim.Schedule(d, f.sendFn)
 }
 
-// sendSegment emits one data segment.
+// sendSegment emits one data segment. Like handleData's ack, the packet is
+// filled in field by field: NewPacket returns it zeroed, and a composite
+// literal would build all of it in a temporary and copy it over.
 func (f *Flow) sendSegment(seq int64, size int, retrans bool) {
 	p := f.sim.NewPacket()
-	*p = netsim.Packet{
-		ID:          f.sim.NextPacketID(),
-		Flow:        f.id,
-		Size:        size + headerBytes,
-		Src:         f.snd.Name,
-		Dst:         f.rcv.Name,
-		SrcPort:     f.cfg.SrcPort,
-		DstPort:     f.cfg.DstPort,
-		TTL:         64,
-		Seq:         seq,
-		SentAt:      f.sim.Now(),
-		Delivered:   f.delivered,
-		DeliveredAt: f.deliveredAt,
-		Retrans:     retrans,
-	}
+	p.ID = f.sim.NextPacketID()
+	p.Flow = f.id
+	p.Size = size + headerBytes
+	p.Src, p.Dst = f.snd.Name, f.rcv.Name
+	p.SrcPort, p.DstPort = f.cfg.SrcPort, f.cfg.DstPort
+	p.TTL = 64
+	p.Seq = seq
+	p.SentAt = f.sim.Now()
+	p.Delivered, p.DeliveredAt = f.delivered, f.deliveredAt
+	p.Retrans = retrans
 	f.stats.SentPackets++
 	if retrans {
 		f.stats.RetransPackets++
@@ -483,22 +480,17 @@ func (f *Flow) handleData(s *netsim.Sim, p *netsim.Packet) {
 	}
 	f.receive(p.Seq, p.Seq+int64(p.Size-headerBytes))
 	ack := s.NewPacket()
-	*ack = netsim.Packet{
-		ID:          s.NextPacketID(),
-		Flow:        f.id,
-		Size:        ackSize,
-		Src:         f.rcv.Name,
-		Dst:         f.snd.Name,
-		SrcPort:     f.cfg.DstPort,
-		DstPort:     f.cfg.SrcPort,
-		TTL:         64,
-		IsAck:       true,
-		Seq:         p.Seq,
-		SentAt:      p.SentAt, // timestamp echo
-		Delivered:   p.Delivered,
-		DeliveredAt: p.DeliveredAt,
-		Retrans:     p.Retrans,
-	}
+	ack.ID = s.NextPacketID()
+	ack.Flow = f.id
+	ack.Size = ackSize
+	ack.Src, ack.Dst = f.rcv.Name, f.snd.Name
+	ack.SrcPort, ack.DstPort = f.cfg.DstPort, f.cfg.SrcPort
+	ack.TTL = 64
+	ack.IsAck = true
+	ack.Seq = p.Seq
+	ack.SentAt = p.SentAt // timestamp echo
+	ack.Delivered, ack.DeliveredAt = p.Delivered, p.DeliveredAt
+	ack.Retrans = p.Retrans
 	f.fillAck(s, ack)
 	f.rcv.Handle(s, ack)
 	s.FreePacket(p)

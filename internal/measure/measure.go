@@ -453,12 +453,12 @@ func IperfUDP(sim *netsim.Sim, path *netsim.Path, rateBps float64, duration time
 	n := int(duration / gap)
 	start := sim.Now()
 	sim.Train(start, gap, n, func(int) {
+		// Filled in place on the zeroed packet rather than copied from a
+		// literal: this is the per-packet path of the blast.
 		p := sim.NewPacket()
-		*p = netsim.Packet{
-			ID: sim.NextPacketID(), Size: pktSize, TTL: 64,
-			Src: snd.Name, Dst: rcv.Name, DstPort: port,
-			SentAt: sim.Now(),
-		}
+		p.ID, p.Size, p.TTL = sim.NextPacketID(), pktSize, 64
+		p.Src, p.Dst, p.DstPort = snd.Name, rcv.Name, port
+		p.SentAt = sim.Now()
 		snd.Handle(sim, p)
 	})
 	sim.RunUntil(start + duration + 2*time.Second)

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -462,16 +463,70 @@ func TestLinkReusedByFreshSim(t *testing.T) {
 	}
 }
 
+// fillPacket sets every exported field of p to a non-zero value, giving p a
+// Sack with spare capacity. A field of a kind it does not know fails the
+// test, so a field added to Packet later gets filled here too.
+func fillPacket(t *testing.T, p *Packet) {
+	t.Helper()
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		if !v.Type().Field(i).IsExported() {
+			continue
+		}
+		switch {
+		case name == "Sack":
+			sack := append(make([]SackBlock, 0, 8), SackBlock{1, 2}, SackBlock{3, 4})
+			f.Set(reflect.ValueOf(sack))
+		case f.CanInt():
+			f.SetInt(int64(i + 1))
+		case f.CanUint():
+			f.SetUint(uint64(i + 1))
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.Kind() == reflect.String:
+			f.SetString(fmt.Sprintf("field-%d", i))
+		default:
+			t.Fatalf("fillPacket does not know how to fill Packet.%s (%s)", name, f.Type())
+		}
+		if f.IsZero() {
+			t.Fatalf("fillPacket left Packet.%s zero", name)
+		}
+	}
+}
+
+// zeroApartFromFreed reports the first field of p, other than freed, that
+// is not zero.
+func zeroApartFromFreed(p *Packet) (string, bool) {
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "freed" && !v.Field(i).IsZero() {
+			return name, false
+		}
+	}
+	return "", true
+}
+
 // TestPacketRecycling: FreePacket hands a packet and its Sack storage back,
-// NewPacket and SackBuffer reuse them zeroed, and a double free panics.
+// NewPacket and SackBuffer reuse them zeroed, and a double free panics. The
+// packet is checked field by field, whatever fields Packet has: the
+// transport fills recycled packets in place and relies on every field it
+// does not set being zero.
 func TestPacketRecycling(t *testing.T) {
 	s := NewSim(1)
 	p := s.NewPacket()
-	p.ID, p.Sack = 7, append(s.SackBuffer(), SackBlock{1, 2}, SackBlock{3, 4})
+	fillPacket(t, p)
 	sackCap := cap(p.Sack)
 	s.FreePacket(p)
-	if q := s.NewPacket(); q != p || q.ID != 0 || q.Sack != nil {
-		t.Fatalf("NewPacket = %p %+v, want the freed packet zeroed", q, q)
+	if name, ok := zeroApartFromFreed(p); !ok || !p.freed {
+		t.Fatalf("freed packet: field %s not zero or freed=%v: %+v", name, p.freed, p)
+	}
+	q := s.NewPacket()
+	if q != p {
+		t.Fatalf("NewPacket = %p, want the freed packet %p", q, p)
+	}
+	if !reflect.DeepEqual(*q, Packet{}) {
+		t.Fatalf("recycled packet %+v, want Packet{}", q)
 	}
 	if b := s.SackBuffer(); len(b) != 0 || cap(b) != sackCap {
 		t.Fatalf("SackBuffer len %d cap %d, want the freed storage (cap %d) empty", len(b), cap(b), sackCap)

@@ -203,7 +203,8 @@ func (s *Sim) FreePacket(p *Packet) {
 	if cap(p.Sack) > 0 && len(s.sacks) < s.made {
 		s.sacks = append(s.sacks, p.Sack[:0])
 	}
-	*p = Packet{freed: true}
+	*p = Packet{} // zeroed in place; Packet{freed: true} would be copied in
+	p.freed = true
 	if len(s.free) < s.made {
 		s.free = append(s.free, p)
 	}
