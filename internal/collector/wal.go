@@ -53,7 +53,10 @@ func DecodeWALExtension(payload []byte) (extension.Record, error) {
 type WALConfig struct {
 	// Dir holds segments and checkpoints; empty disables the WAL.
 	Dir string
-	// FsyncInterval batches fsyncs (see wal.Config); zero syncs per batch.
+	// FsyncInterval is the minimum spacing between group-commit fsyncs:
+	// at most one starts per interval (see wal.Config). Zero starts one
+	// whenever a batch needs it; an idle log's batch fsyncs at once either
+	// way.
 	FsyncInterval time.Duration
 	// MaxSyncWindows pipelines the group commit: up to this many fsync
 	// windows in flight at once, acks released in append order (see

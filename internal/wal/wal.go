@@ -15,19 +15,21 @@
 // -wal-dump).
 //
 // Durability contract: Append buffers; a record is durable only once Commit
-// (or Sync) has returned for its LSN. With FsyncInterval zero every Commit
-// fsyncs; with an interval, Commit blocks until the background group-commit
-// fsync covers the caller's LSN, so many concurrent batches share one fsync.
-// Any write or sync failure poisons the writer permanently — after an IO
-// error nothing further is acknowledged.
+// (or Sync) has returned for its LSN. Any write or sync failure poisons the
+// writer permanently — after an IO error nothing further is acknowledged.
 //
-// Commit is pipelined: an fsync runs as a "commit window" covering every
-// record appended before it started, and the window's fsync happens outside
-// the writer lock, so appends for window N+1 proceed while window N's fsync
-// is in flight. MaxSyncWindows allows up to K windows' fsyncs concurrently;
-// completions are released strictly in FIFO order, so durable (and thus
-// every ack) only advances to an LSN once every earlier window has landed —
-// append-before-ack is preserved whatever order the kernel finishes fsyncs.
+// Commit is pipelined group commit with no background goroutine: an fsync
+// runs as a "commit window" covering every record appended before it
+// started, opened by the first committer that finds its LSN uncovered, and
+// the window's fsync happens outside the writer lock, so appends for window
+// N+1 proceed while window N's fsync is in flight and every committer they
+// cover shares it. MaxSyncWindows allows up to K windows' fsyncs
+// concurrently; completions are released strictly in FIFO order, so durable
+// (and thus every ack) only advances to an LSN once every earlier window has
+// landed — append-before-ack is preserved whatever order the kernel
+// finishes fsyncs. A positive FsyncInterval spaces windows at most one per
+// interval on a fixed grid: an idle writer's commit opens its window at
+// once, and under saturation committers wait for the next grid deadline.
 package wal
 
 import (
@@ -93,9 +95,10 @@ type Config struct {
 	// SegmentBytes rotates segments once they exceed this size
 	// (default DefaultSegmentBytes).
 	SegmentBytes int64
-	// FsyncInterval batches fsyncs: zero syncs on every Commit; a positive
-	// interval runs group commit, each Commit waiting (at most about one
-	// interval) for the background fsync that covers it.
+	// FsyncInterval spaces commit windows: at most one opens per interval,
+	// on a fixed grid, so a busy log shares each fsync among more commits.
+	// Zero opens a window whenever a committer needs one. A Commit on an
+	// idle log fsyncs at once whatever the interval.
 	FsyncInterval time.Duration
 	// FS overrides the filesystem (default OSFS); tests inject faults here.
 	FS FS
@@ -214,10 +217,12 @@ type Writer struct {
 	windows  []*syncWindow
 	inFlight int
 
-	recovery RecoveryStats
+	// next is the earliest time the next window may open under a positive
+	// FsyncInterval; timer wakes the committers waiting for it.
+	next  time.Time
+	timer *time.Timer
 
-	stop chan struct{} // stops the group-commit loop
-	done chan struct{}
+	recovery RecoveryStats
 }
 
 // syncWindow is one in-flight commit window: every record up to lsn was
@@ -242,7 +247,7 @@ func Open(cfg Config) (*Writer, error) {
 	if err := fsys.MkdirAll(cfg.Dir); err != nil {
 		return nil, fmt.Errorf("wal: mkdir: %w", err)
 	}
-	w := &Writer{cfg: cfg, fs: fsys, nextLSN: 1, stop: make(chan struct{}), done: make(chan struct{})}
+	w := &Writer{cfg: cfg, fs: fsys, nextLSN: 1}
 	w.cond = sync.NewCond(&w.mu)
 	if err := w.recover(); err != nil {
 		return nil, err
@@ -262,11 +267,6 @@ func Open(cfg Config) (*Writer, error) {
 	}
 	// Everything recovered is on disk already.
 	w.durable = w.nextLSN - 1
-	if cfg.FsyncInterval > 0 {
-		go w.groupCommitLoop()
-	} else {
-		close(w.done)
-	}
 	return w, nil
 }
 
@@ -631,12 +631,11 @@ func (w *Writer) createSegment(base uint64) error {
 	return nil
 }
 
-// Commit makes every record up to lsn durable. With FsyncInterval zero it
-// drives a commit window itself — waiting for a free window slot when
-// MaxSyncWindows are already in flight, or for the in-flight window that
-// covers lsn; otherwise it blocks until the group-commit loop's windowed
-// fsync covers lsn. It returns the writer's sticky error if durability can
-// no longer be promised.
+// Commit makes every record up to lsn durable, driving a commit window
+// itself when none covers lsn — waiting for a free window slot when
+// MaxSyncWindows are already in flight, for the in-flight window that
+// covers lsn, or for the FsyncInterval spacing deadline. It returns the
+// writer's sticky error if durability can no longer be promised.
 func (w *Writer) Commit(lsn uint64) error {
 	start := time.Now()
 	w.mu.Lock()
@@ -644,43 +643,58 @@ func (w *Writer) Commit(lsn uint64) error {
 	if w.cfg.Instr.CommitWait != nil {
 		defer func() { w.cfg.Instr.CommitWait(time.Since(start)) }()
 	}
-	if w.cfg.FsyncInterval <= 0 {
-		for {
-			if w.err != nil {
-				return w.err
-			}
-			if w.durable >= lsn {
-				return nil
-			}
-			if w.closed {
-				return errors.New("wal: closed before commit")
-			}
-			if w.windowedLocked() >= lsn || w.inFlight >= w.cfg.MaxSyncWindows {
-				// Either a window already covers lsn (just await its
-				// release) or all K slots are busy; sleep until a window
-				// lands, then re-decide.
+	for {
+		if w.err != nil {
+			return w.err
+		}
+		if w.durable >= lsn {
+			return nil
+		}
+		if w.closed {
+			return errClosedBeforeCommit
+		}
+		if w.windowedLocked() >= lsn || w.inFlight >= w.cfg.MaxSyncWindows {
+			// Either a window already covers lsn (just await its
+			// release) or all K slots are busy; sleep until a window
+			// lands, then re-decide.
+			w.cond.Wait()
+			continue
+		}
+		if w.cfg.FsyncInterval > 0 {
+			if wait := time.Until(w.next); wait > 0 {
+				// Too soon after the last window: sleep until the
+				// deadline. A Close meanwhile fails the commit, though
+				// Close's own fsync covers lsn: it was not acked in time.
+				if w.timer == nil {
+					w.timer = time.AfterFunc(wait, w.wake)
+				} else {
+					w.timer.Reset(wait)
+				}
 				w.cond.Wait()
+				if w.closed && w.err == nil {
+					return errClosedBeforeCommit
+				}
 				continue
 			}
-			win, err := w.startWindowLocked()
-			if err != nil {
-				return err
-			}
-			w.mu.Unlock()
-			w.completeWindow(win)
-			w.mu.Lock()
 		}
+		win, err := w.startWindowLocked()
+		if err != nil {
+			return err
+		}
+		w.mu.Unlock()
+		w.completeWindow(win)
+		w.mu.Lock()
 	}
-	for w.durable < lsn && w.err == nil && !w.closed {
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		return w.err
-	}
-	if w.durable < lsn {
-		return errors.New("wal: closed before commit")
-	}
-	return nil
+}
+
+var errClosedBeforeCommit = errors.New("wal: closed before commit")
+
+// wake is the spacing timer's callback: the deadline has passed, so the
+// committers waiting for it re-decide.
+func (w *Writer) wake() {
+	w.mu.Lock()
+	w.cond.Broadcast()
+	w.mu.Unlock()
 }
 
 // Sync forces an immediate flush + fsync of everything appended. It first
@@ -736,6 +750,15 @@ func (w *Writer) startWindowLocked() (*syncWindow, error) {
 		return nil, w.fail(err)
 	}
 	win := &syncWindow{lsn: w.nextLSN - 1, f: w.f, start: time.Now()}
+	if iv := w.cfg.FsyncInterval; iv > 0 {
+		// The next deadline stays on the grid of the last one, so timer
+		// wake-up lag does not build up, unless this window opened a whole
+		// interval late.
+		if win.start.Sub(w.next) >= iv {
+			w.next = win.start
+		}
+		w.next = w.next.Add(iv)
+	}
 	w.windows = append(w.windows, win)
 	w.inFlight++
 	return win, nil
@@ -790,32 +813,6 @@ func (w *Writer) fail(err error) error {
 		w.cond.Broadcast()
 	}
 	return w.err
-}
-
-// groupCommitLoop opens a new commit window each tick when records are
-// waiting and a window slot is free; the window's fsync runs on its own
-// goroutine so the ticker keeps pipelining up to MaxSyncWindows fsyncs.
-func (w *Writer) groupCommitLoop() {
-	defer close(w.done)
-	t := time.NewTicker(w.cfg.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			w.mu.Lock()
-			var win *syncWindow
-			if w.err == nil && !w.closed &&
-				w.inFlight < w.cfg.MaxSyncWindows && w.windowedLocked() < w.nextLSN-1 {
-				win, _ = w.startWindowLocked()
-			}
-			w.mu.Unlock()
-			if win != nil {
-				go w.completeWindow(win)
-			}
-		case <-w.stop:
-			return
-		}
-	}
 }
 
 // AppendedLSN returns the highest LSN handed out so far.
@@ -876,24 +873,21 @@ func (w *Writer) Prune(upto uint64) error {
 	return nil
 }
 
-// Close stops the group-commit loop, drains in-flight commit windows, makes
-// everything appended durable, and closes the active segment. Further
-// Appends fail.
+// Close stops the spacing timer, wakes every waiting committer (one waiting
+// for the spacing deadline gets the closed error), drains in-flight commit
+// windows, makes everything appended durable, and closes the active
+// segment. Further Appends fail.
 func (w *Writer) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return w.err
 	}
 	w.closed = true
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	if w.cfg.FsyncInterval > 0 {
-		close(w.stop)
-		<-w.done
+	if w.timer != nil {
+		w.timer.Stop()
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.cond.Broadcast()
 	for w.inFlight > 0 {
 		w.cond.Wait()
 	}
