@@ -356,7 +356,9 @@ type workerResult struct {
 // Each payload already names its target; the worker keeps one client (and
 // so one connection pool and latency sketch) per target it touches.
 func replay(payloads []payload, offset int, rate float64, deadline time.Time, traceEvery int) workerResult {
-	httpClient := &http.Client{Timeout: 30 * time.Second}
+	transport := collector.NewFrameTransport()
+	defer transport.CloseIdleConnections()
+	httpClient := &http.Client{Timeout: 30 * time.Second, Transport: transport}
 	traceparent := traceparentEvery(traceEvery, int64(offset))
 	clients := make(map[string]*collector.Client)
 	clientFor := func(base string) *collector.Client {

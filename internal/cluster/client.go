@@ -56,7 +56,9 @@ type ClientConfig struct {
 	// OnPace, when set, observes every pacing pause with the sleep about to
 	// be taken — the campaign driver counts these as campaign_paced_total.
 	OnPace func(d time.Duration)
-	// HTTPClient overrides the transport.
+	// HTTPClient overrides the transport. By default the client builds its
+	// own on collector.NewFrameTransport and closes its idle connections on
+	// Close.
 	HTTPClient *http.Client
 	// Tracer, when set, spans each send; a retry's span links back to the
 	// failed attempt's context, chaining the attempts for the trace view.
@@ -85,6 +87,8 @@ type Client struct {
 	enc   dataset.BatchEncoder
 	rr    int
 	stats ClientStats
+
+	transport *http.Transport // built by NewClient when cfg.HTTPClient is nil
 }
 
 // NewClient builds a client over cfg.Targets.
@@ -115,10 +119,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	} else if cfg.PaceRetries < 0 {
 		cfg.PaceRetries = 0
 	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{}
-	}
 	c := &Client{cfg: cfg, ext: make(map[string][]extension.Record)}
+	if cfg.HTTPClient == nil {
+		c.transport = collector.NewFrameTransport()
+		c.cfg.HTTPClient = &http.Client{Transport: c.transport}
+	}
 	if cfg.Route == RouteRing {
 		c.ring = NewRing(cfg.Targets, cfg.VNodes)
 	}
@@ -157,8 +162,15 @@ func (c *Client) Flush() error {
 	return nil
 }
 
-// Close flushes whatever remains.
-func (c *Client) Close() error { return c.Flush() }
+// Close flushes whatever remains and closes the idle connections of the
+// transport the client built, if it built one.
+func (c *Client) Close() error {
+	err := c.Flush()
+	if c.transport != nil {
+		c.transport.CloseIdleConnections()
+	}
+	return err
+}
 
 // Stats returns the client's send counters.
 func (c *Client) Stats() ClientStats { return c.stats }

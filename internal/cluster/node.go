@@ -68,26 +68,6 @@ type Node struct {
 	obsMet    *obsplaneMetrics
 }
 
-// forwardWriteBuffer is the write buffer of each connection on the
-// transport a node builds. A forward body larger than the buffer goes
-// through a freshly allocated 32 KiB copy buffer in net/http on every POST;
-// one that fits is copied straight into the buffer. On the cluster_forward
-// benchmark a peer's body is about a third of a 1024-record frame, 14 KiB,
-// where net/http's default of 4 KiB took that copy on nearly every forward.
-const forwardWriteBuffer = 64 << 10
-
-// newForwardTransport is http.DefaultTransport's configuration with the
-// forward write buffer.
-func newForwardTransport() *http.Transport {
-	t, ok := http.DefaultTransport.(*http.Transport)
-	if !ok {
-		t = &http.Transport{}
-	}
-	t = t.Clone()
-	t.WriteBufferSize = forwardWriteBuffer
-	return t
-}
-
 // nodeMetrics are the per-instance cluster series, registered next to the
 // collector's own metrics.
 type nodeMetrics struct {
@@ -146,7 +126,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n := &Node{cfg: cfg, client: cfg.HTTPClient}
 	if n.client == nil {
-		n.transport = newForwardTransport()
+		// A peer's forward body is about a third of a 1024-record frame,
+		// 14 KiB, past net/http's default 4 KiB write buffer.
+		n.transport = collector.NewFrameTransport()
 		n.client = &http.Client{Transport: n.transport}
 	}
 	n.met = newNodeMetrics(cfg.Server.Aggregator().Registry())

@@ -62,7 +62,8 @@ type ClientConfig struct {
 	// are short of BatchSize (default 200ms). Zero disables the timer;
 	// flushes then happen on size and on Close only.
 	FlushEvery time.Duration
-	// HTTPClient overrides the transport (default http.DefaultClient).
+	// HTTPClient overrides the transport. By default the client builds its
+	// own on NewFrameTransport and closes its idle connections on Close.
 	HTTPClient *http.Client
 	// Traceparent, if set, runs once per POST; a non-empty result is sent
 	// as the W3C traceparent header, so a traced server parents its spans
@@ -75,9 +76,26 @@ func (c *ClientConfig) normalize() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 512
 	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = http.DefaultClient
+}
+
+// frameWriteBuffer is the per-connection write buffer of NewFrameTransport.
+// net/http sends a request body larger than the write buffer (4 KiB by
+// default) through a freshly allocated copy buffer of up to 32 KiB on every
+// POST; a body that fits is copied straight into the buffer. 64 KiB holds a
+// 1024-record frame, about 40 KiB, with room to spare.
+const frameWriteBuffer = 64 << 10
+
+// NewFrameTransport is http.DefaultTransport's configuration with a write
+// buffer that holds an ingest frame, so POSTing one allocates no copy
+// buffer. Whoever builds one closes its idle connections when done.
+func NewFrameTransport() *http.Transport {
+	t, ok := http.DefaultTransport.(*http.Transport)
+	if !ok {
+		t = &http.Transport{}
 	}
+	t = t.Clone()
+	t.WriteBufferSize = frameWriteBuffer
+	return t
 }
 
 // ClientStats summarise a client's sends. Latencies are wall-clock per
@@ -103,6 +121,8 @@ type Client struct {
 	batches uint64
 	latency *stats.QuantileSketch
 
+	transport *http.Transport // built by NewClient when cfg.HTTPClient is nil
+
 	stop chan struct{}
 	done chan struct{}
 }
@@ -117,6 +137,10 @@ func NewClient(baseURL string, cfg ClientConfig) *Client {
 		latency: lat,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
+	}
+	if cfg.HTTPClient == nil {
+		c.transport = NewFrameTransport()
+		c.cfg.HTTPClient = &http.Client{Transport: c.transport}
 	}
 	go c.flushLoop()
 	return c
@@ -254,7 +278,8 @@ func (c *Client) Stats() ClientStats {
 	return ClientStats{Records: c.records, Batches: c.batches, Latency: c.latency.Clone()}
 }
 
-// Close stops the flush timer and sends anything still buffered.
+// Close stops the flush timer, sends anything still buffered, and closes
+// the idle connections of the transport the client built, if it built one.
 func (c *Client) Close() error {
 	select {
 	case <-c.stop:
@@ -262,5 +287,9 @@ func (c *Client) Close() error {
 		close(c.stop)
 	}
 	<-c.done
-	return c.Flush()
+	err := c.Flush()
+	if c.transport != nil {
+		c.transport.CloseIdleConnections()
+	}
+	return err
 }
