@@ -232,7 +232,7 @@ func (c *Collector) simulateUser(u *User, start, end time.Time) error {
 // The result is byte-identical to calling SimulateUser for each user in
 // order: the per-user RNG streams are pre-seeded from the collector RNG in
 // enrollment order (exactly the draws the serial loop makes), each worker
-// emits into a private buffer, buffers are committed — records appended,
+// emits into a private buffer, the users' records are committed — appended,
 // OnRecord fired — in user order, and the dataset is sorted once at the
 // end. workers <= 1 runs the users one after another on the calling
 // goroutine, firing OnRecord as each record is collected.
@@ -270,7 +270,14 @@ func (c *Collector) SimulateUsers(users []*User, start, end time.Time, workers i
 	for i, u := range users {
 		seeds[i] = int64(u.ID[5]) + c.rng.Int63()
 	}
-	bufs := make([][]Record, len(users))
+	// Each worker re-seeds one RNG per user — Seed restarts exactly a fresh
+	// source's stream — and appends every user it runs to its own list of
+	// fixed-size chunks, which grows without copying; spans[i] is where
+	// user i's records sit in its worker's list.
+	const chunkLen = 256
+	type span struct{ w, lo, hi int }
+	chunks := make([][][]Record, workers)
+	spans := make([]span, len(users))
 	errs := make([]error, len(users))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -278,28 +285,37 @@ func (c *Collector) SimulateUsers(users []*User, start, end time.Time, workers i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(0))
+			n := 0
+			emit := func(r Record) {
+				if n%chunkLen == 0 {
+					chunks[w] = append(chunks[w], make([]Record, chunkLen))
+				}
+				chunks[w][n/chunkLen][n%chunkLen] = r
+				n++
+			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(users) {
 					return
 				}
-				rng := rand.New(rand.NewSource(seeds[i]))
-				errs[i] = c.simulate(users[i], rng, start, end, func(r Record) {
-					bufs[i] = append(bufs[i], r)
-				})
+				rng.Seed(seeds[i])
+				lo := n
+				errs[i] = c.simulate(users[i], rng, start, end, emit)
+				spans[i] = span{w, lo, n}
 			}
 		}()
 	}
 	wg.Wait()
 	total := 0
-	for _, buf := range bufs {
-		total += len(buf)
+	for _, sp := range spans {
+		total += sp.hi - sp.lo
 	}
 	c.records = slices.Grow(c.records, total)
-	for i := range users {
+	for i, sp := range spans {
 		mark := len(c.records)
-		for _, r := range bufs[i] {
-			c.commit(r)
+		for k := sp.lo; k < sp.hi; k++ {
+			c.commit(chunks[sp.w][k/chunkLen][k%chunkLen])
 		}
 		if errs[i] != nil {
 			sortByAt(c.records[:mark])
