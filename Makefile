@@ -14,15 +14,17 @@ test: build
 
 # Tier-2 gate: vet-clean and race-clean across the whole tree, the
 # allocation gates of the frame path (ingest, WAL replay, the misrouted-frame
-# split), of the read path (Snapshot plus the city table), of the packet
-# path (a cubic iperf flow, a UDP blast) and of the browsing campaign's page
-# draws (tranco's Site) — they
+# split, a client's frame POST), of the read path (Snapshot plus the city
+# table), of the packet path (a cubic iperf flow, a UDP blast) and of the
+# browsing campaign's page draws (tranco's Site) — they
 # skip under -race, so they run again without it — then the fuzz corpus
 # sweep. The trace
 # package runs first under -race as a fast dedicated gate (concurrent spans
-# against scrapes is its whole contract); the full -race sweep then covers
-# everything including the collector. The last line printed is the target's
-# wall time, pass or fail.
+# against scrapes is its whole contract), then the WAL's group-commit tests
+# ten times each under -race (committers, window completions and the
+# spacing timer's wake-ups all meet on the writer lock); the full -race
+# sweep then covers everything including the collector. The last line
+# printed is the target's wall time, pass or fail.
 check:
 	@start=$$(date +%s); $(MAKE) --no-print-directory check-steps; status=$$?; \
 	echo "make check: $$(( $$(date +%s) - start )) s wall"; exit $$status
@@ -30,10 +32,11 @@ check:
 check-steps: build
 	$(GO) vet ./...
 	$(GO) test -race ./internal/trace/...
+	$(GO) test -race -count=10 -run 'Test(WALGroupCommit|WALPipelinedCommitConcurrent|CommitSpacing|IdleCommitSyncsAtOnce|CloseWakesDeadlineWaiter)$$' ./internal/wal/
 	$(GO) test -race -run 'TestShedOverloadKeepsSampledTraffic' ./internal/collector/
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|Snapshot|Iperf|UDPBlast|Site)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/ ./internal/measure/ ./internal/tranco/
+	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|ClientPost|Snapshot|Iperf|UDPBlast|Site)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/ ./internal/measure/ ./internal/tranco/
 	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestCSV|E2EIngestBatch)$$' -benchtime 1x -short .
 	$(GO) run ./cmd/campaign -smoke
 	$(MAKE) fuzz
