@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,7 +65,8 @@ func (a *Aggregator) OfferExtensionFrame(frame []byte, recs []extension.Record, 
 // row partition. The offerer takes one reference per touched shard before
 // anything is sent; each shard (or the offerer, for a shed slice) drops one
 // when its slice is finished, and the last reference returns the view and
-// the header to their pools.
+// the header to their pools. A mark's header (Aggregator.mark) is never
+// pooled and holds no view: only its snaps slots and its passed count.
 type batchApply struct {
 	agg  *Aggregator
 	view *dataset.BatchView
@@ -75,6 +77,9 @@ type batchApply struct {
 	offs    []int32 // per-shard [start, end) offsets into rows; len = shards+1
 	shardOf []int32 // scratch: owning shard per (city, ISP) pair
 	next    []int32 // scratch: per-shard write cursor for the placement pass
+
+	snaps  []shardSnap    // a mark's per-shard snapshot slots, nil if it asks for none
+	passed sync.WaitGroup // a mark's shards that have not passed it yet
 }
 
 // done releases one shard's reference on the shared view. The last one

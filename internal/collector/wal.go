@@ -299,28 +299,19 @@ func (a *Aggregator) replayView(v *dataset.BatchView) {
 	a.walRecovery.ReplayedRecords += uint64(n)
 }
 
-// awaitReplay queues a barrier behind everything replay enqueued, on every
-// shard, and returns once each shard has reached it. The barrier holds a
-// window token until the last shard drops its reference, so taking back
-// every token waits for it and for every view still in flight; then the
-// window closes for good.
+// awaitReplay queues a mark behind everything replay enqueued, on every
+// shard, and returns once each shard has passed it. Each shard applied, and
+// released, every replayed slice before its mark, so by then every view's
+// last done has put its window token back, and the window closes for good.
 func (a *Aggregator) awaitReplay() {
-	a.window <- struct{}{}
-	b := &batchApply{agg: a}
-	b.pending.Store(int32(len(a.shards)))
-	for _, sh := range a.shards {
-		sh.ch <- item{kind: itemBarrier, batch: b}
-	}
-	for range replayWindow {
-		a.window <- struct{}{}
-	}
+	a.mark(false).passed.Wait()
 	a.window = nil
 }
 
 // Checkpoint persists a shard-snapshot checkpoint and prunes fully-covered
-// segments. It is a brief stop-the-world: intake pauses (offers block on
-// the aggregator lock) while the shard queues drain and the state is
-// captured, so the snapshot matches the log position exactly.
+// segments. Intake pauses (offers block on the aggregator lock) while a
+// mark queued behind every appended record reaches each shard, which
+// captures itself there, so the snapshot matches the log position exactly.
 func (a *Aggregator) Checkpoint() error {
 	if a.wal == nil {
 		return ErrNoWAL
@@ -330,27 +321,9 @@ func (a *Aggregator) Checkpoint() error {
 	if a.closed {
 		return errors.New("collector: checkpoint after close")
 	}
-	parts, err := a.drainedSnapshotLocked()
-	if err != nil {
-		return err
-	}
-	return a.writeCheckpointLocked(parts)
-}
-
-// drainedSnapshotLocked waits (holding the write lock, so no new offers)
-// for every queue to empty, then captures each shard between applies —
-// at that instant the state holds exactly the records appended to the WAL.
-func (a *Aggregator) drainedSnapshotLocked() ([]shardSnap, error) {
-	parts := make([]shardSnap, len(a.shards))
-	for i, sh := range a.shards {
-		for len(sh.ch) > 0 {
-			time.Sleep(50 * time.Microsecond)
-		}
-		reply := make(chan shardSnap, 1)
-		sh.ctl <- reply
-		parts[i] = <-reply
-	}
-	return parts, nil
+	m := a.mark(true)
+	m.passed.Wait()
+	return a.writeCheckpointLocked(m.snaps)
 }
 
 // writeCheckpointLocked syncs the log, persists the snapshot at the synced
