@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -131,13 +130,6 @@ func withoutNodes(t *testing.T, obj []byte) []byte {
 	return out
 }
 
-// waitProcessed spins until every shard has applied n records in all.
-func waitProcessed(a *Aggregator, n uint64) {
-	for sumProcessed(a) < n {
-		runtime.Gosched()
-	}
-}
-
 // goldenSnapshotBrowsingDigest was pinned while the collector still took
 // volunteer-node samples beside browsing records: it is the digest of the
 // same seeded records the mixed golden of that time ingested, with the node
@@ -162,7 +154,6 @@ func TestSnapshotGoldenDigestBrowsing(t *testing.T) {
 		return a
 	}
 	a := open(dir)
-	var offered uint64
 	ingest := func(recs []extension.Record) {
 		// Frames of uneven size, every fifth record sent alone in a frame
 		// of its own.
@@ -174,7 +165,6 @@ func TestSnapshotGoldenDigestBrowsing(t *testing.T) {
 					if offerRecords(a, rec) != 1 {
 						t.Fatal("offer rejected")
 					}
-					offered++
 					continue
 				}
 				frame = append(frame, rec)
@@ -187,11 +177,9 @@ func TestSnapshotGoldenDigestBrowsing(t *testing.T) {
 				if acc, _ := a.OfferBatchView(v, trace.SpanContext{}); acc != len(frame) {
 					t.Fatalf("frame accepted %d of %d", acc, len(frame))
 				}
-				offered += uint64(len(frame))
 			}
 			recs = recs[n:]
 		}
-		waitProcessed(a, offered)
 	}
 	ingest(recs[:len(recs)/2])
 	if err := a.Checkpoint(); err != nil {

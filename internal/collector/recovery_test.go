@@ -51,7 +51,6 @@ func writeRecoveryLog(t *testing.T, withNodes bool) recoveryLog {
 	}
 	ref := NewAggregator(Config{Shards: 4, Registry: obs.NewRegistry()})
 	defer ref.Close()
-	var refOffered uint64
 	var ckptSamples []dataset.NodeSample
 	logged := func(kind byte, payload []byte) {
 		t.Helper()
@@ -91,12 +90,10 @@ func writeRecoveryLog(t *testing.T, withNodes bool) recoveryLog {
 				t.Fatalf("reference accepted %d of %d", acc, len(recs))
 			}
 			ckptSamples = append(ckptSamples, samples...)
-			refOffered += uint64(len(recs))
 		}
 	}
 	section([]int{1, 4096, 2, 17, 333, 1, 1024, 64}, true)
 
-	waitProcessed(ref, refOffered)
 	st, err := ref.Snapshot().ExportState()
 	if err != nil {
 		t.Fatal(err)
