@@ -348,17 +348,13 @@ func runSmoke() error {
 	return nil
 }
 
-// drainedSnapshot waits for the aggregator to apply everything it accepted,
-// then reduces the snapshot to its comparable core.
+// drainedSnapshot reduces the aggregator's snapshot to its comparable core.
+// The client has closed, so every record was acked, and a snapshot covers
+// every acked record: one read must show all of them applied.
 func drainedSnapshot(srv *collector.Server) ([]byte, error) {
 	snap := srv.Aggregator().Snapshot()
-	deadline := time.Now().Add(10 * time.Second)
-	for snap.Processed != snap.Accepted && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		snap = srv.Aggregator().Snapshot()
-	}
 	if snap.Processed != snap.Accepted {
-		return nil, fmt.Errorf("aggregator stuck at %d/%d processed", snap.Processed, snap.Accepted)
+		return nil, fmt.Errorf("aggregator applied %d of %d accepted records", snap.Processed, snap.Accepted)
 	}
 	groups, err := json.Marshal(snap.Groups)
 	if err != nil {
