@@ -22,8 +22,11 @@ test: build
 # package runs first under -race as a fast dedicated gate (concurrent spans
 # against scrapes is its whole contract), then the WAL's group-commit tests
 # ten times each under -race (committers, window completions and the
-# spacing timer's wake-ups all meet on the writer lock); the full -race
-# sweep then covers everything including the collector. The last line
+# spacing timer's wake-ups all meet on the writer lock), then the
+# collector's read-path tests ten times each under -race (reads and
+# checkpoints queue marks behind concurrent writers' batches, and share
+# domain lists with the shards); the full -race sweep then covers
+# everything including the collector. The last line
 # printed is the target's wall time, pass or fail.
 check:
 	@start=$$(date +%s); $(MAKE) --no-print-directory check-steps; status=$$?; \
@@ -33,6 +36,7 @@ check-steps: build
 	$(GO) vet ./...
 	$(GO) test -race ./internal/trace/...
 	$(GO) test -race -count=10 -run 'Test(WALGroupCommit|WALPipelinedCommitConcurrent|CommitSpacing|IdleCommitSyncsAtOnce|CloseWakesDeadlineWaiter)$$' ./internal/wal/
+	$(GO) test -race -count=10 -run 'Test(SnapshotCoversAckedOffers|ReadPathRacesWriters)$$' ./internal/collector/
 	$(GO) test -race -run 'TestShedOverloadKeepsSampledTraffic' ./internal/collector/
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...
