@@ -41,7 +41,7 @@ check-steps: build
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|ClientPost|Snapshot|Iperf|UDPBlast|Site)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/ ./internal/measure/ ./internal/tranco/
-	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestCSV|E2EIngestBatch)$$' -benchtime 1x -short .
+	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestBatch)$$' -benchtime 1x -short .
 	$(GO) run ./cmd/campaign -smoke
 	$(MAKE) fuzz
 
@@ -127,16 +127,14 @@ bench-cluster:
 	@rm -f bench-cluster.out
 	@echo "wrote BENCH_cluster.json"
 
-# End-to-end wire pass: sustained campaign-generator -> client -> collector
-# -> WAL records/sec over the per-record CSV wire vs the columnar batch wire
-# at 1/4/8 shards. benchjson pairs the rows into e2e-batch-vs-csv-wire
-# comparisons (with records/s headlines on stderr) and emits the
-# shard_scaling map (shards=8 over shards=1 records/s per wire);
-# BENCH_e2e.json is the committed artifact the >=3x batch-wire claim is
-# held to. Set CPUPROFILE=/path/cpu.pprof and/or MEMPROFILE=/path/mem.pprof
-# to profile the pass.
+# End-to-end ingest pass: sustained campaign-generator -> client ->
+# collector -> WAL records/sec over the columnar batch wire at 1/4/8 shards.
+# benchjson emits the shard_scaling map (shards=8 over shards=1 records/s).
+# The committed BENCH_e2e.json predates the CSV route's removal and still
+# holds the >=3x batch-vs-CSV comparison. Set CPUPROFILE=/path/cpu.pprof
+# and/or MEMPROFILE=/path/mem.pprof to profile the pass.
 bench-e2e:
-	$(GO) test -run '^$$' -bench 'BenchmarkE2EIngest(CSV|Batch)$$' -benchmem -benchtime $(BENCHTIME) $(if $(CPUPROFILE),-cpuprofile $(CPUPROFILE)) $(if $(MEMPROFILE),-memprofile $(MEMPROFILE)) . | tee bench-e2e.out
+	$(GO) test -run '^$$' -bench 'BenchmarkE2EIngestBatch$$' -benchmem -benchtime $(BENCHTIME) $(if $(CPUPROFILE),-cpuprofile $(CPUPROFILE)) $(if $(MEMPROFILE),-memprofile $(MEMPROFILE)) . | tee bench-e2e.out
 	$(GO) run ./tools/benchjson < bench-e2e.out > BENCH_e2e.json
 	@rm -f bench-e2e.out
 	@echo "wrote BENCH_e2e.json"

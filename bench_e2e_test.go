@@ -1,21 +1,19 @@
 package bench
 
-// End-to-end wire benchmarks: sustained records/sec from the campaign
+// End-to-end ingest benchmark: sustained records/sec from the campaign
 // generator through a real HTTP client, the collector's ingest handler, and
-// the write-ahead log, comparing the per-record CSV wire against the
-// columnar batch wire at 1/4/8 shards.
+// the write-ahead log, over the columnar batch wire at 1/4/8 shards.
 //
 // The workload is a real campaign chunk (so string repetition, weather
 // skew, and float distributions match production traffic, where the
 // dictionary and delta encodings earn their keep). Four concurrent client
 // streams overlap the group-commit waits, so the measurement is the wire's
 // per-record CPU — encode, HTTP framing, decode, WAL append — rather than
-// fsync latency, which both wires pay identically.
+// fsync latency.
 //
-// tools/benchjson pairs BenchmarkE2EIngestBatch rows against the
-// BenchmarkE2EIngestCSV row with the same shard count; `make bench-e2e`
-// writes the comparison as BENCH_e2e.json. The acceptance target is a >=3x
-// batch-wire speedup.
+// `make bench-e2e` writes the rows as BENCH_e2e.json. Its committed copy
+// still holds the batch-vs-CSV comparisons measured while the collector
+// also took CSV rows.
 
 import (
 	"context"
@@ -65,7 +63,7 @@ func e2eWorkload(b *testing.B) []extension.Record {
 	return e2eRecs
 }
 
-func benchE2EIngest(b *testing.B, wire collector.Wire, shards int) {
+func benchE2EIngest(b *testing.B, shards int) {
 	recs := e2eWorkload(b)
 	srv, err := collector.OpenServer(collector.Config{
 		Shards: shards, QueueLen: 8192,
@@ -103,9 +101,7 @@ func benchE2EIngest(b *testing.B, wire collector.Wire, shards int) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			client := collector.NewClient(srv.URL(), collector.ClientConfig{
-				Wire: wire, BatchSize: 1024, FlushEvery: 0,
-			})
+			client := collector.NewClient(srv.URL(), collector.ClientConfig{BatchSize: 1024, FlushEvery: 0})
 			off := s * (len(recs) / streams)
 			for i := 0; i < quotas[s]; i++ {
 				if err := client.AddRecord(recs[(off+i)%len(recs)]); err != nil {
@@ -130,23 +126,12 @@ func benchE2EIngest(b *testing.B, wire collector.Wire, shards int) {
 	}
 }
 
-// BenchmarkE2EIngestCSV is the row-wire baseline: every record crosses the
-// wire as a CSV row, which the server parses and frames before the WAL and
-// the shards see it.
-func BenchmarkE2EIngestCSV(b *testing.B) {
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchE2EIngest(b, collector.WireCSV, shards)
-		})
-	}
-}
-
-// BenchmarkE2EIngestBatch is the columnar candidate: records cross as
-// struct-of-arrays frames and each frame is one WAL append.
+// BenchmarkE2EIngestBatch sends records as struct-of-arrays frames; each
+// frame is one WAL append.
 func BenchmarkE2EIngestBatch(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchE2EIngest(b, collector.WireBatch, shards)
+			benchE2EIngest(b, shards)
 		})
 	}
 }

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	campaign [-preset small|mega] [-targets HOST:PORT,...] [-wire batch|csv]
+//	campaign [-preset small|mega] [-targets HOST:PORT,...]
 //	         [-checkpoint PATH] [-resume] [-workers N]
 //	         [-users N] [-cities N] [-chunks N] [-chunk-hours N] [-seed N]
 //	campaign -smoke
@@ -15,7 +15,8 @@
 // 10⁶ users across 300 cities through a week of hour-wide chunks. Explicit
 // shape flags override the preset. With no -targets the campaign dry-runs:
 // chunks are generated and counted but not sent — useful for timing the
-// generator alone.
+// generator alone. Records travel as columnar batch frames, the collector's
+// only ingest wire.
 //
 // -checkpoint (default campaign.ckpt next to the working dir) is written
 // atomically after each chunk is acknowledged; -resume loads it and
@@ -53,7 +54,6 @@ func main() {
 	var (
 		preset     = flag.String("preset", "small", "campaign preset: small (10⁴ users) or mega (10⁶ users)")
 		targets    = flag.String("targets", "", "comma-separated collectord addresses (empty = dry run, generate only)")
-		wireFlag   = flag.String("wire", "batch", "wire encoding: batch (columnar frames) or csv (per-record rows)")
 		checkpoint = flag.String("checkpoint", "campaign.ckpt", "checkpoint file path")
 		resume     = flag.Bool("resume", false, "resume from the checkpoint file")
 		smoke      = flag.Bool("smoke", false, "run the built-in kill/resume equivalence self-check and exit")
@@ -104,11 +104,6 @@ func main() {
 	if *workers > 0 {
 		cfg.Workers = *workers
 	}
-	wire, err := collector.ParseWire(*wireFlag)
-	if err != nil {
-		fatal(err)
-	}
-
 	camp, err := core.NewCampaign(cfg)
 	if err != nil {
 		fatal(err)
@@ -124,13 +119,13 @@ func main() {
 		fmt.Printf("campaign: resuming at chunk %d/%d\n", camp.NextChunk(), cfg.Chunks)
 	}
 
-	sink, closeSink, paced, err := buildSink(splitList(*targets), wire, *route, *vnodes)
+	sink, closeSink, paced, err := buildSink(splitList(*targets), *route, *vnodes)
 	if err != nil {
 		fatal(err)
 	}
 
-	fmt.Printf("campaign: %d users, %d cities, %d × %dh chunks, %s wire, %d workers\n",
-		cfg.Users, cfg.Cities, cfg.Chunks, cfg.ChunkHours, wire, cfg.Workers)
+	fmt.Printf("campaign: %d users, %d cities, %d × %dh chunks, %d workers\n",
+		cfg.Users, cfg.Cities, cfg.Chunks, cfg.ChunkHours, cfg.Workers)
 	start := time.Now()
 	var total uint64
 	for !camp.Done() {
@@ -168,7 +163,7 @@ func main() {
 // down for a collector's 429 backpressure. The sink only returns nil once
 // every record of the chunk is acknowledged — the contract RunChunk's
 // commit-on-success semantics need.
-func buildSink(targets []string, wire collector.Wire, route string, vnodes int) (func([]extension.Record) error, func() error, func() uint64, error) {
+func buildSink(targets []string, route string, vnodes int) (func([]extension.Record) error, func() error, func() uint64, error) {
 	if len(targets) == 0 {
 		fmt.Println("campaign: no targets — dry run (generate and discard)")
 		return func([]extension.Record) error { return nil },
@@ -182,7 +177,6 @@ func buildSink(targets []string, wire collector.Wire, route string, vnodes int) 
 		Targets: targets,
 		Route:   route,
 		VNodes:  vnodes,
-		Wire:    wire,
 		OnPace: func(d time.Duration) {
 			pacedCtr.Inc()
 			fmt.Printf("  paced: collector overloaded, backing off %v\n", d.Round(time.Millisecond))
@@ -232,9 +226,7 @@ func runSmoke() error {
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			return nil, err
 		}
-		client := collector.NewClient(srv.URL(), collector.ClientConfig{
-			Wire: collector.WireBatch, BatchSize: 1000, FlushEvery: 0,
-		})
+		client := collector.NewClient(srv.URL(), collector.ClientConfig{BatchSize: 1000, FlushEvery: 0})
 		camp, err := core.NewCampaign(cfg)
 		if err != nil {
 			return nil, err

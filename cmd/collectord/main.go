@@ -1,5 +1,5 @@
 // Command collectord serves the measurement-ingest collector: it accepts
-// browser-extension records (CSV rows or columnar batch frames) over HTTP,
+// browser-extension records (columnar batch frames) over HTTP,
 // aggregates them online across sharded goroutines, and
 // exposes the running aggregates at /snapshot and ingest counters at
 // /stats. On SIGINT/SIGTERM it stops accepting, drains every shard queue,
@@ -378,9 +378,9 @@ func servePprof(addr string) error {
 // dumpWAL prints the log's payloads to stdout in append order — the WAL
 // record encoding is the dataset release encoding, so the output is the
 // extension CSV schema (header first). Columnar batch frames are expanded
-// into the same CSV rows, so a log written over either wire dumps
-// identically; any other payload (a kind-1 row, or a node sample's JSON line
-// in a log an earlier build wrote) is printed as logged.
+// into CSV rows, the form a kind-1 record of an older log already has, so
+// both dump alike; any other payload (a node sample's JSON line in a log an
+// earlier build wrote) is printed as logged.
 func dumpWAL(dir string) error {
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()

@@ -6,11 +6,12 @@
 // Usage:
 //
 //	loadgen [-addr 127.0.0.1:8787] [-users 8] [-rate 100000] [-duration 10s]
-//	        [-batch 1000] [-days 10] [-seed 1] [-trace-every 0] [-wire csv|batch]
+//	        [-batch 1000] [-days 10] [-seed 1] [-trace-every 0]
 //	loadgen -targets HOST:PORT,HOST:PORT,... [-route ring|rr] [-vnodes 128]
 //	loadgen -scrape [-targets HOST:PORT,...] [-scrape-interval 2s] [-duration 0]
 //
-// A rate of 0 removes the pacing and measures the sustainable maximum.
+// Every POST carries one columnar batch frame of -batch records. A rate of
+// 0 removes the pacing and measures the sustainable maximum.
 //
 // With -targets, load fans out across a collectord cluster. -route ring
 // (the default) partitions records onto the same consistent-hash ring the
@@ -72,8 +73,6 @@ func main() {
 		scrapeIval = flag.Duration("scrape-interval", 2*time.Second, "polling interval in -scrape mode")
 		traceEvery = flag.Int("trace-every", 0, "send a sampled traceparent on every Nth batch per worker (0 = never); needs collectord -trace")
 
-		wireFlag = flag.String("wire", "csv", "extension wire encoding: csv (per-record rows) or batch (columnar frames)")
-
 		targets = flag.String("targets", "", "comma-separated cluster addresses (overrides -addr)")
 		route   = flag.String("route", cluster.RouteRing, "multi-target routing: ring (send to each record's owner) or rr (spray batches, exercising forwarding)")
 		vnodes  = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per target on the routing ring (must match the cluster's -vnodes)")
@@ -120,17 +119,13 @@ func main() {
 		fmt.Printf("loadgen: %d targets, %s routing\n", len(targetList), *route)
 	}
 
-	// Encode the replay set into wire payloads once; every user then
+	// Encode the replay set into frames once; every user then
 	// resends the same bytes, so client-side marshalling never competes
 	// with the server for CPU. Each payload carries the target it belongs
 	// to: under ring routing records are partitioned onto their owning
 	// instance before batching (order within a partition preserved), under
 	// round-robin the batches are dealt across targets as-is.
-	wire, err := collector.ParseWire(*wireFlag)
-	if err != nil {
-		fatal(err)
-	}
-	payloads, err := encodePayloads(records, targetList, *route, *vnodes, *batch, wire)
+	payloads, err := encodePayloads(records, targetList, *route, *vnodes, *batch)
 	if err != nil {
 		fatal(err)
 	}
@@ -226,11 +221,11 @@ func splitList(s string) []string {
 	return out
 }
 
-// encodePayloads turns the replay set into per-target wire payloads. Ring
+// encodePayloads turns the replay set into per-target frames. Ring
 // routing partitions records by their (city, ISP) ring owner so replayed
 // batches land exactly where the cluster would keep them; round-robin deals
 // whole batches across targets in turn.
-func encodePayloads(records []extension.Record, targets []string, route string, vnodes, batch int, wire collector.Wire) ([]payload, error) {
+func encodePayloads(records []extension.Record, targets []string, route string, vnodes, batch int) ([]payload, error) {
 	parts := map[string][]extension.Record{targets[0]: records}
 	if len(targets) > 1 {
 		switch route {
@@ -251,24 +246,12 @@ func encodePayloads(records []extension.Record, targets []string, route string, 
 	var payloads []payload
 	for owner, part := range parts {
 		for off := 0; off < len(part); off += batch {
-			end := off + batch
-			if end > len(part) {
-				end = len(part)
-			}
-			var data []byte
-			if wire == collector.WireBatch {
-				data = dataset.MarshalBatch(part[off:end])
-			} else {
-				var err error
-				if data, err = collector.EncodeExtensionBatch(part[off:end]); err != nil {
-					return nil, err
-				}
-			}
+			end := min(off+batch, len(part))
 			base := owner
 			if base == "" { // round-robin: deal batches across targets
 				base = targets[len(payloads)%len(targets)]
 			}
-			payloads = append(payloads, payload{base: "http://" + base, data: data, n: end - off, wire: wire})
+			payloads = append(payloads, payload{base: "http://" + base, data: dataset.MarshalBatch(part[off:end]), n: end - off})
 		}
 	}
 	return payloads, nil
@@ -343,7 +326,6 @@ type payload struct {
 	base string
 	data []byte
 	n    int
-	wire collector.Wire
 }
 
 type workerResult struct {
@@ -380,12 +362,7 @@ func replay(payloads []payload, offset int, rate float64, deadline time.Time, tr
 	var err error
 	for i := 0; time.Now().Before(deadline); i++ {
 		p := payloads[(offset+i)%len(payloads)]
-		if p.wire == collector.WireBatch {
-			err = clientFor(p.base).SendExtensionFrames(p.data, p.n)
-		} else {
-			err = clientFor(p.base).SendExtensionBatch(p.data, p.n)
-		}
-		if err != nil {
+		if err = clientFor(p.base).SendExtensionFrames(p.data, p.n); err != nil {
 			break
 		}
 		sent += p.n

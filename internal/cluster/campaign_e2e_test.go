@@ -62,7 +62,6 @@ func startCampaignCluster(t *testing.T) *campaignCluster {
 	client, err := NewClient(ClientConfig{
 		Targets:    cc.addrs,
 		Route:      RouteRing,
-		Wire:       collector.WireBatch,
 		BatchSize:  256,
 		HTTPClient: cc.http,
 	})

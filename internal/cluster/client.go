@@ -35,9 +35,9 @@ type ClientConfig struct {
 	// VNodes must match the servers' ring (DefaultVNodes when <= 0); only
 	// meaningful with RouteRing.
 	VNodes int
-	// Wire selects the extension-record encoding per target POST:
-	// collector.WireCSV (default) or collector.WireBatch, which ships each
-	// per-owner buffer as one columnar frame to /ingest/batch.
+	// Wire is ignored: every per-target buffer ships as one columnar frame
+	// to /ingest/batch. It goes once the benchmark's client configurations
+	// stop setting it.
 	Wire collector.Wire
 	// BatchSize flushes a per-target buffer at this many records
 	// (default 512).
@@ -179,19 +179,10 @@ func (c *Client) flushExt(t string) error {
 	if len(c.ext[t]) == 0 {
 		return nil
 	}
-	path, contentType := collector.PathIngestExtension, collector.ExtensionContentType
-	var payload []byte
-	var err error
-	if c.cfg.Wire == collector.WireBatch {
-		path, contentType = collector.PathIngestBatch, collector.BatchContentType
-		// The reusable encoder's frame is valid until the next Encode; send
-		// (including every retry, which resends the same payload) finishes
-		// before another flush can run.
-		payload = c.enc.Encode(c.ext[t])
-	} else if payload, err = collector.EncodeExtensionBatch(c.ext[t]); err != nil {
-		return err
-	}
-	reply, err := c.send(t, path, contentType, payload, len(c.ext[t]))
+	// The reusable encoder's frame is valid until the next Encode; send
+	// (including every retry, which resends the same payload) finishes
+	// before another flush can run.
+	reply, err := c.send(t, c.enc.Encode(c.ext[t]), len(c.ext[t]))
 	if err != nil {
 		return err
 	}
@@ -221,7 +212,7 @@ func pacePause(d time.Duration) time.Duration {
 // server's (jittered) Retry-After and resends, up to PaceRetries times per
 // batch, without consuming a Retries attempt. Only transport errors and
 // non-429 statuses burn retries.
-func (c *Client) send(target, path, contentType string, payload []byte, records int) (collector.IngestReply, error) {
+func (c *Client) send(target string, payload []byte, records int) (collector.IngestReply, error) {
 	var reply collector.IngestReply
 	var lastErr error
 	var prev trace.SpanContext
@@ -243,7 +234,7 @@ func (c *Client) send(target, path, contentType string, payload []byte, records 
 			}
 			prev = sp.Context()
 		}
-		reply, lastErr = c.post(target, path, contentType, payload, sp)
+		reply, lastErr = c.post(target, payload, sp)
 		sp.SetError(lastErr)
 		sp.Finish()
 		if lastErr == nil {
@@ -271,13 +262,14 @@ func (c *Client) send(target, path, contentType string, payload []byte, records 
 		target, attempt+1, lastErr)
 }
 
-func (c *Client) post(target, path, contentType string, payload []byte, sp *trace.Span) (collector.IngestReply, error) {
+// post sends one body of frames to target's /ingest/batch.
+func (c *Client) post(target string, payload []byte, sp *trace.Span) (collector.IngestReply, error) {
 	var reply collector.IngestReply
-	req, err := http.NewRequest(http.MethodPost, "http://"+target+path, bytes.NewReader(payload))
+	req, err := http.NewRequest(http.MethodPost, "http://"+target+collector.PathIngestBatch, bytes.NewReader(payload))
 	if err != nil {
 		return reply, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", collector.BatchContentType)
 	if sp != nil {
 		req.Header.Set(trace.TraceparentHeader, sp.Context().Traceparent())
 	}

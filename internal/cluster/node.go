@@ -196,9 +196,8 @@ func (n *Node) OwnerExtension(city, isp string) string {
 const forwardFrameRecords = 1 << 15
 
 // ForwardExtension relays browsing records to their owner as batch frames
-// and returns how many it accepted. No ingest handler calls it — both
-// browsing wires forward the frames their split builds, with ForwardFrame —
-// but benchmark/other_layers.go times it, both ends, under
+// and returns how many it accepted. No ingest handler calls it — the batch
+// handler forwards the frames its split builds, with ForwardFrame — but benchmark/other_layers.go times it, both ends, under
 // cluster.forward_ns_per_record.
 func (n *Node) ForwardExtension(peer string, recs []extension.Record, parent trace.SpanContext) (int, error) {
 	var enc dataset.BatchEncoder

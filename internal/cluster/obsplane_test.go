@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"starlinkview/internal/collector"
+	"starlinkview/internal/dataset"
 	"starlinkview/internal/obs"
 	"starlinkview/internal/trace"
 )
@@ -230,17 +231,13 @@ func TestStitchedTraceAcrossForward(t *testing.T) {
 	// Post everything to instance 0 with a forced-sampled traceparent; the
 	// ring owns some groups on instance 1, so the server forwards.
 	records := testRecords(60)
-	payload, err := collector.EncodeExtensionBatch(records)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const traceID = "5f1e8c4b2a9d47c6b3e0f9a812d45e77"
 	req, err := http.NewRequest(http.MethodPost,
-		"http://"+addrs[0]+collector.PathIngestExtension, bytes.NewReader(payload))
+		"http://"+addrs[0]+collector.PathIngestBatch, bytes.NewReader(dataset.MarshalBatch(records)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", collector.ExtensionContentType)
+	req.Header.Set("Content-Type", collector.BatchContentType)
 	req.Header.Set(trace.TraceparentHeader, "00-"+traceID+"-00f067aa0ba902b7-01")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -48,7 +48,6 @@ func TestClientPacesOn429(t *testing.T) {
 	var paces []time.Duration
 	c, err := NewClient(ClientConfig{
 		Targets: []string{strings.TrimPrefix(srv.URL, "http://")},
-		Wire:    collector.WireBatch,
 		Retries: -1, // no failure retries: pacing alone must recover
 		OnPace:  func(d time.Duration) { paces = append(paces, d) },
 	})
@@ -109,7 +108,6 @@ func TestClientPaceBudgetExhausts(t *testing.T) {
 	paces := 0
 	c, err := NewClient(ClientConfig{
 		Targets:      []string{strings.TrimPrefix(srv.URL, "http://")},
-		Wire:         collector.WireBatch,
 		Retries:      -1,
 		PaceRetries:  1,
 		RetryBackoff: time.Millisecond,

@@ -3,11 +3,10 @@ package collector
 // Columnar batch ingest: the one way browsing records reach the shards.
 //
 // POST /ingest/batch carries concatenated dataset batch frames
-// (dataset.MarshalBatch); POST /ingest/extension carries CSV rows, which the
-// server gathers into frames of its own (server.go). Either way a frame has
-// one decoded form here, the dataset.BatchView, and one way into the shards,
-// OfferBatchView: the WAL logs the frame once, the shards take it as row
-// slices, and the ack rides the group-commit fsync. Whatever has to cut a
+// (dataset.MarshalBatch), the only ingest wire. A frame has one decoded form
+// here, the dataset.BatchView, and one way into the shards, OfferBatchView:
+// the WAL logs the frame once, the shards take it as row slices, and the ack
+// rides the group-commit fsync. Whatever has to cut a
 // frame up — the forwarder by ring owner, the WAL by payload bound —
 // re-encodes row subsets of the view (BatchEncoder.EncodeRows) and never
 // builds a record slice.
@@ -180,8 +179,8 @@ func growI32(s []int32, n int) []int32 {
 const maxPTTMs = 3600e3
 
 // validPTT reports whether v is a PTT ingest accepts: in [0, maxPTTMs],
-// which also rules out NaN and the infinities. Ingest refuses any other, on
-// both wires, before the WAL sees it. The sketch skips a NaN, leaving its
+// which also rules out NaN and the infinities. Ingest refuses any other
+// before the WAL sees it. The sketch skips a NaN, leaving its
 // group's count short of what was accepted; an infinite PTT, or two near
 // MaxFloat64, overflow the group's sum; and a negative one is no duration.
 // Bounded, a group's sum stays below 2^64 × maxPTTMs, far inside float64.
@@ -475,11 +474,11 @@ func (s *Server) releaseSplitter(sp *frameSplitter) {
 	s.splitters.Put(sp)
 }
 
-// viewIngest is one ingest request's pass through the steps both browsing
-// wires share once they hold a frame: the PTT check, the split by ring
-// owner when a forwarder routes the request, OfferBatchView for the rows
-// this instance keeps, and at the end one ForwardFrame per peer, in the
-// order the request's rows first named them.
+// viewIngest is one ingest request's pass through the steps each of its
+// frames takes: the PTT check, the split by ring owner when a forwarder
+// routes the request, OfferBatchView for the rows this instance keeps, and
+// at the end one ForwardFrame per peer, in the order the request's rows
+// first named them.
 type viewIngest struct {
 	s      *Server
 	split  *frameSplitter

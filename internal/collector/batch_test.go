@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -127,9 +128,9 @@ func comparableAggSnapshot(t *testing.T, snap *Snapshot) []byte {
 	return out
 }
 
-// ingestVia runs the records through a fresh WAL-backed server over the
-// given wire format and returns the drained snapshot plus the WAL dir.
-func ingestVia(t *testing.T, wire Wire, recs []extension.Record) ([]byte, string) {
+// ingestVia runs the records through a fresh WAL-backed server and returns
+// the snapshot taken once the client closed, plus the WAL dir.
+func ingestVia(t *testing.T, recs []extension.Record) ([]byte, string) {
 	t.Helper()
 	dir := t.TempDir()
 	srv, err := OpenServer(Config{
@@ -143,49 +144,35 @@ func ingestVia(t *testing.T, wire Wire, recs []extension.Record) ([]byte, string
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	client := NewClient(srv.URL(), ClientConfig{Wire: wire, BatchSize: 97, FlushEvery: 0})
+	client := NewClient(srv.URL(), ClientConfig{BatchSize: 97, FlushEvery: 0})
 	for _, r := range recs {
 		if err := client.AddRecord(r); err != nil {
-			t.Fatalf("wire %v: add: %v", wire, err)
+			t.Fatalf("add: %v", err)
 		}
 	}
 	if err := client.Close(); err != nil {
-		t.Fatalf("wire %v: close: %v", wire, err)
+		t.Fatalf("close: %v", err)
 	}
+	// Every POST was acked, and a snapshot covers every acked offer.
 	snap := srv.Aggregator().Snapshot()
 	if got := snap.Processed; got != uint64(len(recs)) {
-		// Snapshot drains per shard; under Block policy with the client
-		// done, everything accepted is applied once queues empty.
-		deadline := time.Now().Add(5 * time.Second)
-		for got != uint64(len(recs)) && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-			snap = srv.Aggregator().Snapshot()
-			got = snap.Processed
-		}
-		if got != uint64(len(recs)) {
-			t.Fatalf("wire %v: processed %d of %d", wire, got, len(recs))
-		}
+		t.Fatalf("processed %d of %d", got, len(recs))
 	}
 	out := comparableAggSnapshot(t, snap)
 	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatalf("wire %v: shutdown: %v", wire, err)
+		t.Fatalf("shutdown: %v", err)
 	}
 	return out, dir
 }
 
-// TestBatchIngestMatchesPerRecord is the wire-equivalence property: the
-// same record stream through /ingest/batch and /ingest/extension produces
-// the aggregate snapshot of the records folded one at a time, byte for
-// byte, and a WAL replay of the batch frames (checkpoint deleted, full
-// replay) rebuilds that same state.
+// TestBatchIngestMatchesPerRecord is the ingest-equivalence property: a
+// record stream through /ingest/batch produces the aggregate snapshot of
+// the records folded one at a time, byte for byte, and a WAL replay of the
+// batch frames (checkpoint deleted, full replay) rebuilds that same state.
 func TestBatchIngestMatchesPerRecord(t *testing.T) {
 	recs := batchTestRecords(1, 5000)
 	want := comparableAggSnapshot(t, foldSnapshot(milliRecords(t, recs)))
-	csvSnap, _ := ingestVia(t, WireCSV, recs)
-	batchSnap, batchDir := ingestVia(t, WireBatch, recs)
-	if string(csvSnap) != string(want) {
-		t.Fatalf("CSV-wire snapshot differs from the per-record fold:\n csv  %s\n fold %s", csvSnap, want)
-	}
+	batchSnap, batchDir := ingestVia(t, recs)
 	if string(batchSnap) != string(want) {
 		t.Fatalf("batch-wire snapshot differs from the per-record fold:\n batch %s\n fold  %s", batchSnap, want)
 	}
@@ -300,12 +287,20 @@ func sameRecords(got, want []extension.Record) bool {
 	return len(got) == len(want) && string(mustCSV(got)) == string(mustCSV(want))
 }
 
+// mustCSV renders recs as headerless dataset CSV rows.
 func mustCSV(recs []extension.Record) []byte {
-	out, err := EncodeExtensionBatch(recs)
-	if err != nil {
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	for _, r := range recs {
+		if err := cw.Write(dataset.MarshalExtensionRow(r)); err != nil {
+			panic(err)
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
 		panic(err)
 	}
-	return out
+	return buf.Bytes()
 }
 
 // TestOversizeFrameSplitsAndReplays sends one frame larger than the WAL's

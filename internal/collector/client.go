@@ -2,7 +2,6 @@ package collector
 
 import (
 	"bytes"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,45 +14,19 @@ import (
 	"starlinkview/internal/trace"
 )
 
-// Wire selects the extension-record encoding a client puts on the wire.
+// Wire names the ingest encoding a client puts on the wire. Columnar
+// frames to PathIngestBatch are the only one; the type survives only
+// because the benchmark's client configurations still name it.
 type Wire int
 
-const (
-	// WireCSV sends headerless dataset CSV rows to PathIngestExtension
-	// (default).
-	WireCSV Wire = iota
-	// WireBatch sends columnar frames (dataset.MarshalBatch) to
-	// PathIngestBatch — the fast path for high-volume streams.
-	WireBatch
-)
-
-// String implements fmt.Stringer.
-func (w Wire) String() string {
-	switch w {
-	case WireCSV:
-		return "csv"
-	case WireBatch:
-		return "batch"
-	default:
-		return fmt.Sprintf("wire(%d)", int(w))
-	}
-}
-
-// ParseWire converts a CLI flag value to a Wire.
-func ParseWire(s string) (Wire, error) {
-	switch s {
-	case "csv":
-		return WireCSV, nil
-	case "batch":
-		return WireBatch, nil
-	default:
-		return 0, fmt.Errorf("collector: unknown wire format %q (want csv or batch)", s)
-	}
-}
+// WireBatch, the zero Wire, sends columnar frames (dataset.MarshalBatch) to
+// PathIngestBatch.
+const WireBatch Wire = 0
 
 // ClientConfig tunes the batching ingest client.
 type ClientConfig struct {
-	// Wire selects the extension-record encoding (default WireCSV).
+	// Wire is ignored: every client sends frames. It goes once the
+	// benchmark's client configurations stop setting it.
 	Wire Wire
 	// BatchSize flushes a buffer once it holds this many records
 	// (default 512).
@@ -187,47 +160,12 @@ func (c *Client) flushExtLocked() error {
 	if len(c.ext) == 0 {
 		return nil
 	}
-	if c.cfg.Wire == WireBatch {
-		// The reusable encoder's frame is valid until its next Encode, which
-		// cannot happen before this post returns (both run under mu).
-		frame := c.enc.Encode(c.ext)
-		n := len(c.ext)
-		c.ext = c.ext[:0]
-		return c.post(PathIngestBatch, BatchContentType, bytes.NewReader(frame), n)
-	}
-	payload, err := EncodeExtensionBatch(c.ext)
-	if err != nil {
-		return err
-	}
+	// The reusable encoder's frame is valid until its next Encode, which
+	// cannot happen before this post returns (both run under mu).
+	frame := c.enc.Encode(c.ext)
 	n := len(c.ext)
 	c.ext = c.ext[:0]
-	return c.post(PathIngestExtension, ExtensionContentType, bytes.NewReader(payload), n)
-}
-
-// EncodeExtensionBatch renders records as one wire payload, the body a
-// single POST to PathIngestExtension carries. Load generators encode their
-// replay set once and resend the payloads, keeping the client side cheap.
-func EncodeExtensionBatch(records []extension.Record) ([]byte, error) {
-	var buf bytes.Buffer
-	cw := csv.NewWriter(&buf)
-	for _, r := range records {
-		if err := cw.Write(dataset.MarshalExtensionRow(r)); err != nil {
-			return nil, fmt.Errorf("collector: encode: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return nil, fmt.Errorf("collector: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// SendExtensionBatch posts a pre-encoded batch of n records, bypassing the
-// client's buffer but sharing its latency and throughput accounting.
-func (c *Client) SendExtensionBatch(payload []byte, n int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.post(PathIngestExtension, ExtensionContentType, bytes.NewReader(payload), n)
+	return c.post(frame, n)
 }
 
 // SendExtensionFrames posts pre-encoded columnar frames (concatenated
@@ -235,16 +173,18 @@ func (c *Client) SendExtensionBatch(payload []byte, n int) error {
 func (c *Client) SendExtensionFrames(payload []byte, n int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.post(PathIngestBatch, BatchContentType, bytes.NewReader(payload), n)
+	return c.post(payload, n)
 }
 
-func (c *Client) post(path, contentType string, body io.Reader, n int) error {
+// post sends a body of frames holding n records to PathIngestBatch.
+func (c *Client) post(frames []byte, n int) error {
+	const path = PathIngestBatch
 	start := time.Now()
-	req, err := http.NewRequest(http.MethodPost, c.base+path, body)
+	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(frames))
 	if err != nil {
 		return fmt.Errorf("collector: post %s: %w", path, err)
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", BatchContentType)
 	if c.cfg.Traceparent != nil {
 		if tp := c.cfg.Traceparent(); tp != "" {
 			req.Header.Set(trace.TraceparentHeader, tp)

@@ -1,17 +1,18 @@
 package collector
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"starlinkview/internal/dataset"
 	"starlinkview/internal/extension"
 	"starlinkview/internal/trace"
 )
@@ -229,8 +230,10 @@ func TestServerRejectsMalformedBatch(t *testing.T) {
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	}()
-	resp, err := http.Post(srv.URL()+PathIngestExtension, ExtensionContentType,
-		strings.NewReader("this,is,not,a,record\n"))
+	// A frame whose body no longer matches its CRC.
+	frame := dataset.MarshalBatch([]extension.Record{testRecord(rand.New(rand.NewSource(1)), "London", "starlink")})
+	frame[len(frame)/2] ^= 0xff
+	resp, err := http.Post(srv.URL()+PathIngestBatch, BatchContentType, bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}

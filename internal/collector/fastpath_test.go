@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"net/http"
 	"runtime"
 	"testing"
 	"time"
@@ -108,18 +107,18 @@ func serialShapes(t *testing.T) []serialShape {
 
 // TestOfferBatchViewMatchesSerial is the fan-out equivalence property: at
 // every shard count, each route a frame takes to the shards — a view offered
-// directly, the CSV wire, and replay of a log with no checkpoint — must leave
-// the aggregator in byte-identical state (rendered group rows, city table,
-// counters, and each group's domains in first-seen order and sketch bytes)
-// to the frames' records folded serially, one at a time, because each shard
-// applies every group's rows in frame order.
+// directly, a POST to /ingest/batch, and replay of a log with no checkpoint —
+// must leave the aggregator in byte-identical state (rendered group rows,
+// city table, counters, and each group's domains in first-seen order and
+// sketch bytes) to the frames' records folded serially, one at a time,
+// because each shard applies every group's rows in frame order.
 func TestOfferBatchViewMatchesSerial(t *testing.T) {
 	routes := []struct {
 		name string
 		run  func(t *testing.T, shards int, frames [][]byte) *Snapshot
 	}{
 		{"view", serialViaView},
-		{"csv", serialViaCSV},
+		{"http", serialViaHTTP},
 		{"replay", serialViaReplay},
 	}
 	for _, shape := range serialShapes(t) {
@@ -179,8 +178,8 @@ func serialViaView(t *testing.T, shards int, frames [][]byte) *Snapshot {
 	return a.Snapshot()
 }
 
-// serialViaCSV posts each frame's records as one CSV request.
-func serialViaCSV(t *testing.T, shards int, frames [][]byte) *Snapshot {
+// serialViaHTTP posts each frame as one /ingest/batch request.
+func serialViaHTTP(t *testing.T, shards int, frames [][]byte) *Snapshot {
 	srv := NewServer(Config{Shards: shards, Registry: obs.NewRegistry()})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -190,8 +189,8 @@ func serialViaCSV(t *testing.T, shards int, frames [][]byte) *Snapshot {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if code, reply := postCSV(t, srv, mustCSV(recs), false); code != http.StatusOK || reply.Accepted != len(recs) {
-			t.Fatalf("CSV request: status %d, reply %+v, want %d accepted", code, reply, len(recs))
+		if reply := postFrames(t, srv, frame); reply.Accepted != len(recs) {
+			t.Fatalf("batch request: reply %+v, want %d accepted", reply, len(recs))
 		}
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"starlinkview/internal/obs"
 	"starlinkview/internal/wal"
@@ -71,19 +70,13 @@ func TestMetricsMatchClientTotals(t *testing.T) {
 		t.Fatalf("client sent %d records, want %d", cs.Records, n)
 	}
 
-	// Acceptance is synchronous with the ack; processing drains async.
-	deadline := time.Now().Add(5 * time.Second)
-	var samples obs.Samples
-	for {
-		samples = scrapeMetrics(t, srv)
-		if samples.Sum("collector_processed_records_total", nil) >= n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shards never processed %d records: %v",
-				n, samples.Sum("collector_processed_records_total", nil))
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Acceptance is synchronous with the ack; processing drains async, and
+	// a snapshot returns only once every acked record is applied.
+	srv.Aggregator().Snapshot()
+	samples := scrapeMetrics(t, srv)
+	if samples.Sum("collector_processed_records_total", nil) < n {
+		t.Fatalf("shards processed %v of %d records after a snapshot",
+			samples.Sum("collector_processed_records_total", nil), n)
 	}
 
 	if got := samples.Sum("ingest_records_total", nil); got != float64(cs.Records) {
@@ -99,7 +92,7 @@ func TestMetricsMatchClientTotals(t *testing.T) {
 		t.Fatalf("ack histogram counted %v batches, client acked %d", got, cs.Batches)
 	}
 	if got := samples.Sum("http_requests_total",
-		map[string]string{"path": PathIngestExtension, "code": "200"}); got != float64(cs.Batches) {
+		map[string]string{"path": PathIngestBatch, "code": "200"}); got != float64(cs.Batches) {
 		t.Fatalf("http_requests_total for ingest %v, want %d", got, cs.Batches)
 	}
 	// One WAL append per frame: each 100-row request is one frame.

@@ -184,11 +184,12 @@ func TestReadPathRacesWriters(t *testing.T) {
 	}
 }
 
-// TestBadPTTRejected posts PTTs outside [0, maxPTTMs] on each wire — NaN,
+// TestBadPTTRejected posts frames with PTTs outside [0, maxPTTMs] — NaN,
 // the infinities, a negative, and two near MaxFloat64 whose sum would
 // overflow — and expects a 400 that leaves no trace: nothing accepted,
 // nothing in the WAL, and /snapshot still a decodable 200. The node-sample
-// path is gone: a POST to /ingest/node finds no handler.
+// path and the CSV ingest route are gone: a POST to /ingest/node or to
+// /ingest/extension finds no handler.
 func TestBadPTTRejected(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := OpenServer(Config{Shards: 2, Registry: obs.NewRegistry(), WAL: WALConfig{Dir: dir}})
@@ -217,13 +218,13 @@ func TestBadPTTRejected(t *testing.T) {
 		if got := post(PathIngestBatch, BatchContentType, dataset.MarshalBatch(withBad)); got != http.StatusBadRequest {
 			t.Errorf("frame with PTT %v: status %d, want 400", bad, got)
 		}
-		if got := post(PathIngestExtension, ExtensionContentType, mustCSV(withBad[3:5])); got != http.StatusBadRequest {
-			t.Errorf("CSV rows with PTT %v: status %d, want 400", bad, got)
-		}
 	}
 	sample := `{"node":"Wiltshire","kind":"iperf","at":"2022-04-11T09:00:00Z","down_mbps":1e308}` + "\n"
 	if got := post("/ingest/node", "application/x-ndjson", []byte(sample)); got != http.StatusNotFound {
 		t.Errorf("node sample: status %d, want 404", got)
+	}
+	if got := post("/ingest/extension", "text/csv", mustCSV(recs)); got != http.StatusNotFound {
+		t.Errorf("CSV rows: status %d, want 404", got)
 	}
 	accepted := uint64(len(recs))
 

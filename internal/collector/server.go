@@ -3,10 +3,8 @@ package collector
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"slices"
@@ -14,29 +12,23 @@ import (
 	"sync"
 	"time"
 
-	"starlinkview/internal/dataset"
-	"starlinkview/internal/extension"
 	"starlinkview/internal/trace"
 )
 
-// Wire paths and content types of the ingest protocol. Extension records
-// travel as headerless CSV rows (the dataset release schema) or as columnar
-// batch frames.
+// Paths of the server's endpoints. Browsing records travel one way, as
+// columnar batch frames POSTed to PathIngestBatch.
 const (
-	PathIngestExtension = "/ingest/extension"
-	PathIngestBatch     = "/ingest/batch"
-	PathSnapshot        = "/snapshot"
-	PathStats           = "/stats"
-	PathMetrics         = "/metrics"
-	PathHealthz         = "/healthz"
-	PathTraces          = "/traces"
+	PathIngestBatch = "/ingest/batch"
+	PathSnapshot    = "/snapshot"
+	PathStats       = "/stats"
+	PathMetrics     = "/metrics"
+	PathHealthz     = "/healthz"
+	PathTraces      = "/traces"
 
-	// ExtensionContentType and BatchContentType are the ingest body MIME
-	// types — exported so cluster forwarding speaks the same wire protocol.
-	// BatchContentType bodies are concatenated dataset batch frames
-	// (dataset.MarshalBatch), the columnar fast path.
-	ExtensionContentType = "text/csv"
-	BatchContentType     = "application/x-starlink-batch"
+	// BatchContentType is the ingest body MIME type, exported so cluster
+	// forwarding speaks the same wire protocol. Its bodies are concatenated
+	// dataset batch frames (dataset.MarshalBatch).
+	BatchContentType = "application/x-starlink-batch"
 )
 
 // HeaderForwarded marks an ingest POST as a cluster forward. A batch
@@ -73,9 +65,9 @@ type IngestReply struct {
 // Forwarder routes misrouted records to their owning cluster instance; the
 // implementation lives in internal/cluster. OwnerExtension returns the
 // owning peer's advertise address, or "" when this instance owns the key —
-// the check the ingest handlers make per (city, ISP) group. ForwardFrame
+// the check the ingest handler makes per (city, ISP) group. ForwardFrame
 // delivers concatenated batch frames holding the given number of misrouted
-// browsing records (what the split of either browsing wire produces)
+// browsing records (what the ingest handler's split produces)
 // synchronously and returns how many the owner accepted; the ingest
 // acknowledgement waits on it, so a 200 means every record in the batch is
 // owned (and, with WALs, durable) somewhere.
@@ -123,7 +115,6 @@ func OpenServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{agg: agg, err: make(chan error, 1)}
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathIngestExtension, s.instrument(PathIngestExtension, s.handleIngestExtension))
 	mux.HandleFunc(PathIngestBatch, s.instrument(PathIngestBatch, s.handleIngestBatch))
 	mux.HandleFunc(PathSnapshot, s.instrument(PathSnapshot, s.handleSnapshot))
 	mux.HandleFunc(PathStats, s.instrument(PathStats, s.handleStats))
@@ -147,7 +138,7 @@ func (s *Server) Handle(path string, h http.HandlerFunc) {
 	s.mux.HandleFunc(path, s.instrument(path, h))
 }
 
-// SetForwarder makes the ingest handlers cluster-aware: each decoded record
+// SetForwarder makes the ingest handler cluster-aware: each decoded record
 // is checked against the forwarder's ring and relayed to its owner when it
 // does not belong here. Call before traffic arrives.
 func (s *Server) SetForwarder(f Forwarder) {
@@ -252,90 +243,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// csvFrameRows is how many CSV rows the extension handler gathers before it
-// encodes them as one frame — the size of the frames a batch client sends —
-// and csvFrameBytes bounds the CSV bytes behind one frame, so a request of
-// long rows cannot build a frame over the batch wire's body bound.
-const (
-	csvFrameRows  = 1024
-	csvFrameBytes = 4 << 20
-)
-
-// handleIngestExtension is the CSV front end to the batch path: it parses
-// rows into records, with the row and PTT errors the CSV wire has always
-// given, and encodes every csvFrameRows of them (or csvFrameBytes of CSV)
-// into a frame that takes the same steps a /ingest/batch frame does. Rows
-// read before a bad one are framed and offered before the 400.
-func (s *Server) handleIngestExtension(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if reason, ok := s.admitIngest(r); !ok {
-		shedReject(w, r, reason)
-		return
-	}
-	in := s.beginViewIngest(r)
-	cr := csv.NewReader(r.Body)
-	cr.FieldsPerRecord = len(dataset.ExtensionHeader())
-	cr.ReuseRecord = true
-	var (
-		enc    dataset.BatchEncoder
-		recs   []extension.Record
-		framed int64 // input offset of the first row not yet framed
-	)
-	offerRecs := func() error {
-		if len(recs) == 0 {
-			return nil
-		}
-		v, err := s.agg.views.Parse(enc.Encode(recs))
-		recs, framed = recs[:0], cr.InputOffset()
-		if err != nil {
-			return err
-		}
-		return in.offer(v)
-	}
-	for {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		msg := "bad row"
-		var rec extension.Record
-		if err == nil {
-			msg = "bad record"
-			rec, err = dataset.UnmarshalExtensionRow(row)
-			if err == nil && !validPTT(rec.PTTMs) {
-				err = fmt.Errorf("ptt %v outside [0, %v]", rec.PTTMs, maxPTTMs)
-			}
-		}
-		if err != nil {
-			if ferr := offerRecs(); ferr != nil {
-				msg, err = "bad frame", ferr
-			}
-			in.fail(w, msg, err)
-			return
-		}
-		recs = append(recs, rec)
-		if len(recs) == csvFrameRows || cr.InputOffset()-framed >= csvFrameBytes {
-			if err := offerRecs(); err != nil {
-				in.fail(w, "bad frame", err)
-				return
-			}
-		}
-	}
-	if err := offerRecs(); err != nil {
-		in.fail(w, "bad frame", err)
-		return
-	}
-	in.finish(w, r, start)
-}
-
 // admitIngest asks the shed controller whether the request may enter. The
 // sampled bit rides the request's traceparent: via the root span when
-// tracing is on, parsed straight off the header otherwise — so batch
-// frames and CSV bodies alike carry their keep-this signal in-band.
+// tracing is on, parsed straight off the header otherwise — so a frame
+// body carries its keep-this signal in-band.
 func (s *Server) admitIngest(r *http.Request) (string, bool) {
 	if s.agg.shed == nil {
 		return "", true

@@ -8,7 +8,7 @@ import (
 )
 
 // Trace-driven load shedding: an admission controller in front of the
-// ingest handlers that, when the collector is demonstrably overloaded,
+// ingest handler that, when the collector is demonstrably overloaded,
 // sheds whole unsampled requests (429 + Retry-After) while always
 // admitting sampled/forced traffic — the requests whose traceparent
 // carries the sampled bit, i.e. exactly the ones someone is watching.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"starlinkview/internal/extension"
 	"starlinkview/internal/obs"
 	"starlinkview/internal/trace"
 )
@@ -130,8 +128,8 @@ func TestShedUnarmedIsInvisible(t *testing.T) {
 // request's root span so kept traces show where admission control cut in.
 func TestShedRejectAnnotatesRootSpan(t *testing.T) {
 	tracer := trace.New(trace.Config{Seed: 3})
-	sp := tracer.StartRoot("http POST "+PathIngestExtension, trace.SpanContext{Sampled: true})
-	r := httptest.NewRequest(http.MethodPost, PathIngestExtension, nil)
+	sp := tracer.StartRoot("http POST "+PathIngestBatch, trace.SpanContext{Sampled: true})
+	r := httptest.NewRequest(http.MethodPost, PathIngestBatch, nil)
 	r = r.WithContext(trace.NewContext(r.Context(), sp))
 	w := httptest.NewRecorder()
 	shedReject(w, r, "queue_depth")
@@ -202,41 +200,9 @@ func TestShedOverloadKeepsSampledTraffic(t *testing.T) {
 	}
 	defer srv.Shutdown(context.Background())
 
-	post := func(rng *rand.Rand, city, traceparent string, n int) (int, IngestReply) {
-		records := make([]extension.Record, n)
-		for i := range records {
-			records[i] = testRecord(rng, city, "starlink")
-		}
-		payload, err := EncodeExtensionBatch(records)
-		if err != nil {
-			t.Error(err)
-			return 0, IngestReply{}
-		}
-		req, err := http.NewRequest(http.MethodPost, srv.URL()+PathIngestExtension, bytes.NewReader(payload))
-		if err != nil {
-			t.Error(err)
-			return 0, IngestReply{}
-		}
-		req.Header.Set("Content-Type", ExtensionContentType)
-		if traceparent != "" {
-			req.Header.Set(trace.TraceparentHeader, traceparent)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Error(err)
-			return 0, IngestReply{}
-		}
-		defer resp.Body.Close()
-		var reply IngestReply
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-				t.Error(err)
-			}
-		} else {
-			io.Copy(io.Discard, resp.Body)
-		}
-		return resp.StatusCode, reply
-	}
+	transport := NewFrameTransport()
+	defer transport.CloseIdleConnections()
+	hc := &http.Client{Transport: transport}
 
 	var (
 		wg           sync.WaitGroup
@@ -250,7 +216,7 @@ func TestShedOverloadKeepsSampledTraffic(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 25; i++ {
-				switch code, _ := post(rng, "London", "", 8); code {
+				switch code, _ := postBatch(t, hc, srv, rng, "London", "", 8); code {
 				case http.StatusTooManyRequests:
 					shed.Add(1)
 				case http.StatusOK:
@@ -271,7 +237,7 @@ func TestShedOverloadKeepsSampledTraffic(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + writer)))
 			for i := 0; i < sampledPosts/4; i++ {
 				tp := fmt.Sprintf("00-%032x-%016x-01", writer*1000+i+1, writer*1000+i+1)
-				code, reply := post(rng, "SampledCity", tp, perSampled)
+				code, reply := postBatch(t, hc, srv, rng, "SampledCity", tp, perSampled)
 				if code != http.StatusOK || reply.Accepted != perSampled {
 					t.Errorf("sampled POST shed: status %d accepted %d, want 200/%d",
 						code, reply.Accepted, perSampled)
@@ -290,23 +256,17 @@ func TestShedOverloadKeepsSampledTraffic(t *testing.T) {
 		shed.Load(), served.Load(), sampledSent.Load())
 
 	// Every sampled record must reach the aggregate: shedding loses only
-	// unwatched work.
+	// unwatched work. Each was acked, and a snapshot covers every acked
+	// offer.
 	want := sampledSent.Load()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var got int64
-		for _, g := range srv.Aggregator().Snapshot().Groups {
-			if g.City == "SampledCity" {
-				got += int64(g.Count)
-			}
+	var got int64
+	for _, g := range srv.Aggregator().Snapshot().Groups {
+		if g.City == "SampledCity" {
+			got += int64(g.Count)
 		}
-		if got == want {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sampled records in snapshot = %d, want %d", got, want)
-		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	if got != want {
+		t.Fatalf("sampled records in snapshot = %d, want %d", got, want)
 	}
 
 	// The shed counter is on the wire, and the controller disarms once the
@@ -316,6 +276,7 @@ func TestShedOverloadKeepsSampledTraffic(t *testing.T) {
 	if !ok || int64(v) != shed.Load() {
 		t.Fatalf("collector_shed_total{reason=queue_depth} = %v,%v want %d", v, ok, shed.Load())
 	}
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if srv.Aggregator().ShedState() == 0 {
 			break

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"starlinkview/internal/dataset"
 	"starlinkview/internal/extension"
 	"starlinkview/internal/obs"
 	"starlinkview/internal/trace"
@@ -42,18 +43,14 @@ func TestTracedIngestEndToEnd(t *testing.T) {
 	for i := range records {
 		records[i] = testRecord(rng, "London", "starlink")
 	}
-	payload, err := EncodeExtensionBatch(records)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// The sampled flag (…-01) forces the tail sampler to keep this trace.
 	const parentHeader = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
-	req, err := http.NewRequest(http.MethodPost, srv.URL()+PathIngestExtension, bytes.NewReader(payload))
+	req, err := http.NewRequest(http.MethodPost, srv.URL()+PathIngestBatch, bytes.NewReader(dataset.MarshalBatch(records)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", ExtensionContentType)
+	req.Header.Set("Content-Type", BatchContentType)
 	req.Header.Set(trace.TraceparentHeader, parentHeader)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -101,7 +98,7 @@ func TestTracedIngestEndToEnd(t *testing.T) {
 		}
 		byName[sd.Name] = sd
 	}
-	root, ok := byName["http POST "+PathIngestExtension]
+	root, ok := byName["http POST "+PathIngestBatch]
 	if !ok || !root.Root {
 		t.Fatalf("missing HTTP root span; have %v", names(got.Spans))
 	}

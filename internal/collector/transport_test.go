@@ -26,7 +26,7 @@ func TestClientPostAllocBudget(t *testing.T) {
 	}
 	defer srv.Aggregator().Close()
 	defer srv.Shutdown(context.Background())
-	c := NewClient(srv.URL(), ClientConfig{Wire: WireBatch, BatchSize: perFrame})
+	c := NewClient(srv.URL(), ClientConfig{BatchSize: perFrame})
 	defer c.Close()
 	recs := fastpathRecords(rand.New(rand.NewSource(26)), perFrame)
 	post := func() {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"starlinkview/internal/dataset"
 	"starlinkview/internal/extension"
 	"starlinkview/internal/trace"
 	"starlinkview/internal/tsdb"
@@ -24,27 +25,32 @@ import (
 // applyDelay hook; the import is one-way — tsdb depends only on obs and
 // trace, the collector knows nothing about the store.
 
-func postBatch(t *testing.T, srv *Server, rng *rand.Rand, city, traceparent string, n int) (int, IngestReply) {
+// postBatch POSTs n fresh records in city as one frame through hc, with the
+// traceparent header when one is given, and returns the status and, on a
+// 200, the decoded reply. It reports failures with t.Error, so writer
+// goroutines may call it.
+//
+// Tests that post from many goroutines give hc a transport of their own and
+// close its idle connections before Shutdown: a transport shared with
+// others keeps the spare connections a burst of requests dials, and
+// Server.Shutdown waits 5 s before it counts a connection that never sent a
+// request as idle.
+func postBatch(t *testing.T, hc *http.Client, srv *Server, rng *rand.Rand, city, traceparent string, n int) (int, IngestReply) {
 	t.Helper()
 	records := make([]extension.Record, n)
 	for i := range records {
 		records[i] = testRecord(rng, city, "starlink")
 	}
-	payload, err := EncodeExtensionBatch(records)
+	req, err := http.NewRequest(http.MethodPost, srv.URL()+PathIngestBatch, bytes.NewReader(dataset.MarshalBatch(records)))
 	if err != nil {
 		t.Error(err)
 		return 0, IngestReply{}
 	}
-	req, err := http.NewRequest(http.MethodPost, srv.URL()+PathIngestExtension, bytes.NewReader(payload))
-	if err != nil {
-		t.Error(err)
-		return 0, IngestReply{}
-	}
-	req.Header.Set("Content-Type", ExtensionContentType)
+	req.Header.Set("Content-Type", BatchContentType)
 	if traceparent != "" {
 		req.Header.Set(trace.TraceparentHeader, traceparent)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		t.Error(err)
 		return 0, IngestReply{}
@@ -92,6 +98,9 @@ func TestTSDBRateMatchesIngestRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown(context.Background())
+	transport := NewFrameTransport()
+	defer transport.CloseIdleConnections()
+	hc := &http.Client{Transport: transport}
 
 	reg := srv.Aggregator().Registry()
 	db, err := tsdb.Open(tsdb.Config{
@@ -112,7 +121,7 @@ func TestTSDBRateMatchesIngestRate(t *testing.T) {
 	const posts, perPost = 3, 200
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < posts; i++ {
-		if code, reply := postBatch(t, srv, rng, "London", "", perPost); code != http.StatusOK || reply.Accepted != perPost {
+		if code, reply := postBatch(t, hc, srv, rng, "London", "", perPost); code != http.StatusOK || reply.Accepted != perPost {
 			t.Fatalf("post %d: status %d accepted %d", i, code, reply.Accepted)
 		}
 	}
@@ -187,6 +196,9 @@ func TestAlertFiresUnderOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown(context.Background())
+	transport := NewFrameTransport()
+	defer transport.CloseIdleConnections()
+	hc := &http.Client{Transport: transport}
 
 	reg := srv.Aggregator().Registry()
 	rule := tsdb.Rule{
@@ -246,7 +258,7 @@ func TestAlertFiresUnderOverload(t *testing.T) {
 					return
 				default:
 				}
-				if code, _ := postBatch(t, srv, rng, "London", "", 8); code == http.StatusTooManyRequests {
+				if code, _ := postBatch(t, hc, srv, rng, "London", "", 8); code == http.StatusTooManyRequests {
 					shed429.Add(1)
 				}
 			}

@@ -17,9 +17,8 @@ import (
 // WAL record kinds: the payloads reuse the dataset release encodings, so a
 // WAL segment is itself a replayable dataset of browsing records, logged as
 // batch frames (walKindExtensionBatch, batch.go). Kind 1, one browsing
-// record as the CSV row dataset.MarshalExtensionRow emits, is what the CSV
-// wire logged before it became a front end to frames: nothing writes it now,
-// but recovery, compaction and -wal-dump still read it in older logs. Kind
+// record as the CSV row dataset.MarshalExtensionRow emits, is what an
+// earlier CSV ingest route logged: nothing writes it now, but recovery, compaction and -wal-dump still read it in older logs. Kind
 // 2 is reserved: it held one volunteer-node sample as a JSON line, which
 // earlier builds took on a second ingest path. Recovery counts the kind-2
 // records of an older log as skipped node samples and applies none.

@@ -2,8 +2,8 @@ package dataset
 
 // Columnar batch wire encoding for extension records.
 //
-// The per-record CSV wire format spends most of its bytes (and the
-// collector's ingest CPU) repeating strings and re-parsing decimal text a
+// The per-record CSV row format spends most of its bytes (and, when the
+// collector took it as a wire, its ingest CPU) repeating strings and re-parsing decimal text a
 // million times over. A batch frame transposes a record slice into
 // struct-of-arrays columns and encodes each column with the scheme that fits
 // it: dictionary indices for the heavily repeated strings (user, city,
@@ -23,11 +23,11 @@ package dataset
 // torn or corrupt frames detectable before any value is trusted.
 //
 // Equivalence contract: UnmarshalBatch(MarshalBatch(recs)) yields exactly
-// the records the CSV wire path would deliver — timestamps truncated to
-// whole seconds in UTC and the timing floats quantised to the same values
-// strconv.FormatFloat(v, 'f', 3, 64) → ParseFloat round-trips to. That is
-// what lets the collector frame the rows its CSV wire receives without
-// changing any value a MarshalExtensionRow row carries.
+// the records a MarshalExtensionRow row round-trips to — timestamps
+// truncated to whole seconds in UTC and the timing floats quantised to the
+// same values strconv.FormatFloat(v, 'f', 3, 64) → ParseFloat round-trips
+// to. That is what lets a frame, the release CSV and the kind-1 CSV rows of
+// older collector logs stand for the same records.
 
 import (
 	"encoding/binary"
@@ -95,7 +95,7 @@ func appendColHeader(dst []byte, id byte, enc byte, payloadLen int) []byte {
 	return binary.AppendUvarint(dst, uint64(payloadLen))
 }
 
-// quantizeMilli reproduces the CSV wire's float quantisation: the value a
+// quantizeMilli reproduces the CSV row's float quantisation: the value a
 // reader gets back after FormatFloat(v, 'f', 3, 64) → ParseFloat. It returns
 // the milli-scaled integer when that quantised value is exactly
 // float64(milli)/1000 (true whenever |milli| < 2^53), so the column can

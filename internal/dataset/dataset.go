@@ -30,15 +30,17 @@ var extensionHeader = []string{
 	"weather", "has_weather", "benchmark", "google",
 }
 
-// ExtensionHeader returns a copy of the browsing dataset's CSV schema. Wire
-// consumers (internal/collector) use it to size and validate rows.
+// ExtensionHeader returns a copy of the browsing dataset's CSV schema. Row
+// readers (kind-1 WAL replay in internal/collector) use it to size and
+// validate rows.
 func ExtensionHeader() []string {
 	return append([]string(nil), extensionHeader...)
 }
 
 // MarshalExtensionRow renders one record as a CSV row. The same encoding is
 // both the release-dataset format (under the ExtensionHeader row) and the
-// collector's wire payload (headerless, one row per record).
+// payload of the kind-1 records older collectors logged (headerless, one row
+// per record).
 func MarshalExtensionRow(r extension.Record) []string {
 	return []string{
 		r.UserID, r.City, r.Country, r.ISP,

@@ -12,7 +12,7 @@ package dataset
 // aggregate and re-encode without ever building a record slice;
 // AppendRecords materialises one for the offline consumers that want it.
 // What a decoded row must equal is pinned against an independent codec —
-// the CSV row wire — by TestBatchRoundTripMatchesCSVWire.
+// the CSV row encoding — by TestBatchRoundTripMatchesCSVWire.
 //
 // Only the dictionaries the collector keys on — city, ISP and domain — are
 // turned into strings at parse time. User ID and country stay spans: UserID
@@ -704,7 +704,7 @@ func (v *BatchView) ASN(i int) int    { v.decode(); return int(v.asn[i]) }
 func (v *BatchView) Unix(i int) int64 { v.decode(); return v.ts[i] }
 
 // At is the record timestamp, truncated to whole seconds in UTC exactly as
-// the CSV wire delivers it.
+// a CSV row carries it.
 func (v *BatchView) At(i int) time.Time { return time.Unix(v.Unix(i), 0).UTC() }
 
 func (v *BatchView) Rank(i int) int      { v.decode(); return int(v.rank[i]) }

@@ -21,10 +21,10 @@ func forwardCapture(t *testing.T, instances []string, origin, target int) (strin
 	originTr := New(Config{Seed: 100})
 	targetTr := New(Config{Seed: 200})
 
-	root := originTr.StartRoot("http POST /ingest/extension", client)
+	root := originTr.StartRoot("http POST /ingest/batch", client)
 	fwd := originTr.StartChild(root.Context(), "cluster.forward")
 	fwd.SetAttr("peer", instances[target])
-	remoteRoot := targetTr.StartRoot("http POST /ingest/extension", fwd.Context())
+	remoteRoot := targetTr.StartRoot("http POST /ingest/batch", fwd.Context())
 	remoteChild := targetTr.StartChild(remoteRoot.Context(), "wal.append")
 	remoteChild.Finish()
 	remoteRoot.Finish()

@@ -84,7 +84,7 @@ type comparison struct {
 	// Speedup is base/candidate ns/op: >1 means the candidate is faster.
 	Speedup float64 `json:"speedup"`
 	// Throughput headlines, present when both rows report a records/s
-	// metric (the e2e wire benchmarks do).
+	// metric (the ingest benchmarks do).
 	BaseRecPerSec      float64 `json:"base_records_per_sec,omitempty"`
 	CandidateRecPerSec float64 `json:"candidate_records_per_sec,omitempty"`
 }
@@ -230,8 +230,6 @@ func main() {
 		"BenchmarkTable1Serial", "BenchmarkTable1")...)
 	rep.Comparisons = append(rep.Comparisons, comparePairs(rep.Benchmarks, "cluster-3x-vs-1x-ingest",
 		"BenchmarkClusterIngest1", "BenchmarkClusterIngest3")...)
-	rep.Comparisons = append(rep.Comparisons, comparePairs(rep.Benchmarks, "e2e-batch-vs-csv-wire",
-		"BenchmarkE2EIngestCSV", "BenchmarkE2EIngestBatch")...)
 	rep.Comparisons = append(rep.Comparisons, comparePairs(rep.Benchmarks, "shed-armed-idle-vs-off-ingest",
 		"BenchmarkCollectorIngest", "BenchmarkShedIdleIngest")...)
 	rep.Comparisons = append(rep.Comparisons, comparePairs(rep.Benchmarks, "federated-vs-single-scrape",
