@@ -61,12 +61,17 @@ func (st FlowStats) GoodputBps() float64 {
 	return float64(st.DeliveredBytes*8) / st.Duration.Seconds()
 }
 
+// byteRange is one contiguous byte range [Start, End).
+type byteRange struct {
+	Start, End int64
+}
+
 // rangeSet is a sorted list of disjoint, non-touching byte ranges with
 // merge-on-insert, and the number of bytes they hold. The receiver uses one
-// for out-of-order data, whose ranges an ack carries as they are; the
-// sender uses two as its retransmission scoreboard.
+// for out-of-order data; the sender uses two as its retransmission
+// scoreboard, one of them rebuilt from the receiver's SACK log.
 type rangeSet struct {
-	rs []netsim.SackBlock
+	rs []byteRange
 	n  int64 // bytes in rs
 }
 
@@ -98,12 +103,12 @@ func (s *rangeSet) add(start, end int64) {
 		s.n -= rs[j].End - rs[j].Start
 	}
 	if i == j {
-		rs = append(rs, netsim.SackBlock{})
+		rs = append(rs, byteRange{})
 		copy(rs[i+1:], rs[i:])
 	} else {
 		rs = append(rs[:i+1], rs[j:]...)
 	}
-	rs[i] = netsim.SackBlock{Start: start, End: end}
+	rs[i] = byteRange{Start: start, End: end}
 	s.n += end - start
 	s.rs = rs
 }
@@ -168,9 +173,16 @@ type Flow struct {
 	rtoRecovery bool  // current recovery was triggered by an RTO
 	recover     int64 // recovery point: nextSeq at loss detection
 
-	// SACK scoreboard (sender view, refreshed from each ack).
-	sacked        rangeSet // bytes received above una
+	// SACK scoreboard (sender view, refreshed from each ack). sacked is the
+	// receiver's out-of-order list as of the installed ack, whose position
+	// in the SACK log and cumulative ack are sackFrom, sackLen, sackEnd and
+	// sackAck (see installSack).
+	sacked        rangeSet
 	retransmitted rangeSet // bytes retransmitted this recovery, not yet acked
+	sackFrom      int
+	sackLen       int
+	sackEnd       int64
+	sackAck       int64
 	highestSacked int64
 	// markedLostUpTo extends the repair horizon after an RTO, when all
 	// outstanding data is presumed lost regardless of SACK state.
@@ -195,6 +207,12 @@ type Flow struct {
 	// Receiver state.
 	rcvNext int64    // next expected byte
 	rcvOOO  rangeSet // out-of-order data
+	// rcvLog is the SACK log: every arrival that starts above rcvNext, in
+	// arrival order, except that one starting where the last entry of the
+	// current episode ends extends that entry in place. An episode starts
+	// when rcvOOO goes from empty to non-empty, at log index rcvEpisode.
+	rcvLog     []byteRange
+	rcvEpisode int
 
 	stats   FlowStats
 	stopped bool
@@ -472,8 +490,8 @@ func (f *Flow) sendSegment(seq int64, size int, retrans bool) {
 }
 
 // handleData runs on the server: reassemble, advance rcvNext, and ack with
-// the full out-of-order state. The data packet is freed once the ack is
-// sent.
+// the out-of-order state's position in the SACK log. The data packet is
+// freed once the ack is sent.
 func (f *Flow) handleData(s *netsim.Sim, p *netsim.Packet) {
 	if p.IsAck || p.ICMP != netsim.ICMPNone {
 		return
@@ -491,31 +509,46 @@ func (f *Flow) handleData(s *netsim.Sim, p *netsim.Packet) {
 	ack.SentAt = p.SentAt // timestamp echo
 	ack.Delivered, ack.DeliveredAt = p.Delivered, p.DeliveredAt
 	ack.Retrans = p.Retrans
-	f.fillAck(s, ack)
+	f.fillAck(ack)
 	f.rcv.Handle(s, ack)
 	s.FreePacket(p)
 }
 
-// receive records the data bytes [seq, end) at the receiver and advances
-// rcvNext over any now-contiguous prefix.
+// receive records the data bytes [seq, end) at the receiver, logs them if
+// they arrive out of order, and advances rcvNext over any now-contiguous
+// prefix. An episode ends when rcvOOO empties; the next one starts at the
+// log's end.
 func (f *Flow) receive(seq, end int64) {
+	if seq > f.rcvNext {
+		if n := len(f.rcvLog); n > f.rcvEpisode && f.rcvLog[n-1].End == seq {
+			f.rcvLog[n-1].End = end
+		} else {
+			f.rcvLog = append(f.rcvLog, byteRange{Start: seq, End: end})
+		}
+	}
 	if end > f.rcvNext {
 		f.rcvOOO.add(max(seq, f.rcvNext), end)
 	}
 	f.rcvNext = f.rcvOOO.popPrefix(f.rcvNext)
+	if f.rcvOOO.total() == 0 {
+		f.rcvEpisode = len(f.rcvLog)
+	}
 }
 
-// fillAck writes the receiver's cumulative ack and a copy of its whole
-// out-of-order state, with its byte count, into ack. The copy goes into a
-// recycled buffer, which the sender keeps as its scoreboard.
-func (f *Flow) fillAck(s *netsim.Sim, ack *netsim.Packet) {
+// fillAck writes the receiver's cumulative ack and its out-of-order state's
+// position in the SACK log into the zeroed ack: where the episode starts,
+// how many entries it has, and the last one's End, which later arrivals may
+// extend.
+func (f *Flow) fillAck(ack *netsim.Packet) {
 	ack.Ack = f.rcvNext
-	ack.Sack = append(s.SackBuffer(), f.rcvOOO.rs...)
-	ack.SackBytes = f.rcvOOO.total()
+	ack.SackFrom, ack.SackLen = f.rcvEpisode, len(f.rcvLog)-f.rcvEpisode
+	if ack.SackLen > 0 {
+		ack.SackEnd = f.rcvLog[len(f.rcvLog)-1].End
+	}
 }
 
-// handleAck runs on the client. The ack is freed, carrying the scoreboard's
-// previous Sack buffer, as soon as its SACK state is installed.
+// handleAck runs on the client. The ack is freed as soon as its SACK state
+// is installed.
 func (f *Flow) handleAck(s *netsim.Sim, p *netsim.Packet) {
 	if !p.IsAck {
 		return
@@ -590,18 +623,14 @@ func (f *Flow) handleAck(s *netsim.Sim, p *netsim.Packet) {
 // cumulative ack up to p's. It returns the bytes newly acked.
 func (f *Flow) takeAck(s *netsim.Sim, p *netsim.Packet) int {
 	ackNo := p.Ack
-	// Refresh the scoreboard from the receiver's authoritative state. The
-	// receiver reports sorted, disjoint blocks with their byte count, so the
-	// ack's buffer becomes the scoreboard as it is, and the old scoreboard's
-	// buffer goes back to the Sim with the ack. A receiver's state only
-	// grows, so an ack older than the one installed is the one case where
-	// bytes below holeFrom can stop being sacked.
+	// Refresh the scoreboard from the receiver's authoritative state. A
+	// receiver's state only grows, so an ack older than the one installed is
+	// the one case where bytes below holeFrom can stop being sacked.
 	if p.ID < f.ackID {
 		f.holeFrom = 0
 	}
 	f.ackID = p.ID
-	f.sacked.rs, p.Sack = p.Sack, f.sacked.rs[:0]
-	f.sacked.n = p.SackBytes
+	f.installSack(ackNo, p.SackFrom, p.SackLen, p.SackEnd)
 	f.highestSacked = f.una
 	if n := len(f.sacked.rs); n > 0 {
 		f.highestSacked = max(f.highestSacked, f.sacked.rs[n-1].End)
@@ -613,7 +642,6 @@ func (f *Flow) takeAck(s *netsim.Sim, p *netsim.Packet) int {
 	}
 	acked := int(ackNo - f.una)
 	f.una = ackNo
-	f.sacked.trimBelow(f.una)
 	f.retransmitted.trimBelow(f.una)
 	f.highestSacked = max(f.highestSacked, f.una)
 	f.markedLostUpTo = max(f.markedLostUpTo, f.una)
@@ -624,6 +652,38 @@ func (f *Flow) takeAck(s *netsim.Sim, p *netsim.Packet) int {
 		f.markedLostUpTo = f.una
 	}
 	return acked
+}
+
+// installSack makes sacked the receiver's out-of-order list as it was when
+// an ack with cumulative ack ack and SACK log position (from, n, end) was
+// sent: the union of the episode's n entries, the last one cut at end, less
+// what ack covers. No range of that union straddles ack, since rcvNext
+// never stops inside received data.
+//
+// Only the episode's last entry grows, and only while it is last. So an ack
+// of the installed one's episode that is no older and acks no less adds the
+// installed ack's last entry again, then the entries after it, and trims.
+// Any other ack, of a new episode or older than the installed one, rebuilds
+// the list. The cumulative-ack condition matters: in-order arrivals move
+// rcvNext without logging anything, so two acks at one log position can
+// differ in it, and the older one must bring back what the newer one's
+// cumulative ack dropped.
+func (f *Flow) installSack(ack int64, from, n int, end int64) {
+	i := 0
+	if from == f.sackFrom && (n > f.sackLen || n == f.sackLen && end >= f.sackEnd) && ack >= f.sackAck {
+		i = max(f.sackLen-1, 0)
+	} else {
+		f.sacked.clear()
+	}
+	for ; i < n; i++ {
+		r := f.rcvLog[from+i]
+		if i == n-1 {
+			r.End = end
+		}
+		f.sacked.add(r.Start, r.End)
+	}
+	f.sacked.trimBelow(ack)
+	f.sackFrom, f.sackLen, f.sackEnd, f.sackAck = from, n, end, ack
 }
 
 // clearRetransmitted forgets this recovery's retransmissions. Bytes below

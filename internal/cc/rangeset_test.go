@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"starlinkview/internal/netsim"
 )
 
 // covers reports whether the byte at off is inside the set.
@@ -126,11 +124,11 @@ func TestRangeSetAddMerges(t *testing.T) {
 		t.Fatalf("ranges = %d, want 2", len(s.rs))
 	}
 	s.add(20, 30) // exactly bridges the gap
-	if len(s.rs) != 1 || s.rs[0] != (netsim.SackBlock{Start: 10, End: 40}) {
+	if len(s.rs) != 1 || s.rs[0] != (byteRange{Start: 10, End: 40}) {
 		t.Fatalf("merge failed: %+v", s.rs)
 	}
 	s.add(5, 45) // superset absorbs
-	if len(s.rs) != 1 || s.rs[0] != (netsim.SackBlock{Start: 5, End: 45}) {
+	if len(s.rs) != 1 || s.rs[0] != (byteRange{Start: 5, End: 45}) {
 		t.Fatalf("superset failed: %+v", s.rs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -232,6 +233,39 @@ func TestHealthzTurnsUnhealthyOnPoisonedWAL(t *testing.T) {
 	}
 	if err := srv.Aggregator().Health(); err == nil {
 		t.Fatal("Health() must report the poisoned writer")
+	}
+}
+
+// TestUnmatchedPathCounted: a request to a path no endpoint serves — here
+// the removed CSV ingest route — answers 404 and is counted under the one
+// "unmatched" path label, so clients posting to a wrong path show up in the
+// metrics, the tsdb and the burn-rate alerts.
+func TestUnmatchedPathCounted(t *testing.T) {
+	srv, err := OpenServer(Config{Shards: 1, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(contextWithTimeout(t))
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(srv.URL()+"/ingest/extension", "text/csv", strings.NewReader("a,b\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST /ingest/extension: status %d, want 404", resp.StatusCode)
+		}
+	}
+	samples := scrapeMetrics(t, srv)
+	if got := samples.Sum("http_requests_total", map[string]string{"path": pathUnmatched, "code": "404"}); got != 2 {
+		t.Fatalf(`http_requests_total{path=%q,code="404"} = %v, want 2`, pathUnmatched, got)
+	}
+	if got := samples.Sum("http_requests_total", map[string]string{"path": "/ingest/extension"}); got != 0 {
+		t.Fatalf("the unmatched path got its own label: %v requests", got)
 	}
 }
 

@@ -25,6 +25,10 @@ const (
 	PathHealthz     = "/healthz"
 	PathTraces      = "/traces"
 
+	// pathUnmatched is the path label of a request no endpoint matched; one
+	// value for every such path keeps the label set bounded.
+	pathUnmatched = "unmatched"
+
 	// BatchContentType is the ingest body MIME type, exported so cluster
 	// forwarding speaks the same wire protocol. Its bodies are concatenated
 	// dataset batch frames (dataset.MarshalBatch).
@@ -123,6 +127,9 @@ func OpenServer(cfg Config) (*Server, error) {
 	if cfg.Tracer != nil {
 		mux.HandleFunc(PathTraces, s.instrument(PathTraces, trace.Handler(cfg.Tracer).ServeHTTP))
 	}
+	// The mux's own 404s get metrics and a span too, so a client posting to
+	// a wrong or removed path shows up.
+	mux.HandleFunc("/", s.instrument(pathUnmatched, http.NotFound))
 	s.mux = mux
 	s.hs = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	if cfg.headerTimeout > 0 {

@@ -463,9 +463,9 @@ func TestLinkReusedByFreshSim(t *testing.T) {
 	}
 }
 
-// fillPacket sets every exported field of p to a non-zero value, giving p a
-// Sack with spare capacity. A field of a kind it does not know fails the
-// test, so a field added to Packet later gets filled here too.
+// fillPacket sets every exported field of p to a non-zero value. A field of
+// a kind it does not know fails the test, so a field added to Packet later
+// gets filled here too.
 func fillPacket(t *testing.T, p *Packet) {
 	t.Helper()
 	v := reflect.ValueOf(p).Elem()
@@ -475,9 +475,6 @@ func fillPacket(t *testing.T, p *Packet) {
 			continue
 		}
 		switch {
-		case name == "Sack":
-			sack := append(make([]SackBlock, 0, 8), SackBlock{1, 2}, SackBlock{3, 4})
-			f.Set(reflect.ValueOf(sack))
 		case f.CanInt():
 			f.SetInt(int64(i + 1))
 		case f.CanUint():
@@ -507,16 +504,15 @@ func zeroApartFromFreed(p *Packet) (string, bool) {
 	return "", true
 }
 
-// TestPacketRecycling: FreePacket hands a packet and its Sack storage back,
-// NewPacket and SackBuffer reuse them zeroed, and a double free panics. The
-// packet is checked field by field, whatever fields Packet has: the
+// TestPacketRecycling: FreePacket hands a packet back, NewPacket reuses it
+// zeroed, and a double free panics. The packet is checked field by field,
+// whatever fields Packet has (the SACK log position included): the
 // transport fills recycled packets in place and relies on every field it
 // does not set being zero.
 func TestPacketRecycling(t *testing.T) {
 	s := NewSim(1)
 	p := s.NewPacket()
 	fillPacket(t, p)
-	sackCap := cap(p.Sack)
 	s.FreePacket(p)
 	if name, ok := zeroApartFromFreed(p); !ok || !p.freed {
 		t.Fatalf("freed packet: field %s not zero or freed=%v: %+v", name, p.freed, p)
@@ -527,9 +523,6 @@ func TestPacketRecycling(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*q, Packet{}) {
 		t.Fatalf("recycled packet %+v, want Packet{}", q)
-	}
-	if b := s.SackBuffer(); len(b) != 0 || cap(b) != sackCap {
-		t.Fatalf("SackBuffer len %d cap %d, want the freed storage (cap %d) empty", len(b), cap(b), sackCap)
 	}
 	s.FreePacket(p)
 	defer func() {

@@ -138,12 +138,11 @@ type Sim struct {
 	// head, and train members behind each train's next one; only those
 	// heads have queue entries, and Pending adds the rest back.
 	backlog int
-	// Free-lists for NewPacket and SackBuffer. Neither ever holds more
-	// entries than NewPacket has allocated packets, so packets built by
-	// callers that never draw from the list cannot pile up on it.
-	free  []*Packet
-	sacks [][]SackBlock
-	made  int
+	// Free-list for NewPacket. It never holds more packets than NewPacket
+	// has allocated, so packets built by callers that never draw from the
+	// list cannot pile up on it.
+	free []*Packet
+	made int
 }
 
 // NewSim creates a simulation with a deterministic random source.
@@ -179,29 +178,12 @@ func (s *Sim) NewPacket() *Packet {
 	return p
 }
 
-// SackBuffer returns an empty slice to build a packet's Sack in, reusing the
-// storage of a freed packet's Sack when it can.
-func (s *Sim) SackBuffer() []SackBlock {
-	n := len(s.sacks)
-	if n == 0 {
-		return nil
-	}
-	b := s.sacks[n-1]
-	s.sacks[n-1] = nil
-	s.sacks = s.sacks[:n-1]
-	return b
-}
-
-// FreePacket hands p, and the storage of its Sack, back for NewPacket and
-// SackBuffer to reuse; p need not have come from NewPacket. The caller must
-// hold the last reference to p: nothing may read or write it, or its Sack,
-// afterwards.
+// FreePacket hands p back for NewPacket to reuse; p need not have come from
+// NewPacket. The caller must hold the last reference to p: nothing may read
+// or write it afterwards.
 func (s *Sim) FreePacket(p *Packet) {
 	if p.freed {
 		panic("netsim: packet freed twice")
-	}
-	if cap(p.Sack) > 0 && len(s.sacks) < s.made {
-		s.sacks = append(s.sacks, p.Sack[:0])
 	}
 	*p = Packet{} // zeroed in place; Packet{freed: true} would be copied in
 	p.freed = true
@@ -439,13 +421,16 @@ type Packet struct {
 	Seq   int64 // first data byte carried (data) or sequence echo (ack)
 	Ack   int64 // cumulative ack (next expected byte)
 	IsAck bool
-	// Sack lists the receiver's out-of-order blocks above Ack. Real TCP
-	// caps this at 3-4 blocks per segment; the simulation reports the full
-	// state, which approximates what a modern SACK+RACK stack reconstructs
-	// across consecutive acks.
-	Sack      []SackBlock
-	SackBytes int64 // bytes the Sack blocks cover
-	SentAt    Time  // stamped at first transmission; echoed back in acks
+	// The receiver's out-of-order blocks above Ack, as a position in its
+	// flow's SACK log (see cc.Flow): the log index where the ack's episode
+	// starts, how many entries it covers, and the last entry's End when the
+	// ack was sent. Real TCP caps SACK at 3-4 blocks per segment; the
+	// simulation reports the full state, which approximates what a modern
+	// SACK+RACK stack reconstructs across consecutive acks.
+	SackFrom int
+	SackLen  int
+	SackEnd  int64
+	SentAt   Time // stamped at first transmission; echoed back in acks
 
 	// Rate-sampling fields (see cc package): the sender's delivered-bytes
 	// counter and its timestamp at the moment this packet was sent.
@@ -459,12 +444,6 @@ type Packet struct {
 	ProbeID  uint64 // correlates probes with replies
 
 	freed bool // handed to FreePacket; a second free panics
-}
-
-// SackBlock is one contiguous received byte range [Start, End) above the
-// cumulative ack.
-type SackBlock struct {
-	Start, End int64
 }
 
 // Handler consumes packets delivered by a link. Delivery hands the packet
