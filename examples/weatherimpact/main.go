@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"starlinkview/internal/bentpipe"
+	"starlinkview/internal/core"
 	"starlinkview/internal/ispnet"
 	"starlinkview/internal/orbit"
 	"starlinkview/internal/stats"
@@ -86,6 +87,7 @@ func main() {
 	}
 
 	// Recompute moderate rain against clear sky for the headline ratio.
-	fmt.Printf("\npaper: clear-sky median 470.5 ms vs moderate-rain 931.5 ms (~2x);")
+	fmt.Printf("\npaper: clear-sky median %.1f ms vs moderate-rain %.1f ms (~2x);",
+		core.Paper("Figure 4", "Clear Sky", "median PTT"), core.Paper("Figure 4", "Moderate Rain", "median PTT"))
 	fmt.Printf(" this run's clear-sky median: %.1f ms\n", clearMedian)
 }

@@ -10,24 +10,6 @@ import (
 	"starlinkview/internal/weather"
 )
 
-// PaperTable1 holds the published Table 1 values for comparison.
-type PaperTable1Row struct {
-	City                    string
-	SLReqs, SLDomains       int
-	SLMedianPTTMs           float64
-	NonSLReqs, NonSLDomains int
-	NonSLMedianPTTMs        float64
-}
-
-// PaperTable1 returns the paper's Table 1.
-func PaperTable1() []PaperTable1Row {
-	return []PaperTable1Row{
-		{"London", 12933, 1302, 327, 4006, 730, 443},
-		{"Seattle", 3597, 579, 395, 765, 222, 566},
-		{"Sydney", 3482, 390, 622, 843, 260, 675},
-	}
-}
-
 // Table1Cities are the three cities the paper tabulates.
 var Table1Cities = []string{"London", "Seattle", "Sydney"}
 
@@ -126,10 +108,6 @@ type Fig4Row struct {
 	Condition weather.Condition
 	Summary   stats.Summary
 }
-
-// PaperFig4Medians returns the paper's reported medians for the two
-// extreme conditions (ms).
-func PaperFig4Medians() (clearSky, moderateRain float64) { return 470.5, 931.5 }
 
 // Figure4 reproduces the weather/PTT box plots: PTT of Google services
 // accessed by Starlink users in London, grouped by weather condition.

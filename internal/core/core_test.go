@@ -107,16 +107,19 @@ func TestNewStudyValidation(t *testing.T) {
 func TestPopulationMatchesPaper(t *testing.T) {
 	s := quickStudy(t)
 	rows := s.Figure1()
-	if len(rows) != 10 {
-		t.Errorf("cities = %d, want 10 (Figure 1)", len(rows))
+	wantCities := int(Paper("Figure 1", "all", "cities"))
+	wantSL := int(Paper("Figure 1", "Starlink", "users"))
+	wantNSL := int(Paper("Figure 1", "non-Starlink", "users"))
+	if len(rows) != wantCities {
+		t.Errorf("cities = %d, want %d (Figure 1)", len(rows), wantCities)
 	}
 	sl, nsl := 0, 0
 	for _, r := range rows {
 		sl += r.Starlink
 		nsl += r.NonStarlink
 	}
-	if sl != 18 || nsl != 10 {
-		t.Errorf("population = %d SL + %d non-SL, want 18 + 10", sl, nsl)
+	if sl != wantSL || nsl != wantNSL {
+		t.Errorf("population = %d SL + %d non-SL, want %d + %d", sl, nsl, wantSL, wantNSL)
 	}
 }
 
@@ -142,10 +145,10 @@ func TestTable1Shape(t *testing.T) {
 		if r.StarlinkMedianPTT >= r.NonSLMedianPTT {
 			t.Errorf("%s: Starlink median %.0f >= non-Starlink %.0f", r.City, r.StarlinkMedianPTT, r.NonSLMedianPTT)
 		}
-		// Within 2x of the paper's medians.
-		p := PaperTable1()[i]
-		if r.StarlinkMedianPTT < p.SLMedianPTTMs/2 || r.StarlinkMedianPTT > p.SLMedianPTTMs*2 {
-			t.Errorf("%s: Starlink median %.0f vs paper %.0f (out of 2x band)", r.City, r.StarlinkMedianPTT, p.SLMedianPTTMs)
+		// Within 2x of the paper's median for the same city.
+		p := Paper("Table 1", r.City, "Starlink median PTT")
+		if r.StarlinkMedianPTT < p/2 || r.StarlinkMedianPTT > p*2 {
+			t.Errorf("%s: Starlink median %.0f vs paper %.0f (out of 2x band)", r.City, r.StarlinkMedianPTT, p)
 		}
 	}
 	// London has by far the most data; Sydney's Starlink PTT is the worst.
@@ -308,12 +311,14 @@ func TestFigure6aGeography(t *testing.T) {
 			t.Errorf("%s: only %d samples", r.Label, r.N)
 		}
 	}
-	// Barcelona > NC (the paper's 4.3x gap); London in between-ish.
+	// Barcelona > NC (the paper's gap is about 4x); London in between-ish.
 	if med["Barcelona"] <= med["NorthCarolina"] {
 		t.Errorf("Barcelona %.1f should beat NC %.1f", med["Barcelona"], med["NorthCarolina"])
 	}
 	if med["Barcelona"] < 1.5*med["NorthCarolina"] {
-		t.Errorf("Barcelona/NC ratio %.2f too small (paper ~4x)", med["Barcelona"]/med["NorthCarolina"])
+		paper := Paper("Figure 6a", "Barcelona", "median download") /
+			Paper("Figure 6a", "NorthCarolina", "median download")
+		t.Errorf("Barcelona/NC ratio %.2f too small (paper ~%.0fx)", med["Barcelona"]/med["NorthCarolina"], paper)
 	}
 }
 
@@ -345,7 +350,8 @@ func TestFigure6bDiurnalSwing(t *testing.T) {
 	nightP75 := stats.Quantile(night, 0.75)
 	eveningP75 := stats.Quantile(evening, 0.75)
 	if nightP75 < 1.5*eveningP75 {
-		t.Errorf("night p75 %.1f not >= 1.5x evening p75 %.1f (paper: >2x swing)", nightP75, eveningP75)
+		t.Errorf("night p75 %.1f not >= 1.5x evening p75 %.1f (paper: >%gx swing)",
+			nightP75, eveningP75, Paper("Figure 6b", "UK", "diurnal download swing"))
 	}
 }
 
@@ -357,10 +363,10 @@ func TestFigure6cLossTail(t *testing.T) {
 	// Loss-tail shape: a nontrivial fraction of runs sees >= 5% loss, and
 	// the maximum is dramatic.
 	if res.CCDFAt5 < 0.03 || res.CCDFAt5 > 0.4 {
-		t.Errorf("CCDF(5%%) = %.3f, want roughly the paper's 0.12", res.CCDFAt5)
+		t.Errorf("CCDF(5%%) = %.3f, want roughly the paper's %g", res.CCDFAt5, Paper("Figure 6c", "London", "P(loss>=5%)"))
 	}
 	if res.MaxPct < 15 {
-		t.Errorf("max loss %.1f%%, want a heavy tail (paper ~50%%)", res.MaxPct)
+		t.Errorf("max loss %.1f%%, want a heavy tail (paper ~%g%%)", res.MaxPct, Paper("Figure 6c", "London", "max loss"))
 	}
 	if res.CCDFAt10 > res.CCDFAt5 {
 		t.Error("CCDF must be non-increasing")

@@ -21,20 +21,6 @@ type Fig8Row struct {
 	WiFi     float64
 }
 
-// PaperFig8Shape captures the published qualitative result: on Starlink BBR
-// leads at roughly half the UDP-measured capacity while Vegas trails badly;
-// on campus WiFi every algorithm exceeds ~0.8 and BBR exceeds 0.9.
-type PaperFig8Shape struct {
-	StarlinkBBRApprox float64
-	WiFiBBRMin        float64
-	WiFiAllMin        float64
-}
-
-// PaperFig8 returns the published shape.
-func PaperFig8() PaperFig8Shape {
-	return PaperFig8Shape{StarlinkBBRApprox: 0.55, WiFiBBRMin: 0.9, WiFiAllMin: 0.75}
-}
-
 // fig8Env is one measurement environment for the CC stress test.
 type fig8Env struct {
 	build func(seed int64) (*netsim.Sim, *ispnet.Built, error)

@@ -111,15 +111,6 @@ type Table2Row struct {
 	Whole    measure.QueueingDelay
 }
 
-// PaperTable2 returns the published Table 2 (milliseconds).
-func PaperTable2() []Table2Row {
-	return []Table2Row{
-		{"NorthCarolina", measure.QueueingDelay{MinMs: 33.4, MedianMs: 48.3, MaxMs: 78.5}, measure.QueueingDelay{MinMs: 39.2, MedianMs: 72.4, MaxMs: 98.7}},
-		{"London", measure.QueueingDelay{MinMs: 14.3, MedianMs: 24.3, MaxMs: 53.9}, measure.QueueingDelay{MinMs: 19.6, MedianMs: 33.5, MaxMs: 87.2}},
-		{"Barcelona", measure.QueueingDelay{MinMs: 8.1, MedianMs: 16.5, MaxMs: 20}, measure.QueueingDelay{MinMs: 11.2, MedianMs: 18.2, MaxMs: 23.1}},
-	}
-}
-
 // Table2 reproduces the max-min queueing-delay estimates at the three
 // volunteer nodes: the bent-pipe hop vs the whole path (30 probes of 60
 // bytes, repeated runs). Runs happen during the local evening, when the
@@ -156,16 +147,6 @@ type Table3Row struct {
 	DownMbps float64
 	UpMbps   float64
 	N        int
-}
-
-// PaperTable3 returns the published Table 3.
-func PaperTable3() []Table3Row {
-	return []Table3Row{
-		{City: "London", DownMbps: 123.2, UpMbps: 11.3},
-		{City: "Seattle", DownMbps: 90.3, UpMbps: 6.6},
-		{City: "Toronto", DownMbps: 65.8, UpMbps: 6.9},
-		{City: "Warsaw", DownMbps: 44.9, UpMbps: 7.7},
-	}
 }
 
 // Table3 reproduces the browser speedtests: Starlink users in four cities
@@ -222,11 +203,6 @@ type Fig6aSeries struct {
 	MedianMbps float64
 	CDF        []stats.Point
 	N          int
-}
-
-// PaperFig6aMedians returns the paper's reported medians (Mbps).
-func PaperFig6aMedians() map[string]float64 {
-	return map[string]float64{"NorthCarolina": 34.3, "London": 100, "Barcelona": 147}
 }
 
 // Figure6a reproduces the per-node iperf download CDFs: each volunteer node
@@ -308,7 +284,7 @@ func (s *Study) Figure6b() ([]Fig6bPoint, error) {
 type Fig6cResult struct {
 	LossPcts []float64
 	// CCDFAt5 and CCDFAt10 are the paper's two callouts: the fraction of
-	// runs with >= 5% and >= 10% loss (0.12 and 0.06 in the paper).
+	// runs with >= 5% and >= 10% loss (paper.go holds the published values).
 	CCDFAt5  float64
 	CCDFAt10 float64
 	MaxPct   float64

@@ -16,22 +16,18 @@ import (
 func ReportTable1(w io.Writer, rows []extension.TableRow) {
 	fmt.Fprintln(w, "Table 1: citywise breakdown of extension data (reproduced | paper)")
 	fmt.Fprintf(w, "%-10s | %28s | %28s\n", "City", "Starlink (#req #dom medPTT)", "Non-Starlink (#req #dom medPTT)")
-	paper := map[string]PaperTable1Row{}
-	for _, p := range PaperTable1() {
-		paper[p.City] = p
-	}
 	for _, r := range rows {
-		p := paper[r.City]
 		fmt.Fprintf(w, "%-10s | %6d %5d %5.0fms (%5.0f) | %6d %5d %5.0fms (%5.0f)\n",
 			r.City,
-			r.StarlinkReqs, r.StarlinkDomains, r.StarlinkMedianPTT, p.SLMedianPTTMs,
-			r.NonSLReqs, r.NonSLDomains, r.NonSLMedianPTT, p.NonSLMedianPTTMs)
+			r.StarlinkReqs, r.StarlinkDomains, r.StarlinkMedianPTT, Paper("Table 1", r.City, "Starlink median PTT"),
+			r.NonSLReqs, r.NonSLDomains, r.NonSLMedianPTT, Paper("Table 1", r.City, "non-Starlink median PTT"))
 	}
 }
 
 // ReportFigure1 writes the population table.
 func ReportFigure1(w io.Writer, rows []PopulationRow) {
-	fmt.Fprintln(w, "Figure 1: extension users per city (18 Starlink + 10 non-Starlink across 10 cities)")
+	fmt.Fprintf(w, "Figure 1: extension users per city (%g Starlink + %g non-Starlink across %g cities)\n",
+		Paper("Figure 1", "Starlink", "users"), Paper("Figure 1", "non-Starlink", "users"), Paper("Figure 1", "all", "cities"))
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-14s (%s)  starlink=%d  non-starlink=%d\n", r.City, r.Country, r.Starlink, r.NonStarlink)
 	}
@@ -51,8 +47,8 @@ func ReportFigure3(w io.Writer, series []Fig3Series) {
 
 // ReportFigure4 writes the per-condition PTT summaries.
 func ReportFigure4(w io.Writer, rows []Fig4Row) {
-	clear, rain := PaperFig4Medians()
-	fmt.Fprintf(w, "Figure 4: PTT of Google services (London, Starlink) by weather (paper: %.1f clear -> %.1f moderate rain)\n", clear, rain)
+	fmt.Fprintf(w, "Figure 4: PTT of Google services (London, Starlink) by weather (paper: %.1f clear -> %.1f moderate rain)\n",
+		Paper("Figure 4", "Clear Sky", "median PTT"), Paper("Figure 4", "Moderate Rain", "median PTT"))
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-18s median %6.1f ms  [q1 %6.1f  q3 %6.1f]  n=%d\n",
 			r.Condition, r.Summary.Median, r.Summary.Q1, r.Summary.Q3, r.Summary.N)
@@ -88,38 +84,31 @@ func ReportFigure5(w io.Writer, res Fig5Result) {
 // ReportTable2 writes the queueing-delay comparison.
 func ReportTable2(w io.Writer, rows []Table2Row) {
 	fmt.Fprintln(w, "Table 2: min|median|max queueing delay (ms), bent pipe vs whole path (paper values in parens)")
-	paper := map[string]Table2Row{}
-	for _, p := range PaperTable2() {
-		paper[p.City] = p
-	}
 	for _, r := range rows {
-		p := paper[r.City]
+		p := func(quantity string) float64 { return Paper("Table 2", r.City, quantity) }
 		fmt.Fprintf(w, "  %-14s wireless %5.1f|%5.1f|%5.1f (%.1f|%.1f|%.1f)  whole %5.1f|%5.1f|%5.1f (%.1f|%.1f|%.1f)\n",
 			r.City,
 			r.Wireless.MinMs, r.Wireless.MedianMs, r.Wireless.MaxMs,
-			p.Wireless.MinMs, p.Wireless.MedianMs, p.Wireless.MaxMs,
+			p("wireless min"), p("wireless median"), p("wireless max"),
 			r.Whole.MinMs, r.Whole.MedianMs, r.Whole.MaxMs,
-			p.Whole.MinMs, p.Whole.MedianMs, p.Whole.MaxMs)
+			p("whole min"), p("whole median"), p("whole max"))
 	}
 }
 
 // ReportTable3 writes the speedtest medians.
 func ReportTable3(w io.Writer, rows []Table3Row) {
 	fmt.Fprintln(w, "Table 3: browser speedtest medians to Iowa (reproduced | paper)")
-	paper := map[string]Table3Row{}
-	for _, p := range PaperTable3() {
-		paper[p.City] = p
-	}
 	for _, r := range rows {
-		p := paper[r.City]
 		fmt.Fprintf(w, "  %-10s DL %6.1f Mbps (%6.1f)   UL %5.1f Mbps (%4.1f)   n=%d\n",
-			r.City, r.DownMbps, p.DownMbps, r.UpMbps, p.UpMbps, r.N)
+			r.City, r.DownMbps, Paper("Table 3", r.City, "median download"),
+			r.UpMbps, Paper("Table 3", r.City, "median upload"), r.N)
 	}
 }
 
 // ReportFigure6a writes the per-node iperf medians.
 func ReportFigure6a(w io.Writer, rows []Fig6aSeries) {
-	fmt.Fprintln(w, "Figure 6a: iperf download CDF per volunteer node (paper medians: Barcelona 147, NC 34.3)")
+	fmt.Fprintf(w, "Figure 6a: iperf download CDF per volunteer node (paper medians: Barcelona %g, NC %g)\n",
+		Paper("Figure 6a", "Barcelona", "median download"), Paper("Figure 6a", "NorthCarolina", "median download"))
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-14s median %6.1f Mbps over %d samples\n", r.Label, r.MedianMbps, r.N)
 	}
@@ -139,8 +128,8 @@ func ReportFigure6b(w io.Writer, pts []Fig6bPoint) {
 			maxD = p.DownMbps
 		}
 	}
-	fmt.Fprintf(w, "Figure 6b: UK DL/UL over time, %d samples, DL %.1f..%.1f Mbps (paper: >2x diurnal swing)\n",
-		len(pts), minD, maxD)
+	fmt.Fprintf(w, "Figure 6b: UK DL/UL over time, %d samples, DL %.1f..%.1f Mbps (paper: >%gx diurnal swing)\n",
+		len(pts), minD, maxD, Paper("Figure 6b", "UK", "diurnal download swing"))
 	fmt.Fprintf(w, "  DL ")
 	fmt.Fprintln(w, sparkline(pts, func(p Fig6bPoint) float64 { return p.DownMbps }))
 	fmt.Fprintf(w, "  UL ")
@@ -178,8 +167,10 @@ func sparkline(pts []Fig6bPoint, f func(Fig6bPoint) float64) string {
 
 // ReportFigure6c writes the loss CCDF callouts.
 func ReportFigure6c(w io.Writer, res Fig6cResult) {
-	fmt.Fprintf(w, "Figure 6c: UDP loss CCDF over %d runs: P(loss>=5%%)=%.3f (paper 0.12), P(>=10%%)=%.3f (paper 0.06), max %.1f%% (paper ~50%%)\n",
-		len(res.LossPcts), res.CCDFAt5, res.CCDFAt10, res.MaxPct)
+	fmt.Fprintf(w, "Figure 6c: UDP loss CCDF over %d runs: P(loss>=5%%)=%.3f (paper %g), P(>=10%%)=%.3f (paper %g), max %.1f%% (paper ~%g%%)\n",
+		len(res.LossPcts), res.CCDFAt5, Paper("Figure 6c", "London", "P(loss>=5%)"),
+		res.CCDFAt10, Paper("Figure 6c", "London", "P(loss>=10%)"),
+		res.MaxPct, Paper("Figure 6c", "London", "max loss"))
 }
 
 // ReportFigure7 writes the loss/LoS correlation summary.
@@ -219,5 +210,6 @@ func ReportFigure8(w io.Writer, rows []Fig8Row) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-7s %9.2f %9.2f\n", r.Algorithm, r.Starlink, r.WiFi)
 	}
-	fmt.Fprintln(w, "  (paper: on Starlink BBR leads at ~half the UDP capacity, Vegas trails; on WiFi all >0.75, BBR >0.9)")
+	fmt.Fprintf(w, "  (paper: on Starlink BBR leads at ~half the UDP capacity, Vegas trails; on WiFi all >%g, BBR >%g)\n",
+		Paper("Figure 8", "all", "WiFi normalised throughput"), Paper("Figure 8", "bbr", "WiFi normalised throughput"))
 }
