@@ -26,7 +26,9 @@ test: build
 # collector's read-path tests ten times each under -race (reads and
 # checkpoints queue marks behind concurrent writers' batches, and share
 # domain lists with the shards); the full -race sweep then covers
-# everything including the collector. The last line
+# everything including the collector. Before the fuzz sweep, each program
+# under examples/ runs once and must exit 0 (about 1 s together), so an
+# example that builds but no longer runs fails here. The last line
 # printed is the target's wall time, pass or fail.
 check:
 	@start=$$(date +%s); $(MAKE) --no-print-directory check-steps; status=$$?; \
@@ -43,6 +45,7 @@ check-steps: build
 	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|ClientPost|Snapshot|Iperf|UDPBlast|Site)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/ ./internal/measure/ ./internal/tranco/
 	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestBatch)$$' -benchtime 1x -short .
 	$(GO) run ./cmd/campaign -smoke
+	for ex in quickstart datasetanalysis volunteernode; do $(GO) run ./examples/$$ex >/dev/null || exit 1; done
 	$(MAKE) fuzz
 
 # Fuzz the parsers that face untrusted bytes: WAL segment replay (the

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"starlinkview/internal/ispnet"
-	"starlinkview/internal/librespeed"
 	"starlinkview/internal/measure"
 	"starlinkview/internal/netsim"
 	"starlinkview/internal/orbit"
@@ -29,14 +28,8 @@ func main() {
 		server   = flag.String("server", "iowa", "measurement server: iowa (the paper's browser speedtest target) or closest")
 		atStr    = flag.String("at", "2022-04-11T20:00:00Z", "wall-clock time of the test (RFC 3339)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		real     = flag.Bool("real", false, "run the real-socket Librespeed protocol against a loopback HTTP server instead of the simulated path")
 	)
 	flag.Parse()
-
-	if *real {
-		runReal(*seed)
-		return
-	}
 
 	city, err := ispnet.CityByName(*cityName)
 	if err != nil {
@@ -97,26 +90,6 @@ func main() {
 	fmt.Printf("  ping    %6.1f ms (jitter %.1f ms)\n", res.PingMs, res.JitterMs)
 	fmt.Printf("  down    %6.1f Mbps\n", res.DownMbps)
 	fmt.Printf("  up      %6.1f Mbps\n", res.UpMbps)
-}
-
-// runReal exercises the Librespeed HTTP protocol over actual TCP sockets —
-// the server side the paper hosted in Google Cloud, here on loopback.
-func runReal(seed int64) {
-	srv := librespeed.NewServer(seed)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	defer srv.Close()
-	fmt.Printf("librespeed server on %s (real sockets, loopback)\n", addr)
-	res, err := librespeed.NewClient(addr, librespeed.ClientOptions{}).Run()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  client ip %s\n", res.ClientIP)
-	fmt.Printf("  ping    %6.2f ms (jitter %.2f ms)\n", res.PingMs, res.JitterMs)
-	fmt.Printf("  down    %6.0f Mbps\n", res.DownMbps)
-	fmt.Printf("  up      %6.0f Mbps\n", res.UpMbps)
 }
 
 func fatal(err error) {

@@ -35,8 +35,10 @@ import (
 
 // Defaults shared by all Starlink terminals in the study.
 const (
-	// DefaultHandoverInterval is Starlink's 15-second global reconfiguration
-	// interval.
+	// DefaultHandoverInterval is the period of Starlink's 15-second
+	// reconfiguration grid. Each terminal runs the grid on its own random
+	// phase, drawn the first time the model advances (DESIGN §7, slot-grid
+	// phase offset).
 	DefaultHandoverInterval = 15 * time.Second
 	// softHandoverLoss is the loss probability during a planned slot
 	// reassignment burst.

@@ -248,48 +248,6 @@ type QueueingDelay struct {
 	MinMs, MedianMs, MaxMs float64
 }
 
-// MaxMinEstimate applies the paper's adaptation of the max-min methodology:
-// it runs `runs` traceroute sweeps of `probes` 60-byte probes per hop; each
-// run's queueing-delay sample for a hop is the spread (max-min) of that
-// run's RTTs at the hop, which cancels propagation delay. The returned
-// min/median/max summarise the per-run samples across runs.
-func MaxMinEstimate(sim *netsim.Sim, path *netsim.Path, hopTTL int, runs, probes int) (QueueingDelay, error) {
-	if hopTTL < 1 || hopTTL > len(path.Nodes)-1 {
-		return QueueingDelay{}, fmt.Errorf("measure: hop TTL %d out of range", hopTTL)
-	}
-	var samples []float64
-	for r := 0; r < runs; r++ {
-		hops, err := Traceroute(sim, path, TracerouteOptions{
-			ProbesPerHop: probes, ProbeSize: 60, MaxTTL: hopTTL, Interval: 100 * time.Millisecond,
-		})
-		if err != nil {
-			return QueueingDelay{}, err
-		}
-		if len(hops) < hopTTL || len(hops[hopTTL-1].RTTs) < 2 {
-			continue // not enough replies this run
-		}
-		rtts := hops[hopTTL-1].RTTs
-		min, max := rtts[0], rtts[0]
-		for _, v := range rtts[1:] {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		samples = append(samples, float64(max-min)/float64(time.Millisecond))
-	}
-	if len(samples) == 0 {
-		return QueueingDelay{}, fmt.Errorf("measure: no usable traceroute runs for hop %d", hopTTL)
-	}
-	return QueueingDelay{
-		MinMs:    stats.Min(samples),
-		MedianMs: stats.Median(samples),
-		MaxMs:    stats.Max(samples),
-	}, nil
-}
-
 // MaxMinBoth runs the max-min methodology once and derives both Table 2
 // columns — the first hop (the bent pipe) and the whole path — from the
 // same traceroute sweeps, exactly as the paper's repeated runs did.

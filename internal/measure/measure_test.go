@@ -142,14 +142,10 @@ func TestMTRAggregates(t *testing.T) {
 	}
 }
 
-func TestMaxMinEstimate(t *testing.T) {
+func TestMaxMinBoth(t *testing.T) {
 	sim, b := buildKind(t, ispnet.Starlink, 7)
 	// Hop 1 (the bent pipe) and the full path, as in Table 2.
-	wireless, err := MaxMinEstimate(sim, b.Path, 1, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := MaxMinEstimate(sim, b.Path, len(b.HopAddrs), 10, 10)
+	wireless, full, err := MaxMinBoth(sim, b.Path, 10, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +159,6 @@ func TestMaxMinEstimate(t *testing.T) {
 	// queueing delay (the paper's central Table 2 finding).
 	if wireless.MedianMs < 0.3*full.MedianMs {
 		t.Errorf("bent pipe median queueing %v ms not a large share of path %v ms", wireless.MedianMs, full.MedianMs)
-	}
-	if _, err := MaxMinEstimate(sim, b.Path, 0, 3, 3); err == nil {
-		t.Error("want error for TTL 0")
 	}
 }
 
