@@ -15,7 +15,8 @@ test: build
 # Tier-2 gate: vet-clean and race-clean across the whole tree, the
 # allocation gates of the frame path (ingest, WAL replay, the misrouted-frame
 # split, a client's frame POST), of the read path (Snapshot plus the city
-# table), of the packet path (a cubic iperf flow, a UDP blast) and of the
+# table), of the packet path (a cubic iperf flow, a UDP blast, a speedtest
+# on a renewed simulator) and of the
 # browsing campaign's page draws (tranco's Site) — they
 # skip under -race, so they run again without it — then the fuzz corpus
 # sweep. The trace
@@ -42,7 +43,7 @@ check-steps: build
 	$(GO) test -race -run 'TestShedOverloadKeepsSampledTraffic' ./internal/collector/
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|ClientPost|Snapshot|Iperf|UDPBlast|Site)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/ ./internal/measure/ ./internal/tranco/
+	$(GO) test -run 'Test(BatchIngest|BatchReplay|ForwardSplit|ClientPost|Snapshot|Iperf|UDPBlast|RenewedSim|Site)AllocBudget' -count 1 ./internal/collector/ ./internal/cc/ ./internal/measure/ ./internal/tranco/
 	$(GO) test -run '^$$' -bench 'Benchmark(ConstellationVisibility|ConstellationVisibilityBrute|VisibleFromPruned|ServingSelection|Table1|ClusterIngest1|ClusterIngest3|E2EIngestBatch)$$' -benchtime 1x -short .
 	$(GO) run ./cmd/campaign -smoke
 	for ex in quickstart datasetanalysis volunteernode; do $(GO) run ./examples/$$ex >/dev/null || exit 1; done

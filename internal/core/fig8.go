@@ -21,7 +21,8 @@ type Fig8Row struct {
 	WiFi     float64
 }
 
-// fig8Env is one measurement environment for the CC stress test.
+// fig8Env is one measurement environment for the CC stress test. build
+// takes its simulator from newSim; the caller hands it back with releaseSim.
 type fig8Env struct {
 	build func(seed int64) (*netsim.Sim, *ispnet.Built, error)
 }
@@ -33,7 +34,7 @@ func fig8EnvNames() []string { return []string{"starlink", "wifi"} }
 func (s *Study) fig8Envs() map[string]fig8Env {
 	return map[string]fig8Env{
 		"starlink": {build: func(seed int64) (*netsim.Sim, *ispnet.Built, error) {
-			sim := netsim.NewSim(seed)
+			sim := s.newSim(seed)
 			b, err := ispnet.Build(ispnet.Config{
 				Kind: ispnet.Starlink, City: ispnet.Wiltshire, Server: ispnet.LondonDC,
 				Constellation: s.Constellation, Epoch: s.cfg.Epoch, Short: true, Seed: seed,
@@ -42,7 +43,7 @@ func (s *Study) fig8Envs() map[string]fig8Env {
 			return sim, b, err
 		}},
 		"wifi": {build: func(seed int64) (*netsim.Sim, *ispnet.Built, error) {
-			sim := netsim.NewSim(seed)
+			sim := s.newSim(seed)
 			b, err := ispnet.Build(ispnet.Config{
 				Kind: ispnet.Broadband, City: ispnet.London, Server: ispnet.LondonDC,
 				Short: true, Seed: seed,
@@ -72,6 +73,7 @@ func (s *Study) Figure8() ([]Fig8Row, error) {
 		if err != nil {
 			return err
 		}
+		defer s.releaseSim(sim)
 		udp, err := measure.IperfUDP(sim, built.Path, 2e9, dur, true)
 		if err != nil {
 			return err
@@ -95,6 +97,7 @@ func (s *Study) Figure8() ([]Fig8Row, error) {
 		if err != nil {
 			return err
 		}
+		defer s.releaseSim(sim)
 		res, err := measure.IperfTCPReverse(sim, built.Path, algos[ai], dur)
 		if err != nil {
 			return err
@@ -132,7 +135,7 @@ func (s *Study) AblationLossModel() ([]AblationLossRow, error) {
 	dur := s.scaledDur(45*time.Second, 10*time.Second)
 
 	// First, measure the bursty link's mean loss rate with a UDP blast.
-	sim := netsim.NewSim(s.cfg.Seed + 2100)
+	sim := s.newSim(s.cfg.Seed + 2100)
 	built, err := ispnet.Build(ispnet.Config{
 		Kind: ispnet.Starlink, City: ispnet.Wiltshire, Server: ispnet.LondonDC,
 		Constellation: s.Constellation, Epoch: s.cfg.Epoch, Short: true,
@@ -152,6 +155,7 @@ func (s *Study) AblationLossModel() ([]AblationLossRow, error) {
 	// A modest probing rate keeps the packet count tractable; the loss-rate
 	// estimate only needs enough samples per burst.
 	udp, err := measure.IperfUDP(sim, built.Path, 20e6, lossWindow, true)
+	s.releaseSim(sim)
 	if err != nil {
 		return nil, err
 	}
@@ -169,6 +173,7 @@ func (s *Study) AblationLossModel() ([]AblationLossRow, error) {
 			return err
 		}
 		res, err := measure.IperfTCPReverse(sim, built.Path, algo, dur)
+		s.releaseSim(sim)
 		if err != nil {
 			return err
 		}
@@ -176,7 +181,8 @@ func (s *Study) AblationLossModel() ([]AblationLossRow, error) {
 
 		// IID: a static link with the same capacity/delay and i.i.d. loss
 		// at the measured mean rate.
-		iidSim := netsim.NewSim(s.cfg.Seed + 2200)
+		iidSim := s.newSim(s.cfg.Seed + 2200)
+		defer s.releaseSim(iidSim)
 		iid, err := buildIIDPath(iidSim, meanLoss, s.cfg.Seed+2200)
 		if err != nil {
 			return err
@@ -231,7 +237,8 @@ func (s *Study) AblationHandoverPolicy() ([]AblationHandoverRow, error) {
 	out := make([]AblationHandoverRow, len(policies))
 	err := s.runIndexed(len(policies), func(pi int) error {
 		policy := policies[pi]
-		sim := netsim.NewSim(s.cfg.Seed + 2300)
+		sim := s.newSim(s.cfg.Seed + 2300)
+		defer s.releaseSim(sim)
 		built, err := ispnet.Build(ispnet.Config{
 			Kind: ispnet.Starlink, City: ispnet.Wiltshire, Server: ispnet.LondonDC,
 			Constellation: s.Constellation, Epoch: s.cfg.Epoch, Short: true,

@@ -8,7 +8,6 @@ import (
 	"starlinkview/internal/geo"
 	"starlinkview/internal/ispnet"
 	"starlinkview/internal/measure"
-	"starlinkview/internal/netsim"
 )
 
 // The paper's Section 4 takeaway: "connections between geographically
@@ -65,7 +64,8 @@ func (s *Study) ExtensionISL() ([]ISLRow, error) {
 	err := s.runIndexed(len(pairs), func(i int) error {
 		p := pairs[i]
 		// Measure today's architecture with pings over the simulated path.
-		sim := netsim.NewSim(s.cfg.Seed + int64(2600+i))
+		sim := s.newSim(s.cfg.Seed + int64(2600+i))
+		defer s.releaseSim(sim)
 		built, err := ispnet.Build(ispnet.Config{
 			Kind: ispnet.Starlink, City: p.city, Server: p.server,
 			Constellation: s.Constellation, Epoch: s.cfg.Epoch,

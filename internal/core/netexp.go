@@ -19,7 +19,8 @@ func volunteerCities() []ispnet.City {
 	return []ispnet.City{ispnet.NorthCarolina, ispnet.London, ispnet.Barcelona}
 }
 
-// newVolunteerNode builds one volunteer measurement node.
+// newVolunteerNode builds one volunteer measurement node on a simulator from
+// newSim; the caller hands node.Sim back with releaseSim.
 func (s *Study) newVolunteerNode(city ispnet.City, epoch time.Time, seed int64) (*rpinode.Node, error) {
 	return s.newVolunteerNodeWx(city, epoch, seed, true)
 }
@@ -33,6 +34,7 @@ func (s *Study) newVolunteerNodeWx(city ispnet.City, epoch time.Time, seed int64
 		Seed:          s.cfg.Seed + seed,
 		Registry:      s.cfg.Registry,
 		Trace:         s.cfg.Trace,
+		Sim:           s.newSim(s.cfg.Seed + seed),
 	})
 }
 
@@ -61,7 +63,8 @@ func (s *Study) Figure5() (Fig5Result, error) {
 	perKind := make([][]Fig5Hop, len(kinds))
 	err := s.runIndexed(len(kinds), func(ki int) error {
 		kind := kinds[ki]
-		sim := netsim.NewSim(s.cfg.Seed + int64(kind))
+		sim := s.newSim(s.cfg.Seed + int64(kind))
+		defer s.releaseSim(sim)
 		built, err := ispnet.Build(ispnet.Config{
 			Kind: kind, City: ispnet.London, Server: ispnet.NVirginiaDC,
 			Constellation: s.Constellation, Epoch: s.cfg.Epoch,
@@ -128,6 +131,7 @@ func (s *Study) Table2() ([]Table2Row, error) {
 		if err != nil {
 			return err
 		}
+		defer s.releaseSim(node.Sim)
 		wireless, whole, err := node.MaxMinQueueing(runs, probes)
 		if err != nil {
 			return err
@@ -159,7 +163,8 @@ func (s *Study) Table3() ([]Table3Row, error) {
 	out := make([]Table3Row, len(cities))
 	err := s.runIndexed(len(cities), func(ci int) error {
 		city := cities[ci]
-		sim := netsim.NewSim(s.cfg.Seed + int64(600+ci))
+		sim := s.newSim(s.cfg.Seed + int64(600+ci))
+		defer s.releaseSim(sim)
 		built, err := ispnet.Build(ispnet.Config{
 			Kind: ispnet.Starlink, City: city, Server: ispnet.IowaDC,
 			Constellation: s.Constellation, Epoch: s.cfg.Epoch,
@@ -217,6 +222,7 @@ func (s *Study) Figure6a() ([]Fig6aSeries, error) {
 		if err != nil {
 			return err
 		}
+		defer s.releaseSim(node.Sim)
 		if err := node.RunSchedule(rpinode.Schedule{
 			Total: hours, IperfEvery: 30 * time.Minute, IperfDur: iperfDur,
 		}); err != nil {
@@ -261,6 +267,7 @@ func (s *Study) Figure6b() ([]Fig6bPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.releaseSim(node.Sim)
 	if err := node.RunSchedule(rpinode.Schedule{
 		Total: total, IperfEvery: 30 * time.Minute, IperfDur: iperfDur,
 	}); err != nil {
@@ -299,6 +306,7 @@ func (s *Study) Figure6c() (Fig6cResult, error) {
 	if err != nil {
 		return Fig6cResult{}, err
 	}
+	defer s.releaseSim(node.Sim)
 	if err := node.RunSchedule(rpinode.Schedule{
 		Total:      time.Duration(n) * 10 * time.Minute,
 		UDPEvery:   10 * time.Minute,
@@ -356,6 +364,7 @@ func (s *Study) Figure7() (Fig7Result, error) {
 	if err != nil {
 		return Fig7Result{}, err
 	}
+	defer s.releaseSim(node.Sim)
 	sim := node.Sim
 	path := node.Short.Path
 	pipe := node.Short.Pipe

@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"starlinkview/internal/netsim"
 )
 
 // runIndexed runs fn(0) .. fn(n-1) across the study's worker budget.
@@ -46,4 +48,35 @@ func (s *Study) runIndexed(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// newSim returns a simulator in the state netsim.NewSim(seed) returns,
+// renewed from an idle one when the study has one, so that packets, the
+// free-list and the event queue grow once per worker rather than once per
+// run. Which task renews which simulator cannot change a result: a renewed
+// Sim runs exactly as a new one. The caller hands it back with releaseSim
+// once nothing of its run is used any more.
+func (s *Study) newSim(seed int64) *netsim.Sim {
+	var idle *netsim.Sim
+	s.simMu.Lock()
+	if n := len(s.sims); n > 0 {
+		idle = s.sims[n-1]
+		s.sims[n-1] = nil
+		s.sims = s.sims[:n-1]
+	}
+	s.simMu.Unlock()
+	if idle == nil {
+		return netsim.NewSim(seed)
+	}
+	return idle.Renew(seed)
+}
+
+// releaseSim hands sim back for newSim to renew. The study keeps at most one
+// idle simulator per worker; it drops the rest.
+func (s *Study) releaseSim(sim *netsim.Sim) {
+	s.simMu.Lock()
+	defer s.simMu.Unlock()
+	if len(s.sims) < s.workers() {
+		s.sims = append(s.sims, sim)
+	}
 }

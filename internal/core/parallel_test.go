@@ -88,9 +88,11 @@ func TestBruteForceMatchesEngine(t *testing.T) {
 
 // TestParallelFlowsRaceClean drives concurrent independent simulations that
 // each create CC flows, the pattern Figure 8 and Table 3 fan out under
-// Workers > 1. Its job is to put cc.NewFlow and the netsim event loop in
-// front of the race detector cheaply (1 s of simulated bulk TCP per task,
-// vs minutes for a full Figure 8).
+// Workers > 1. Its job is to put cc.NewFlow, the netsim event loop and the
+// study's simulator pool in front of the race detector cheaply (1 s of
+// simulated bulk TCP per task, vs minutes for a full Figure 8). Each task
+// runs twice, the second time on whichever pooled Sim it is handed, and
+// must measure the same throughput both times and as on a new Sim.
 func TestParallelFlowsRaceClean(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Workers = 4
@@ -98,29 +100,43 @@ func TestParallelFlowsRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]float64, 8)
-	err = s.runIndexed(len(got), func(i int) error {
-		sim := netsim.NewSim(int64(i))
+	iperf := func(sim *netsim.Sim, i int) (float64, error) {
 		client := netsim.NewNode("c", "")
 		server := netsim.NewNode("s", "")
 		path, err := netsim.NewPath([]*netsim.Node{client, server},
 			[]netsim.LinkSpec{{RateBps: 50e6, Delay: 10 * time.Millisecond, QueueByte: 250000}}, nil)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		res, err := measure.IperfTCPReverse(sim, path, cc.Names()[i%len(cc.Names())], time.Second)
-		if err != nil {
-			return err
+		return res.ThroughputBps, err
+	}
+	got := make([][2]float64, 8)
+	err = s.runIndexed(len(got), func(i int) error {
+		for run := range got[i] {
+			sim := s.newSim(int64(i))
+			bps, err := iperf(sim, i)
+			s.releaseSim(sim)
+			if err != nil {
+				return err
+			}
+			got[i][run] = bps
 		}
-		got[i] = res.ThroughputBps
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(s.sims) > cfg.Workers {
+		t.Errorf("pool holds %d idle Sims, want at most %d", len(s.sims), cfg.Workers)
+	}
 	for i, bps := range got {
-		if bps <= 0 {
-			t.Errorf("task %d moved no data", i)
+		want, err := iperf(netsim.NewSim(int64(i)), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bps[0] <= 0 || bps[0] != want || bps[1] != want {
+			t.Errorf("task %d moved %v b/s on pooled Sims, %v on a new one", i, bps, want)
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"starlinkview/internal/bentpipe"
 	"starlinkview/internal/extension"
 	"starlinkview/internal/ispnet"
+	"starlinkview/internal/netsim"
 	"starlinkview/internal/obs"
 	"starlinkview/internal/orbit"
 	"starlinkview/internal/trace"
@@ -109,6 +110,11 @@ type Study struct {
 	// pipeMetrics is the shared bent-pipe metric set when cfg.Registry is
 	// configured; counters aggregate across all users' pipes.
 	pipeMetrics *bentpipe.Metrics
+
+	// simMu guards sims, the idle simulators newSim renews: at most one per
+	// worker (see newSim).
+	simMu sync.Mutex
+	sims  []*netsim.Sim
 
 	browsed bool
 }

@@ -434,32 +434,131 @@ func TestPendingCountsPacketsInFlight(t *testing.T) {
 	}
 }
 
-// TestLinkReusedByFreshSim: a link that a new Sim sends on starts idle, not
-// busy until the abandoned run's clock, and the abandoned run stops counting
-// the packets it left in flight there.
+// TestLinkReusedByFreshSim: a link that a new or renewed Sim sends on
+// starts idle, not busy until the abandoned run's clock, and delivers none
+// of the packets that run left in flight there; a new Sim's abandoned run
+// also stops counting them. (A renewed Sim's old one must not be used.)
 func TestLinkReusedByFreshSim(t *testing.T) {
-	c := &collector{}
-	l := &Link{RateBps: 8e6, Delay: 5 * time.Millisecond, Dst: c}
-	old := NewSim(1)
-	old.RunUntil(10 * time.Second)
-	for i := 0; i < 3; i++ {
-		l.Send(old, &Packet{Size: 1000}) // arrivals at 10.006, 10.007, 10.008 s
-	}
+	for _, renew := range []bool{false, true} {
+		t.Run(map[bool]string{false: "new", true: "renewed"}[renew], func(t *testing.T) {
+			c := &collector{}
+			l := &Link{RateBps: 8e6, Delay: 5 * time.Millisecond, Dst: c}
+			old := NewSim(1)
+			old.RunUntil(10 * time.Second)
+			for i := 0; i < 3; i++ {
+				l.Send(old, &Packet{Size: 1000}) // arrivals at 10.006, 10.007, 10.008 s
+			}
 
-	s := NewSim(2)
-	l.Send(s, &Packet{Size: 1000})
-	// The old run keeps the head's queue entry until it comes up.
-	if got := old.Pending(); got != 1 {
-		t.Errorf("abandoned run's Pending() = %d, want 1", got)
+			var s *Sim
+			if renew {
+				s = old.Renew(2)
+			} else {
+				s = NewSim(2)
+			}
+			l.Send(s, &Packet{Size: 1000})
+			// The old run keeps the head's queue entry until it comes up.
+			if !renew && old.Pending() != 1 {
+				t.Errorf("abandoned run's Pending() = %d, want 1", old.Pending())
+			}
+			s.Run()
+			if want := 6 * time.Millisecond; len(c.times) != 1 || c.times[0] != want {
+				t.Fatalf("fresh run delivered at %v, want [%v]", c.times, want)
+			}
+			if renew {
+				return
+			}
+			old.Run()
+			if len(c.times) != 1 || old.Pending() != 0 {
+				t.Fatalf("abandoned run delivered %d packets and has %d pending; want none of either",
+					len(c.times)-1, old.Pending())
+			}
+		})
 	}
-	s.Run()
-	if want := 6 * time.Millisecond; len(c.times) != 1 || c.times[0] != want {
-		t.Fatalf("fresh run delivered at %v, want [%v]", c.times, want)
+}
+
+// renewScript drives s over links a and b and logs, with the (now, seq) at
+// which it happens, every delivery, timer and train firing and rng draw:
+// packets of drawn sizes back to back on both links, a timer re-armed
+// earlier and then later, a train whose members send on a, and a closure
+// that draws. Packet IDs start above base. It returns the timer.
+func renewScript(s *Sim, a, b *Link, base uint64, log *[]string) *Timer {
+	rec := func(what string, v int64) {
+		*log = append(*log, fmt.Sprintf("%v #%d %s %d", s.now, s.seq, what, v))
 	}
-	old.Run()
-	if len(c.times) != 1 || old.Pending() != 0 {
-		t.Fatalf("abandoned run delivered %d packets and has %d pending; want none of either",
-			len(c.times)-1, old.Pending())
+	sink := HandlerFunc(func(s *Sim, p *Packet) {
+		rec("deliver", int64(p.ID))
+		s.FreePacket(p)
+	})
+	a.Dst, b.Dst = sink, sink
+	send := func(l *Link) {
+		p := s.NewPacket()
+		p.ID, p.Size = base+s.NextPacketID(), 250*(1+s.Rand().Intn(6))
+		l.Send(s, p)
+	}
+	for i := 0; i < 4; i++ {
+		send(a)
+		send(b)
+	}
+	tm := s.NewTimer(func() { rec("timer", 0) })
+	s.ResetTimer(tm, 30*time.Millisecond)
+	s.ResetTimer(tm, 20*time.Millisecond)
+	s.Train(5*time.Millisecond, 3*time.Millisecond, 5, func(i int) {
+		rec("train", int64(i))
+		send(a)
+	})
+	s.Schedule(7*time.Millisecond, func() {
+		rec("draw", s.Rand().Int63())
+		s.ResetTimer(tm, 25*time.Millisecond)
+	})
+	return tm
+}
+
+// TestRenewMatchesNewSim: a Sim renewed after it stopped with packets in
+// flight on both links, its timer armed and its train part-way runs the
+// same script exactly as NewSim(seed) does, firing for firing and draw for
+// draw, on the links the stopped run left its packets on, and delivers
+// none of those packets. The renewed Sim is a new one, so the stopped run's
+// links see another simulator.
+func TestRenewMatchesNewSim(t *testing.T) {
+	newLinks := func() (*Link, *Link) {
+		return &Link{Name: "a", RateBps: 8e6, Delay: 5 * time.Millisecond},
+			&Link{Name: "b", RateBps: 4e6, Delay: 3 * time.Millisecond}
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		var want []string
+		fresh := NewSim(seed)
+		fa, fb := newLinks()
+		renewScript(fresh, fa, fb, 0, &want)
+		fresh.Run()
+		want = append(want, fmt.Sprint("after ", fresh.Rand().Int63()))
+
+		var stale []string
+		old := NewSim(seed + 100)
+		a, b := newLinks()
+		tm := renewScript(old, a, b, 1000, &stale)
+		old.Schedule(9*time.Millisecond, old.Stop) // train members 2-4 still due
+		old.Run()
+		if a.inflight == 0 || !tm.armed || old.Pending() <= a.inflight+b.inflight {
+			t.Fatalf("seed %d: stopped run has %d in flight on a, timer armed %v, %d pending: want all three",
+				seed, a.inflight, tm.armed, old.Pending())
+		}
+		free := len(old.free)
+
+		s := old.Renew(seed)
+		if s == old {
+			t.Fatalf("seed %d: Renew returned the same Sim", seed)
+		}
+		if s.Now() != 0 || s.Pending() != 0 || len(s.free) != free {
+			t.Fatalf("seed %d: renewed Sim at %v with %d pending and %d free packets, want 0, 0 and %d",
+				seed, s.Now(), s.Pending(), len(s.free), free)
+		}
+		var got []string
+		renewScript(s, a, b, 0, &got)
+		s.Run()
+		got = append(got, fmt.Sprint("after ", s.Rand().Int63()))
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: renewed run\n%v\nwant\n%v", seed, got, want)
+		}
 	}
 }
 

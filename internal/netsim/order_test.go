@@ -238,10 +238,10 @@ func (sc *hopScript) lossFn(now Time, p *Packet) bool {
 // that the send abandons.
 func (sc *hopScript) send(s *Sim, l *Link, p *Packet) {
 	old := sc.runs[l.sim]
-	var abandoned []flight
+	var abandoned []hopKey
 	if old != nil && l.sim != s {
-		for i := 0; i < l.inflight.n; i++ {
-			abandoned = append(abandoned, l.inflight.buf[(l.inflight.head+i)&(len(l.inflight.buf)-1)])
+		for f := l.head; f != nil; f = f.next {
+			abandoned = append(abandoned, hopKey{f.at, f.seq})
 		}
 	}
 	p.ProbeID = s.seq + 1
@@ -256,7 +256,7 @@ func (sc *hopScript) send(s *Sim, l *Link, p *Packet) {
 	}
 	if len(abandoned) > 0 {
 		sc.abandoned += len(abandoned)
-		old.stale = append(old.stale, hopKey{abandoned[0].at, abandoned[0].seq})
+		old.stale = append(old.stale, abandoned[0])
 		old.held += old.s.Pending() - old.expected()
 	}
 }

@@ -124,11 +124,3 @@ func (p *Path) BaseRTT() Time {
 	}
 	return rtt
 }
-
-// ResetStats clears all link counters on the path.
-func (p *Path) ResetStats() {
-	for i := range p.Fwd {
-		p.Fwd[i].ResetStats()
-		p.Rev[i].ResetStats()
-	}
-}

@@ -139,8 +139,8 @@ type Sim struct {
 	// heads have queue entries, and Pending adds the rest back.
 	backlog int
 	// Free-list for NewPacket. It never holds more packets than NewPacket
-	// has allocated, so packets built by callers that never draw from the
-	// list cannot pile up on it.
+	// has allocated or Renew handed over, so packets built by callers that
+	// never draw from the list cannot pile up on it.
 	free []*Packet
 	made int
 }
@@ -148,6 +148,21 @@ type Sim struct {
 // NewSim creates a simulation with a deterministic random source.
 func NewSim(seed int64) *Sim {
 	return &Sim{rng: rand.New(rand.NewSource(seed))}
+}
+
+// Renew returns a simulator in the state NewSim(seed) returns, built on s's
+// packet free-list, event-queue storage and random source, so a later run
+// grows them only past what earlier runs needed. s is zeroed, as its
+// storage is the new Sim's now, and must not be used again. The result is a
+// new Sim, not s reset: a link that last ran on s then still sees another
+// simulator and drops what s left in flight on it (see Link.adopt), where s
+// reset in place would take those packets for its own.
+func (s *Sim) Renew(seed int64) *Sim {
+	clear(s.pq)
+	r := &Sim{pq: s.pq[:0], rng: s.rng, free: s.free, made: len(s.free)}
+	r.rng.Seed(seed)
+	*s = Sim{}
+	return r
 }
 
 // Now returns the current simulated time.
@@ -443,6 +458,12 @@ type Packet struct {
 	ICMPFrom string // node that generated the ICMP reply
 	ProbeID  uint64 // correlates probes with replies
 
+	// While the packet is in flight on a link: its delivery key and the
+	// packet behind it (see Link.enqueue). A packet is on one link at most.
+	at   Time
+	seq  uint64
+	next *Packet
+
 	freed bool // handed to FreePacket; a second free panics
 }
 
@@ -508,48 +529,12 @@ type Link struct {
 	lastArrival Time
 	stats       LinkStats
 
-	// Packets in flight, in arrival order. Only the head has a queue entry
-	// on sim; delivering the head re-keys that entry to the next one.
-	inflight flightRing
-	sim      *Sim
-}
-
-// flight is one packet in flight on a link, keyed as its delivery event.
-type flight struct {
-	at  Time
-	seq uint64
-	pkt *Packet
-}
-
-// flightRing is a FIFO of flights in a power-of-two ring buffer. It grows to
-// the most packets the link ever had in flight at once and reuses that
-// storage after.
-type flightRing struct {
-	buf  []flight
-	head int
-	n    int
-}
-
-func (r *flightRing) push(f flight) {
-	if r.n == len(r.buf) {
-		grown := make([]flight, max(8, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf, r.head = grown, 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
-	r.n++
-}
-
-func (r *flightRing) front() *flight { return &r.buf[r.head] }
-
-func (r *flightRing) pop() flight {
-	f := r.buf[r.head]
-	r.buf[r.head] = flight{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return f
+	// Packets in flight, in arrival order, linked through Packet.next. Only
+	// the head has a queue entry on sim; delivering the head re-keys that
+	// entry to the next one.
+	head, tail *Packet
+	inflight   int
+	sim        *Sim
 }
 
 // traceDrop records a packet drop on the link's trace span, if any.
@@ -566,9 +551,6 @@ func (l *Link) traceDrop(now Time, p *Packet, reason string) {
 
 // Stats returns a copy of the link's counters.
 func (l *Link) Stats() LinkStats { return l.stats }
-
-// ResetStats zeroes the link's counters.
-func (l *Link) ResetStats() { l.stats = LinkStats{} }
 
 // QueueDelay returns the current backlog ahead of a new arrival.
 func (l *Link) QueueDelay(now Time) Time {
@@ -662,16 +644,16 @@ func (l *Link) Send(s *Sim, p *Packet) {
 // the head's queue entry stays, and it is dropped when it comes up. The
 // link starts s idle: the old run's clock says nothing about the new one's.
 func (l *Link) adopt(s *Sim) {
-	if old := l.sim; old != nil && l.inflight.n > 1 {
-		old.backlog -= l.inflight.n - 1
+	if old := l.sim; old != nil && l.inflight > 1 {
+		old.backlog -= l.inflight - 1
 	}
-	l.inflight = flightRing{buf: l.inflight.buf}
+	l.head, l.tail, l.inflight = nil, nil, 0
 	l.busyUntil, l.lastArrival = 0, 0
 	l.sim = s
 }
 
 // enqueue puts p in flight until at. The FIFO clamp above makes at
-// non-decreasing along the ring and seq always increases, so the ring is
+// non-decreasing along the list and seq always increases, so the list is
 // sorted by (at, seq) and its head is the link's earliest event: queueing
 // only the head, and the next one under its own key when the head fires,
 // keeps the global event order exactly as if every packet were queued.
@@ -680,12 +662,16 @@ func (l *Link) enqueue(s *Sim, at Time, p *Packet) {
 		at = s.now
 	}
 	s.seq++
-	if l.inflight.n == 0 {
+	p.at, p.seq = at, s.seq
+	if l.head == nil {
+		l.head = p
 		s.pq.push(event{at: at, seq: s.seq, kind: evDeliver, link: l})
 	} else {
+		l.tail.next = p
 		s.backlog++
 	}
-	l.inflight.push(flight{at: at, seq: s.seq, pkt: p})
+	l.tail = p
+	l.inflight++
 }
 
 // deliver fires the link's entry keyed seq, which is the root: it re-keys
@@ -693,19 +679,21 @@ func (l *Link) enqueue(s *Sim, at Time, p *Packet) {
 // head packet to the destination. An entry left behind by another run
 // matches no head and is dropped.
 func (l *Link) deliver(s *Sim, seq uint64) {
-	if l.sim != s || l.inflight.n == 0 || l.inflight.front().seq != seq {
+	p := l.head
+	if l.sim != s || p == nil || p.seq != seq {
 		s.pq.pop()
 		return
 	}
-	f := l.inflight.pop()
-	if l.inflight.n > 0 {
-		next := l.inflight.front()
+	l.head, p.next = p.next, nil
+	l.inflight--
+	if next := l.head; next != nil {
 		s.pq.rekey(next.at, next.seq)
 		s.backlog--
 	} else {
+		l.tail = nil
 		s.pq.pop()
 	}
-	l.Dst.Handle(s, f.pkt)
+	l.Dst.Handle(s, p)
 }
 
 // Node is a router/host. It forwards packets by destination name, decrements

@@ -392,21 +392,6 @@ func TestPathBaseRTT(t *testing.T) {
 	}
 }
 
-func TestPathResetStats(t *testing.T) {
-	s, p := newTestPath(t, 3)
-	c := &collector{}
-	p.Server().RegisterLocal(80, c)
-	p.Client().Handle(s, &Packet{Src: p.Client().Name, Dst: p.Server().Name, DstPort: 80, Size: 100, TTL: 64})
-	s.Run()
-	if p.Fwd[0].Stats().SentPackets == 0 {
-		t.Fatal("no traffic recorded")
-	}
-	p.ResetStats()
-	if p.Fwd[0].Stats().SentPackets != 0 {
-		t.Error("stats not reset")
-	}
-}
-
 func TestAsymmetricSpecs(t *testing.T) {
 	s := NewSim(1)
 	a, b := NewNode("a", ""), NewNode("b", "")

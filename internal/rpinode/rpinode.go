@@ -40,6 +40,9 @@ type Config struct {
 	// Trace, when set, receives span events from both paths (handovers,
 	// outages, loss windows, per-link drops). Nil = untraced.
 	Trace *trace.Span
+	// Sim, when set, is the node's simulation; it must be in the state
+	// netsim.NewSim(Seed) returns (a renewed one is). Nil = NewSim(Seed).
+	Sim *netsim.Sim
 }
 
 // IperfSample is one scheduled iperf measurement (Figures 6a/6b).
@@ -94,7 +97,10 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Server != nil {
 		server = *cfg.Server
 	}
-	sim := netsim.NewSim(cfg.Seed)
+	sim := cfg.Sim
+	if sim == nil {
+		sim = netsim.NewSim(cfg.Seed)
+	}
 
 	var wx *weather.Generator
 	if cfg.WithWeather {
