@@ -26,7 +26,10 @@ test: build
 # spacing timer's wake-ups all meet on the writer lock), then the
 # collector's read-path tests ten times each under -race (reads and
 # checkpoints queue marks behind concurrent writers' batches, and share
-# domain lists with the shards); the full -race sweep then covers
+# domain lists with the shards), then its recovery tests ten times each
+# under -race (replay's parse workers parse the ring's views through the
+# shared interner while the shards apply earlier ones, and a failed read
+# must stop both); the full -race sweep then covers
 # everything including the collector. Before the fuzz sweep, each program
 # under examples/ runs once and must exit 0 (about 1 s together), so an
 # example that builds but no longer runs fails here. The last line
@@ -40,6 +43,7 @@ check-steps: build
 	$(GO) test -race ./internal/trace/...
 	$(GO) test -race -count=10 -run 'Test(WALGroupCommit|WALPipelinedCommitConcurrent|CommitSpacing|IdleCommitSyncsAtOnce|CloseWakesDeadlineWaiter)$$' ./internal/wal/
 	$(GO) test -race -count=10 -run 'Test(SnapshotCoversAckedOffers|ReadPathRacesWriters)$$' ./internal/collector/
+	$(GO) test -race -count=10 -run 'Test(RecoveryMixedLogDigest|ReplayBoundsLiveViews|ReplayFailureStopsShards|RecoveryGoldenDigestBrowsing)$$' ./internal/collector/
 	$(GO) test -race -run 'TestShedOverloadKeepsSampledTraffic' ./internal/collector/
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...

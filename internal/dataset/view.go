@@ -815,13 +815,30 @@ func (p *ViewPool) Read(r io.Reader) (*BatchView, error) {
 // Parse decodes a frame already held in memory, copying it into the pooled
 // view's buffer so the caller's slice is free immediately.
 func (p *ViewPool) Parse(frame []byte) (*BatchView, error) {
-	v := p.get()
-	v.frame = append(v.frame[:0], frame...)
-	if err := v.parse(v.frame, &p.intern); err != nil {
-		p.Put(v)
+	v := p.Fill(frame)
+	if err := p.ParseFilled(v); err != nil {
 		return nil, err
 	}
 	return v, nil
+}
+
+// Fill copies frame into a pooled view's buffer without parsing it, so the
+// caller's slice is free immediately and the parse can run elsewhere, later,
+// through ParseFilled. The view has no rows until then.
+func (p *ViewPool) Fill(frame []byte) *BatchView {
+	v := p.get()
+	v.frame = append(v.frame[:0], frame...)
+	return v
+}
+
+// ParseFilled decodes the frame Fill copied into v. On error v goes back to
+// the pool and must not be used again.
+func (p *ViewPool) ParseFilled(v *BatchView) error {
+	if err := v.parse(v.frame, &p.intern); err != nil {
+		p.Put(v)
+		return err
+	}
+	return nil
 }
 
 // Put returns a view to the pool. The view and every slice or string read
