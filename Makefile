@@ -29,7 +29,10 @@ test: build
 # domain lists with the shards), then its recovery tests ten times each
 # under -race (replay's parse workers parse the ring's views through the
 # shared interner while the shards apply earlier ones, and a failed read
-# must stop both); the full -race sweep then covers
+# must stop both), then the release-versus-recovery property on 50 seeds
+# of the mixed log (tier-1 runs 3: each seed moves the undecodable
+# payloads, bad-PTT rows, kind-1 rows and node samples to other segments
+# and frame sizes, and 50 cost about 12 s); the full -race sweep then covers
 # everything including the collector. Before the fuzz sweep, each program
 # under examples/ runs once and must exit 0 (about 1 s together), so an
 # example that builds but no longer runs fails here. The last line
@@ -44,6 +47,7 @@ check-steps: build
 	$(GO) test -race -count=10 -run 'Test(WALGroupCommit|WALPipelinedCommitConcurrent|CommitSpacing|IdleCommitSyncsAtOnce|CloseWakesDeadlineWaiter)$$' ./internal/wal/
 	$(GO) test -race -count=10 -run 'Test(SnapshotCoversAckedOffers|ReadPathRacesWriters)$$' ./internal/collector/
 	$(GO) test -race -count=10 -run 'Test(RecoveryMixedLogDigest|ReplayBoundsLiveViews|ReplayFailureStopsShards|RecoveryGoldenDigestBrowsing)$$' ./internal/collector/
+	$(GO) test -count=1 -run 'TestReleaseMatchesRecovery$$' ./internal/collector/ -args -release-seeds=50
 	$(GO) test -race -run 'TestShedOverloadKeepsSampledTraffic' ./internal/collector/
 	$(GO) test -race -run 'TestAlertFiresUnderOverload' ./internal/collector/
 	$(GO) test -race -timeout 30m ./...

@@ -56,11 +56,11 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -73,6 +73,7 @@ import (
 	"starlinkview/internal/cluster"
 	"starlinkview/internal/collector"
 	"starlinkview/internal/dataset"
+	"starlinkview/internal/extension"
 	"starlinkview/internal/obs"
 	"starlinkview/internal/trace"
 	"starlinkview/internal/tsdb"
@@ -123,7 +124,7 @@ func main() {
 		if *walDir == "" {
 			fatal(fmt.Errorf("-wal-dump needs -wal-dir"))
 		}
-		if err := dumpWAL(*walDir); err != nil {
+		if err := dumpWAL(os.Stdout, *walDir); err != nil {
 			fatal(err)
 		}
 		return
@@ -375,45 +376,47 @@ func servePprof(addr string) error {
 	return nil
 }
 
-// dumpWAL prints the log's payloads to stdout in append order — the WAL
-// record encoding is the dataset release encoding, so the output is the
-// extension CSV schema (header first). Columnar batch frames are expanded
-// into CSV rows, the form a kind-1 record of an older log already has, so
-// both dump alike; any other payload (a node sample's JSON line in a log an
-// earlier build wrote) is printed as logged.
-func dumpWAL(dir string) error {
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-	fmt.Fprintln(out, strings.Join(dataset.ExtensionHeader(), ","))
-	var n int
+// dumpWAL writes the log in dir, every segment of it, to w as the
+// extension CSV schema, header first: the rows collector.ReadWALRecord
+// keeps, which are the rows recovery applies, in log order. What it skips
+// is counted on stderr.
+func dumpWAL(w io.Writer, dir string) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(dataset.ExtensionHeader()); err != nil {
+		return err
+	}
+	var (
+		views dataset.ViewPool
+		skips collector.WALSkips
+		recs  []extension.Record
+		n     int
+	)
 	err := wal.ReplayDir(nil, dir, 0, func(r wal.Rec) error {
-		if r.Kind == collector.WALKindExtensionBatch {
-			recs, derr := collector.DecodeWALExtensionBatch(r.Payload)
-			if derr != nil {
-				return fmt.Errorf("LSN %d: batch frame: %w", r.LSN, derr)
-			}
-			n += len(recs)
-			cw := csv.NewWriter(out)
-			for _, rec := range recs {
-				if werr := cw.Write(dataset.MarshalExtensionRow(rec)); werr != nil {
-					return werr
-				}
-			}
-			cw.Flush()
-			return cw.Error()
+		v, sk := collector.ReadWALRecord(&views, r)
+		skips.Add(sk)
+		if v == nil {
+			return nil
 		}
-		n++
-		out.Write(r.Payload)
-		if len(r.Payload) == 0 || r.Payload[len(r.Payload)-1] != '\n' {
-			out.WriteByte('\n')
+		recs = v.AppendRecords(recs[:0])
+		views.Put(v)
+		n += len(recs)
+		for _, rec := range recs {
+			if err := cw.Write(dataset.MarshalExtensionRow(rec)); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
+	cw.Flush()
+	if err == nil {
+		err = cw.Error()
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "collectord: dumped %d records from %s\n", n, dir)
-	return out.Flush()
+	fmt.Fprintf(os.Stderr, "collectord: dumped %d records from %s (skipped %d corrupt, %d node samples)\n",
+		n, dir, skips.SkippedCorrupt, skips.SkippedNodeRecords)
+	return nil
 }
 
 // splitList parses a comma-separated flag value, dropping empty elements
@@ -429,8 +432,8 @@ func splitList(s string) []string {
 }
 
 func printCompaction(res cluster.CompactResult) {
-	fmt.Printf("collectord: compacted %d of %d cold segments (%d records) into %d datasets\n",
-		res.Compacted, res.ColdSegments, res.ExtensionRecords, len(res.Outputs))
+	fmt.Printf("collectord: compacted %d of %d cold segments (%d records; skipped %d corrupt, %d node samples) into %d datasets\n",
+		res.Compacted, res.ColdSegments, res.ExtensionRecords, res.SkippedCorrupt, res.SkippedNodeRecords, len(res.Outputs))
 	for _, out := range res.Outputs {
 		fmt.Println("  " + out)
 	}

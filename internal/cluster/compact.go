@@ -30,16 +30,19 @@ type CompactResult struct {
 	Compacted    int `json:"compacted"`
 	// ExtensionRecords counts rows written this pass.
 	ExtensionRecords int `json:"extension_records"`
+	// WALSkips counts what the segments written this pass hold and the
+	// release leaves out: what recovery skips from the same records.
+	collector.WALSkips
 	// Outputs are the dataset files written this pass.
 	Outputs []string `json:"outputs,omitempty"`
 }
 
 // CompactColdSegments rewrites cold WAL segments as release-format
-// datasets: extension records become a sorted dataset CSV (the schema the
-// paper's released dataset uses). Node samples an earlier build logged are
-// left out. A segment
-// is cold once it is sealed — every segment but the highest-based one. The
-// writer fsyncs a segment before sealing it and never appends to it again,
+// datasets: the rows collector.ReadWALRecord keeps, which are the rows
+// recovery applies, become a sorted dataset CSV (the schema the paper's
+// released dataset uses), and what it skips is counted. A segment that
+// keeps no row becomes a header-only dataset. A segment is cold once it is
+// sealed — every segment but the highest-based one. The writer fsyncs a segment before sealing it and never appends to it again,
 // so a sealed segment's contents are durable and immutable, and the rewrite
 // is a pure function of the segment file: any two compactions of the same
 // segment emit byte-identical datasets.
@@ -82,35 +85,34 @@ func outputStem(seg wal.SegmentInfo) string {
 	return strings.TrimSuffix(seg.Name, ".seg")
 }
 
+// compactSegment writes seg's dataset, unless an earlier pass did; then it
+// does not read the segment either.
 func compactSegment(fsys wal.FS, cfg CompactConfig, seg wal.SegmentInfo, res *CompactResult) error {
-	stem := outputStem(seg)
-	csvPath := filepath.Join(cfg.OutDir, stem+".csv")
-
-	var recs []extension.Record
+	csvPath := filepath.Join(cfg.OutDir, outputStem(seg)+".csv")
+	if _, err := fsys.Size(csvPath); err == nil {
+		return nil
+	}
 	f, err := fsys.Open(filepath.Join(cfg.WALDir, seg.Name))
 	if err != nil {
 		return fmt.Errorf("cluster: compact: open %s: %w", seg.Name, err)
 	}
-	_, readErr := wal.ReadSegment(f, func(r wal.Rec) error {
-		switch r.Kind {
-		case collector.WALKindExtension:
-			rec, err := collector.DecodeWALExtension(r.Payload)
-			if err != nil {
-				return err
-			}
-			recs = append(recs, rec)
-		case collector.WALKindExtensionBatch:
-			batch, err := collector.DecodeWALExtensionBatch(r.Payload)
-			if err != nil {
-				return err
-			}
-			recs = append(recs, batch...)
+	var (
+		views dataset.ViewPool
+		skips collector.WALSkips
+		recs  []extension.Record
+	)
+	_, err = wal.ReadSegment(f, func(r wal.Rec) error {
+		v, sk := collector.ReadWALRecord(&views, r)
+		skips.Add(sk)
+		if v != nil {
+			recs = v.AppendRecords(recs)
+			views.Put(v)
 		}
 		return nil
 	})
 	f.Close()
-	if readErr != nil {
-		return fmt.Errorf("cluster: compact: read %s: %w", seg.Name, readErr)
+	if err != nil {
+		return fmt.Errorf("cluster: compact: read %s: %w", seg.Name, err)
 	}
 
 	// Release order: group key then time, so compaction output is sorted
@@ -130,51 +132,39 @@ func compactSegment(fsys wal.FS, cfg CompactConfig, seg wal.SegmentInfo, res *Co
 		return a.Domain < b.Domain
 	})
 
-	if len(recs) == 0 {
-		return nil
-	}
-	wrote, err := writeAtomic(fsys, cfg.OutDir, csvPath, func(f wal.File) error {
+	if err := writeAtomic(fsys, cfg.OutDir, csvPath, func(f wal.File) error {
 		return dataset.WriteExtensionCSV(f, recs)
-	})
-	if err != nil {
+	}); err != nil {
 		return fmt.Errorf("cluster: compact: %s: %w", csvPath, err)
 	}
-	if wrote {
-		res.Compacted++
-		res.ExtensionRecords += len(recs)
-		res.Outputs = append(res.Outputs, csvPath)
-	}
+	res.Compacted++
+	res.ExtensionRecords += len(recs)
+	res.WALSkips.Add(skips)
+	res.Outputs = append(res.Outputs, csvPath)
 	return nil
 }
 
-// writeAtomic writes path via temp+rename, skipping (false, nil) when the
-// output already exists — repeated passes rewrite nothing.
-func writeAtomic(fsys wal.FS, dir, path string, fill func(wal.File) error) (bool, error) {
-	if _, err := fsys.Size(path); err == nil {
-		return false, nil
-	}
+// writeAtomic writes path via temp+rename.
+func writeAtomic(fsys wal.FS, dir, path string, fill func(wal.File) error) error {
 	tmp := path + ".tmp"
 	_ = fsys.Remove(tmp)
 	f, err := fsys.Create(tmp)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if err := fill(f); err != nil {
 		f.Close()
-		return false, err
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return false, err
+		return err
 	}
 	if err := f.Close(); err != nil {
-		return false, err
+		return err
 	}
 	if err := fsys.Rename(tmp, path); err != nil {
-		return false, err
+		return err
 	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return false, err
-	}
-	return true, nil
+	return fsys.SyncDir(dir)
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -96,19 +97,21 @@ func TestCompactColdSegments(t *testing.T) {
 	}
 
 	// Count what the sealed segments actually hold, straight off the log.
+	// Each holds rows, so each writes a dataset with rows.
 	wantExt, nodes, rows := 0, 0, 0
 	for _, seg := range segs[:len(segs)-1] {
 		f, err := os.Open(filepath.Join(walDir, seg.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := wantExt
 		_, err = wal.ReadSegment(f, func(r wal.Rec) error {
 			switch r.Kind {
 			case collector.WALKindExtension:
 				wantExt++
 				rows++
 			case collector.WALKindExtensionBatch:
-				recs, err := collector.DecodeWALExtensionBatch(r.Payload)
+				recs, err := dataset.UnmarshalBatch(r.Payload)
 				if err != nil {
 					return err
 				}
@@ -121,6 +124,9 @@ func TestCompactColdSegments(t *testing.T) {
 		f.Close()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if wantExt == before {
+			t.Fatalf("sealed segment %s holds no rows", seg.Name)
 		}
 	}
 
@@ -139,6 +145,10 @@ func TestCompactColdSegments(t *testing.T) {
 	}
 	if res.ExtensionRecords != wantExt {
 		t.Errorf("compacted %d records, want %d", res.ExtensionRecords, wantExt)
+	}
+	if res.SkippedCorrupt != 0 || res.SkippedNodeRecords != uint64(nodes) {
+		t.Errorf("compaction skipped %d corrupt and %d node samples, want 0 and %d",
+			res.SkippedCorrupt, res.SkippedNodeRecords, nodes)
 	}
 
 	// Outputs must all be CSV, parse as release datasets and be sorted in
@@ -223,5 +233,55 @@ func TestCompactColdSegments(t *testing.T) {
 
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompactRowlessSegmentOnce compacts a sealed segment that keeps no row
+// (a node sample and a payload that is no frame): the pass writes it a
+// header-only dataset and counts its skips, and a second pass neither
+// rewrites it nor counts them again.
+func TestCompactRowlessSegmentOnce(t *testing.T) {
+	walDir, outDir := t.TempDir(), t.TempDir()
+	w, err := wal.Open(wal.Config{Dir: walDir, SegmentBytes: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct {
+		kind    byte
+		payload string
+	}{
+		{walKindNode, `{"node":"Wiltshire","kind":"iperf"}` + "\n"},
+		{collector.WALKindExtensionBatch, "not a batch frame"},
+		{walKindNode, `{"node":"Toronto","kind":"iperf"}` + "\n"}, // rotates: the active segment
+	} {
+		if _, err := w.Append(p.kind, []byte(p.payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := CompactResult{ColdSegments: 1, Compacted: 1, WALSkips: collector.WALSkips{SkippedCorrupt: 1, SkippedNodeRecords: 1}}
+	for pass := 1; pass <= 2; pass++ {
+		res, err := CompactColdSegments(CompactConfig{WALDir: walDir, OutDir: outDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Outputs = nil
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("pass %d: %+v, want %+v", pass, res, want)
+		}
+		want = CompactResult{ColdSegments: 1}
+	}
+	csvs, err := filepath.Glob(filepath.Join(outDir, "*.csv"))
+	if err != nil || len(csvs) != 1 {
+		t.Fatalf("outputs %v (%v), want one dataset", csvs, err)
+	}
+	body, err := os.ReadFile(csvs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, header := string(body), strings.Join(dataset.ExtensionHeader(), ",")+"\n"; got != header {
+		t.Fatalf("dataset %q, want the header only", got)
 	}
 }

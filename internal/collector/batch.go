@@ -25,21 +25,6 @@ import (
 	"starlinkview/internal/wal"
 )
 
-// walKindExtensionBatch logs one columnar frame (dataset.MarshalBatch
-// bytes) holding many extension records.
-const walKindExtensionBatch byte = 3
-
-// WALKindExtensionBatch is the batch-frame record kind exported for offline
-// log consumers (cluster compaction, collectord -wal-dump).
-const WALKindExtensionBatch = walKindExtensionBatch
-
-// DecodeWALExtensionBatch parses a walKindExtensionBatch payload back into
-// the records it logged, for the offline consumers that want records
-// (cluster compaction, collectord -wal-dump); recovery replays the view.
-func DecodeWALExtensionBatch(payload []byte) ([]extension.Record, error) {
-	return dataset.UnmarshalBatch(payload)
-}
-
 // OfferExtensionFrame is an adapter onto OfferBatchView: frame (or, when it
 // is nil, recs re-marshalled) is parsed into a pooled view and offered. No
 // ingest path calls it — it survives as an exported name only because
@@ -194,31 +179,6 @@ func badPTTRow(v *dataset.BatchView) int {
 		}
 	}
 	return -1
-}
-
-// validRows is replay's side of the same rule, for logs written before
-// ingest enforced it: it returns v unchanged when every PTT is valid, and
-// otherwise releases v and returns a view of the valid rows (nil if none)
-// and how many rows it dropped.
-func (a *Aggregator) validRows(v *dataset.BatchView) (*dataset.BatchView, int) {
-	if badPTTRow(v) < 0 {
-		return v, 0
-	}
-	defer a.views.Put(v)
-	rows := make([]int32, 0, v.Len())
-	for i := 0; i < v.Len(); i++ {
-		if validPTT(v.PTTMs(i)) {
-			rows = append(rows, int32(i))
-		}
-	}
-	if len(rows) == 0 {
-		return nil, v.Len()
-	}
-	kept, err := a.views.Parse(new(dataset.BatchEncoder).EncodeRows(v, rows))
-	if err != nil {
-		return nil, v.Len() // unreachable: the frame was just encoded
-	}
-	return kept, v.Len() - len(rows)
 }
 
 // OfferBatchView is the pipelined ingest fast path: it takes ownership of a

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -262,7 +261,7 @@ func crashReplaySnapshot(t *testing.T, dir string) (frames [][]extension.Record,
 		if r.Kind != WALKindExtensionBatch {
 			t.Fatalf("log holds a kind-%d record, want only batch frames", r.Kind)
 		}
-		recs, err := DecodeWALExtensionBatch(r.Payload)
+		recs, err := dataset.UnmarshalBatch(r.Payload)
 		frames = append(frames, recs)
 		return err
 	})
@@ -442,66 +441,6 @@ func TestBatchHandlerSplitsByOwner(t *testing.T) {
 	if string(replayed) != string(live) {
 		t.Fatalf("replayed snapshot differs from the live one")
 	}
-}
-
-// FuzzReplayBatchFrame drives arbitrary bytes through the full durable
-// path: the payload is appended to a real WAL as a batch frame, and startup
-// recovery must never panic — a decodable frame replays every record whose
-// PTT ingest accepts and counts the others as corrupt, anything else is
-// skipped and counted, exactly once.
-func FuzzReplayBatchFrame(f *testing.F) {
-	for _, n := range []int{0, 1, 50} {
-		f.Add(dataset.MarshalBatch(batchTestRecords(3, n)))
-	}
-	bad := batchTestRecords(3, 8)
-	bad[2].PTTMs, bad[5].PTTMs, bad[6].PTTMs = math.Inf(1), math.NaN(), 1e308
-	f.Add(dataset.MarshalBatch(bad))
-	f.Add([]byte("SLB1 not a frame"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > wal.MaxPayload {
-			t.Skip("exceeds WAL payload bound")
-		}
-		dir := t.TempDir()
-		w, err := wal.Open(wal.Config{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Append(WALKindExtensionBatch, data); err != nil {
-			w.Close()
-			t.Skipf("append rejected: %v", err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		agg, err := OpenAggregator(Config{
-			Shards:   2,
-			Registry: obs.NewRegistry(),
-			WAL:      WALConfig{Dir: dir},
-		})
-		if err != nil {
-			t.Fatalf("recovery failed: %v", err)
-		}
-		rec := agg.WALRecovery()
-		recs, derr := dataset.UnmarshalBatch(data)
-		if derr == nil {
-			var bad uint64
-			for _, r := range recs {
-				if !validPTT(r.PTTMs) {
-					bad++
-				}
-			}
-			if rec.ReplayedRecords != uint64(len(recs))-bad || rec.SkippedCorrupt != bad {
-				t.Fatalf("valid frame of %d records, %d with a PTT ingest refuses: replayed %d, corrupt %d",
-					len(recs), bad, rec.ReplayedRecords, rec.SkippedCorrupt)
-			}
-		} else if rec.ReplayedRecords != 0 || rec.SkippedCorrupt != 1 {
-			t.Fatalf("invalid frame: replayed %d, corrupt %d", rec.ReplayedRecords, rec.SkippedCorrupt)
-		}
-		if err := agg.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 // TestBatchHeaderClaimAllocatesLittle posts /ingest/batch requests whose

@@ -17,6 +17,7 @@ import (
 	"unsafe"
 
 	"starlinkview/internal/dataset"
+	"starlinkview/internal/extension"
 	"starlinkview/internal/obs"
 	"starlinkview/internal/stats"
 	"starlinkview/internal/trace"
@@ -398,22 +399,25 @@ func TestReplayFailureStopsShards(t *testing.T) {
 	}
 }
 
-// mixedLog is a log writeMixedLog wrote: its directory and what recovery
-// should count from it.
+// mixedLog is a log writeMixedLog wrote: its directory, the rows recovery
+// should apply from it in log order, and what it should count as skipped.
 type mixedLog struct {
-	dir                      string
-	replayed, corrupt, nodes uint64
+	dir            string
+	rows           []extension.Record
+	corrupt, nodes uint64
 }
 
-// writeMixedLog writes a seeded log with no checkpoint over many small
-// segments: batch frames of 1 to 1 500 rows in a mixed order, so a small
-// frame often follows a large one, with legacy kind-1 rows and kind-2 node
-// samples between them, two payloads that fail the parse under a valid WAL
-// CRC (one not a frame at all, one a frame whose own CRC is broken), and two
-// frames with out-of-range PTT rows.
-func writeMixedLog(t *testing.T) mixedLog {
+// writeMixedLog writes a log seeded by seed with no checkpoint over many
+// small segments: batch frames of 1 to 1 500 rows in a mixed order, so a
+// small frame often follows a large one, with legacy kind-1 rows and kind-2
+// node samples between them, two payloads that fail the parse under a valid
+// WAL CRC (one not a frame at all, one a frame whose own CRC is broken), and
+// two frames with out-of-range PTT rows. What it expects recovery to apply
+// and skip is kept from what it wrote, not read back from the log. Seed 41
+// is the log goldenMixedLogDigest pins.
+func writeMixedLog(t *testing.T, seed int64) mixedLog {
 	t.Helper()
-	r := rand.New(rand.NewSource(41))
+	r := rand.New(rand.NewSource(seed))
 	lg := mixedLog{dir: t.TempDir()}
 	w, err := wal.Open(wal.Config{Dir: lg.dir, SegmentBytes: 24 << 10})
 	if err != nil {
@@ -431,6 +435,7 @@ func writeMixedLog(t *testing.T) mixedLog {
 			n = 200 + r.Intn(1300)
 		}
 		recs := goldenRecords(r, n)
+		bad := map[int]bool{}
 		switch i {
 		case 11:
 			logged(WALKindExtensionBatch, []byte("not a batch frame"))
@@ -444,21 +449,19 @@ func writeMixedLog(t *testing.T) mixedLog {
 		case 17, 30:
 			for _, j := range []int{0, n / 2, n - 1} {
 				recs[j].PTTMs = []float64{-2, math.NaN(), 3 * maxPTTMs}[r.Intn(3)]
+				bad[j] = true
 			}
-			bad := uint64(1)
-			if n > 2 {
-				bad = 3
-			} else if n == 2 {
-				bad = 2
-			}
-			lg.corrupt += bad
-			lg.replayed -= bad
+			lg.corrupt += uint64(len(bad))
 		}
 		logged(WALKindExtensionBatch, dataset.MarshalBatch(recs))
-		lg.replayed += uint64(n)
+		for j, rec := range recs {
+			if !bad[j] {
+				lg.rows = append(lg.rows, rec)
+			}
+		}
 		for _, rec := range goldenRecords(r, r.Intn(3)) {
 			logged(WALKindExtension, legacyCSVPayload(t, rec))
-			lg.replayed++
+			lg.rows = append(lg.rows, rec)
 		}
 		for _, s := range goldenNodeSamples(r, r.Intn(2)) {
 			payload, err := json.Marshal(s)
@@ -490,9 +493,9 @@ func mixedLogDigest(t *testing.T, lg mixedLog, cfg Config) string {
 			t.Fatal(err)
 		}
 		rec := a.WALRecovery()
-		if rec.ReplayedRecords != lg.replayed || rec.SkippedCorrupt != lg.corrupt || rec.SkippedNodeRecords != lg.nodes {
+		if rec.ReplayedRecords != uint64(len(lg.rows)) || rec.SkippedCorrupt != lg.corrupt || rec.SkippedNodeRecords != lg.nodes {
 			t.Fatalf("shards=%d: recovery %+v; want %d replayed, %d corrupt and %d node samples",
-				shards, rec, lg.replayed, lg.corrupt, lg.nodes)
+				shards, rec, len(lg.rows), lg.corrupt, lg.nodes)
 		}
 		if rec.Log.Segments < 8 {
 			t.Fatalf("log spans %d segments; want several", rec.Log.Segments)
@@ -513,8 +516,8 @@ func mixedLogDigest(t *testing.T, lg mixedLog, cfg Config) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// goldenMixedLogDigest is what recovery rebuilt from writeMixedLog's log
-// while replay still parsed every frame on the one goroutine that read it.
+// goldenMixedLogDigest is what recovery rebuilt from writeMixedLog's log at
+// seed 41 while replay still parsed every frame on the one goroutine that read it.
 const goldenMixedLogDigest = "c4620707653007f1c86bd72d6de9c456b99b0a301427226dc99b30da674f04f3"
 
 // TestRecoveryMixedLogDigest pins what recovery rebuilds from a log that
@@ -522,7 +525,7 @@ const goldenMixedLogDigest = "c4620707653007f1c86bd72d6de9c456b99b0a301427226dc9
 // them in, at 1, 2, 4 and 8 parse workers: frames parse concurrently, but
 // the shards must still apply them in log order.
 func TestRecoveryMixedLogDigest(t *testing.T) {
-	lg := writeMixedLog(t)
+	lg := writeMixedLog(t, 41)
 	for _, workers := range []int{1, 2, 4, 8} {
 		if got := mixedLogDigest(t, lg, Config{replayWorkers: workers}); got != goldenMixedLogDigest {
 			t.Fatalf("workers=%d: mixed-log recovery digest %s, want %s", workers, got, goldenMixedLogDigest)

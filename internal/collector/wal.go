@@ -16,34 +16,121 @@ import (
 	"starlinkview/internal/wal"
 )
 
-// WAL record kinds: the payloads reuse the dataset release encodings, so a
-// WAL segment is itself a replayable dataset of browsing records, logged as
-// batch frames (walKindExtensionBatch, batch.go). Kind 1, one browsing
-// record as the CSV row dataset.MarshalExtensionRow emits, is what an
-// earlier CSV ingest route logged: nothing writes it now, but recovery, compaction and -wal-dump still read it in older logs. Kind
-// 2 is reserved: it held one volunteer-node sample as a JSON line, which
-// earlier builds took on a second ingest path. Recovery counts the kind-2
-// records of an older log as skipped node samples and applies none.
+// WAL record kinds. Each payload reuses a dataset release encoding, so a
+// WAL segment is itself a replayable dataset of browsing records. Ingest
+// logs batch frames (dataset.MarshalBatch bytes). An earlier CSV ingest
+// route logged kind 1, one record as the CSV row dataset.MarshalExtensionRow
+// emits; earlier builds logged kind 2, one volunteer-node sample as a JSON
+// line, from a second ingest path. Nothing writes either now, but older
+// logs hold them. readRecord is the one reading of every kind.
 const (
-	walKindExtension byte = 1
-	walKindNode      byte = 2
+	walKindExtension      byte = 1
+	walKindNode           byte = 2
+	walKindExtensionBatch byte = 3
 )
 
-// WALKindExtension is the kind-1 record kind, exported for offline log
-// consumers — cluster compaction rereads sealed segments with it to turn
-// cold WAL data back into release-format datasets.
-const WALKindExtension = walKindExtension
+// WALKindExtension and WALKindExtensionBatch are the kinds of a kind-1 row
+// and of a batch frame, for the tests and benchmarks that write logs.
+const (
+	WALKindExtension      = walKindExtension
+	WALKindExtensionBatch = walKindExtensionBatch
+)
 
-// DecodeWALExtension parses a walKindExtension payload (one dataset CSV
-// row) back into the record it logged.
-func DecodeWALExtension(payload []byte) (extension.Record, error) {
-	cr := csv.NewReader(bytes.NewReader(payload))
+// WALSkips counts the logged records, and rows, a reader of the WAL skips.
+type WALSkips struct {
+	// SkippedCorrupt counts payloads that fail to decode, and rows whose
+	// PTT ingest would refuse (which a log written before it did may hold).
+	SkippedCorrupt uint64 `json:"skipped_corrupt"`
+	// SkippedNodeRecords counts the volunteer-node samples an earlier build
+	// logged (and, in recovery, checkpointed). None is applied.
+	SkippedNodeRecords uint64 `json:"skipped_node_records,omitempty"`
+}
+
+// Add adds o's counts to s.
+func (s *WALSkips) Add(o WALSkips) {
+	s.SkippedCorrupt += o.SkippedCorrupt
+	s.SkippedNodeRecords += o.SkippedNodeRecords
+}
+
+// ReadWALRecord is what one logged record contributes, as recovery replays
+// it: a view from views of the rows recovery applies, nil if there are
+// none, and what it skips. Cluster compaction and collectord -wal-dump read
+// a log through it, so the release and the dump hold exactly the rows
+// recovery applies. The caller puts the view back in views.
+func ReadWALRecord(views *dataset.ViewPool, r wal.Rec) (*dataset.BatchView, WALSkips) {
+	return readRecord(views, r.Kind, views.Fill(r.Payload))
+}
+
+// readRecord decides what a record of the given kind contributes, taking
+// v, a view Fill copied its payload into:
+//
+//	batch frame  its rows; 1 corrupt if it does not parse
+//	kind 1       its row; 1 corrupt if it does not decode
+//	kind 2       nothing; 1 node sample, never decoded
+//	other kinds  nothing; 1 corrupt
+//
+// and each row whose PTT ingest would refuse counts as corrupt instead.
+func readRecord(views *dataset.ViewPool, kind byte, v *dataset.BatchView) (*dataset.BatchView, WALSkips) {
+	var err error
+	switch kind {
+	case walKindExtensionBatch:
+		err = views.ParseFilled(v)
+	case walKindExtension:
+		v, err = rowView(views, v)
+	default:
+		views.Put(v)
+		if kind == walKindNode {
+			return nil, WALSkips{SkippedNodeRecords: 1}
+		}
+		return nil, WALSkips{SkippedCorrupt: 1}
+	}
+	if err != nil {
+		return nil, WALSkips{SkippedCorrupt: 1}
+	}
+	return validRows(views, v)
+}
+
+// rowView decodes the kind-1 payload v holds, one dataset CSV row, into a
+// one-row view, and releases v.
+func rowView(views *dataset.ViewPool, v *dataset.BatchView) (*dataset.BatchView, error) {
+	defer views.Put(v)
+	cr := csv.NewReader(bytes.NewReader(v.Frame()))
 	cr.FieldsPerRecord = len(dataset.ExtensionHeader())
 	row, err := cr.Read()
 	if err != nil {
-		return extension.Record{}, fmt.Errorf("collector: wal row: %w", err)
+		return nil, err
 	}
-	return dataset.UnmarshalExtensionRow(row)
+	rec, err := dataset.UnmarshalExtensionRow(row)
+	if err != nil {
+		return nil, err
+	}
+	return views.Parse(new(dataset.BatchEncoder).Encode([]extension.Record{rec}))
+}
+
+// validRows is replay's side of ingest's PTT rule, for logs written before
+// ingest enforced it: it returns v unchanged when every PTT is valid, and
+// otherwise releases v and returns a view of the valid rows. It returns
+// nil for a view with no valid row, and counts each row it drops.
+func validRows(views *dataset.ViewPool, v *dataset.BatchView) (*dataset.BatchView, WALSkips) {
+	if v.Len() > 0 && badPTTRow(v) < 0 {
+		return v, WALSkips{}
+	}
+	defer views.Put(v)
+	rows := make([]int32, 0, v.Len())
+	for i := 0; i < v.Len(); i++ {
+		if validPTT(v.PTTMs(i)) {
+			rows = append(rows, int32(i))
+		}
+	}
+	dropped := WALSkips{SkippedCorrupt: uint64(v.Len() - len(rows))}
+	if len(rows) == 0 {
+		return nil, dropped
+	}
+	kept, err := views.Parse(new(dataset.BatchEncoder).EncodeRows(v, rows))
+	if err != nil {
+		return nil, WALSkips{SkippedCorrupt: uint64(v.Len())} // unreachable: the frame was just encoded
+	}
+	return kept, dropped
 }
 
 // WALConfig enables durable ingest. With a Dir set, every accepted record
@@ -81,14 +168,10 @@ type WALRecovery struct {
 	RestoredRecords uint64 `json:"restored_records"`
 	// ReplayedRecords were re-applied from the log tail.
 	ReplayedRecords uint64 `json:"replayed_records"`
-	// SkippedCorrupt counts tail records whose payloads failed to decode,
-	// and records whose PTT ingest would refuse (which a log written before
-	// it did may hold); replay skips and counts them, it never gives up.
-	SkippedCorrupt uint64 `json:"skipped_corrupt"`
-	// SkippedNodeRecords counts the volunteer-node samples an earlier build
-	// logged or checkpointed: the count of each node group in the
-	// checkpoint plus each kind-2 record in the tail. None is applied.
-	SkippedNodeRecords uint64 `json:"skipped_node_records,omitempty"`
+	// WALSkips counts the tail's records and rows readRecord skips, and
+	// the count of each node group in the checkpoint as skipped node
+	// samples. Replay skips them and never gives up.
+	WALSkips
 	// Log carries the segment-level recovery detail.
 	Log wal.RecoveryStats `json:"log"`
 }
@@ -249,11 +332,12 @@ func (a *Aggregator) replayWAL() error {
 
 // replayPipe is replay's ordered pipeline. The reader, the wal.Replay
 // callback, copies each logged record once into the next slot of a fixed
-// ring, a batch frame straight into a pooled view's buffer, and queues the
-// view for the parse workers. Before it reuses a slot it sequences the
-// record there, the oldest one held: it waits for that record's parse and
-// hands the view to the shards (replayParsed). So the shards get every
-// record in log order while up to a ring's worth of frames parse at once.
+// ring, straight into a pooled view's buffer, and queues the slot for the
+// parse workers, which run readRecord on it. Before it reuses a slot it
+// sequences the record there, the oldest one held: it waits for that
+// record's verdict, adds its skips and hands its rows to the shards. So the
+// shards get every record in log order while up to a ring's worth of
+// records parse at once.
 type replayPipe struct {
 	a     *Aggregator
 	slots []replaySlot
@@ -265,17 +349,16 @@ type replayPipe struct {
 	// sequencer has waited for its parse.
 	todo chan *replaySlot
 	wg   sync.WaitGroup
-	enc  dataset.BatchEncoder
 }
 
 // replaySlot holds one logged record between the reader and the
-// sequencer. A batch frame's view is filled by the reader and parsed by a
-// worker, which signals parsed (and leaves view nil if the frame did not
-// parse); a kind-1 row is copied into row, whose buffer the slot keeps.
+// sequencer. The reader fills view with the record's payload; a worker
+// replaces it with readRecord's verdict, the rows to apply (nil if none)
+// and the skips, and signals parsed.
 type replaySlot struct {
 	kind   byte
 	view   *dataset.BatchView
-	row    []byte
+	skips  WALSkips
 	parsed chan struct{}
 }
 
@@ -299,15 +382,13 @@ func (a *Aggregator) startReplay() *replayPipe {
 	return p
 }
 
-// parse is one worker: it parses each queued frame in place through the
+// parse is one worker: it reads each queued record through the
 // aggregator's pool, which interns through the same table the live ingest
 // handlers share.
 func (p *replayPipe) parse() {
 	defer p.wg.Done()
 	for s := range p.todo {
-		if err := p.a.views.ParseFilled(s.view); err != nil {
-			s.view = nil
-		}
+		s.view, s.skips = readRecord(&p.a.views, s.kind, s.view)
 		s.parsed <- struct{}{}
 	}
 }
@@ -322,13 +403,8 @@ func (p *replayPipe) read(r wal.Rec) error {
 	p.head++
 	p.a.ringPeak = max(p.a.ringPeak, int(p.head-p.tail))
 	s.kind = r.Kind
-	switch r.Kind {
-	case walKindExtensionBatch:
-		s.view = p.a.views.Fill(r.Payload)
-		p.todo <- s
-	case walKindExtension:
-		s.row = append(s.row[:0], r.Payload...)
-	}
+	s.view = p.a.views.Fill(r.Payload)
+	p.todo <- s
 	return nil
 }
 
@@ -339,20 +415,18 @@ func (p *replayPipe) flush() {
 	}
 }
 
-// sequence hands the oldest record in the ring to the shards: a batch
-// frame once its worker has parsed it, any other record through
-// replayRecord.
+// sequence hands the oldest record in the ring to the shards once its
+// worker has read it, and adds what it skipped.
 func (p *replayPipe) sequence() {
 	s := &p.slots[p.tail%uint64(len(p.slots))]
 	p.tail++
-	if s.kind != walKindExtensionBatch {
-		p.a.replayRecord(wal.Rec{Kind: s.kind, Payload: s.row}, &p.enc)
-		return
-	}
 	<-s.parsed
 	v := s.view
 	s.view = nil
-	p.a.replayParsed(v)
+	p.a.walRecovery.Add(s.skips)
+	if v != nil {
+		p.a.replayView(v)
+	}
 }
 
 // stop ends the workers once they have parsed what is queued, and returns
@@ -369,62 +443,12 @@ func (p *replayPipe) stop() {
 	}
 }
 
-// replayParsed hands one parsed batch frame to the shards, or counts it:
-// a frame that failed to parse (v nil) counts once as corrupt, a frame's
-// rows whose PTT ingest would refuse (which a log written before ingest
-// bounded PTTs may hold) count one each and the rest replay.
-func (a *Aggregator) replayParsed(v *dataset.BatchView) {
-	rec := &a.walRecovery
-	if v == nil {
-		rec.SkippedCorrupt++
-		return
-	}
-	v, dropped := a.validRows(v)
-	rec.SkippedCorrupt += uint64(dropped)
-	if v != nil {
-		a.replayView(v)
-	}
-}
-
-// replayRecord hands one logged record that is not a batch frame to the
-// shards. A kind-1 row replays as a one-row view, encoded with enc, so
-// every browsing record reaches the shards the way live ingest delivers it;
-// a row that does not decode, or whose PTT ingest would refuse, is skipped
-// and counted, never fatal. A kind-2 record, a node sample an earlier build
-// logged, is counted as a skipped node sample without being decoded, and a
-// record of any other kind as corrupt.
-func (a *Aggregator) replayRecord(r wal.Rec, enc *dataset.BatchEncoder) {
-	rec := &a.walRecovery
-	switch r.Kind {
-	case walKindExtension:
-		row, err := DecodeWALExtension(r.Payload)
-		if err != nil || !validPTT(row.PTTMs) {
-			rec.SkippedCorrupt++
-			return
-		}
-		v, err := a.views.Parse(enc.Encode([]extension.Record{row}))
-		if err != nil {
-			rec.SkippedCorrupt++
-			return
-		}
-		a.replayView(v)
-	case walKindNode:
-		rec.SkippedNodeRecords++
-	default:
-		rec.SkippedCorrupt++
-	}
-}
-
-// replayView hands one recovered frame to the shards through the live path's
-// enqueueView, once the replay window has room for it: the view goes back
-// to the pool, and its token to the window, when the last shard has applied
-// its rows.
+// replayView hands one recovered view, which has rows, to the shards
+// through the live path's enqueueView, once the replay window has room for
+// it: the view goes back to the pool, and its token to the window, when the
+// last shard has applied its rows.
 func (a *Aggregator) replayView(v *dataset.BatchView) {
 	n := v.Len()
-	if n == 0 {
-		a.views.Put(v)
-		return
-	}
 	a.window <- struct{}{}
 	a.windowPeak = max(a.windowPeak, len(a.window))
 	a.enqueueView(v, trace.SpanContext{})

@@ -187,11 +187,10 @@ func quantizeMilli(v float64) (milli int64, q float64, ok bool) {
 // corrupt, or trailing-garbage input returns an error; no input panics, and
 // nothing past a failed CRC is ever interpreted.
 //
-// It is a shim for the offline consumers that genuinely want records
-// (cluster compaction, collectord -wal-dump, ReadBatch) and for
+// It is a shim for ReadBatch, for tests that want records, and for
 // benchmark/other_layers.go, which times it under
-// dataset.unmarshal_ns_per_record; the ingest, replay and forward paths all
-// read the view directly.
+// dataset.unmarshal_ns_per_record. Ingest, forwarding and every reader of
+// the WAL (recovery, cluster compaction, collectord -wal-dump) read views.
 func UnmarshalBatch(frame []byte) ([]extension.Record, error) {
 	v, err := ParseBatchView(frame)
 	if err != nil {

@@ -10,9 +10,10 @@
 // contiguously from 1, segments are named by the first LSN they hold and
 // rotate at a size threshold, and a torn tail — the partial frame a crash
 // leaves behind — is detected by the CRC and truncated on open. The
-// collector stores extension records in their dataset CSV row encoding, so
-// a WAL segment doubles as a replayable dataset (see cmd/collectord
-// -wal-dump).
+// collector logs browsing records in a dataset release encoding, so a WAL
+// segment doubles as a replayable dataset; its one reading of a record
+// (collector.ReadWALRecord) serves recovery, cluster compaction and
+// cmd/collectord -wal-dump alike.
 //
 // Durability contract: Append buffers; a record is durable only once Commit
 // (or Sync) has returned for its LSN. Any write or sync failure poisons the
@@ -470,9 +471,9 @@ func (w *Writer) replaySegment(seg segment, after uint64, fn func(Rec) error) er
 	return err
 }
 
-// ReplayDir is the read-only replay used outside a live Writer (e.g.
-// collectord -wal-dump): it iterates intact frames of every segment in dir
-// in LSN order, stopping quietly at the first tear.
+// ReplayDir is the read-only replay used outside a live Writer (collectord
+// -wal-dump): it iterates intact frames of every segment in dir, the active
+// one included, in LSN order, stopping quietly at the first tear.
 func ReplayDir(fsys FS, dir string, after uint64, fn func(Rec) error) error {
 	if fsys == nil {
 		fsys = OSFS{}
